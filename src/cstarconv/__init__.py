@@ -33,6 +33,7 @@ from .algebra import (
     is_state,
     left_multiplication_matrix,
     min_hermitian_eigenvalue,
+    mixing_permutation,
     right_multiplication_matrix,
     state_check,
     tensor_algebra,
@@ -45,7 +46,6 @@ from .bialgebra import (
     ValidationReport,
     cocommutativity_residual,
     discrete_type_decomposition,
-    flip,
     function_bialgebra,
     fourier_matrices,
     group_cstar_bialgebra,
@@ -100,7 +100,7 @@ from .groupfun import (
     schoenberg_exp,
     translation_unitary,
 )
-from .maps import LinearMap, mixing_permutation, tensor_flip, tensor_map
+from .maps import LinearMap, tensor_flip, tensor_map
 from .semigroup import (
     AssociatedSemigroup,
     CompletePositivityReport,

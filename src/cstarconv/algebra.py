@@ -1,23 +1,26 @@
 """Finite-dimensional C*-algebras given by block-matrix data.
 
 An algebra is a direct sum of full matrix blocks ``M_{n_1} + ... + M_{n_k}``.
-Elements are tuples of per-block complex matrices; linear functionals are
-encoded by dual block matrices via the trace pairing
+:class:`Algebra` owns the one coordinate layout of the package: the canonical
+basis is the family of matrix units, blocks in declared order and row-major
+within each block.  An element stores its coordinates in that basis as one
+flat vector; a linear functional stores the flat vector of its values on the
+basis, so that
 
-    mu(a) = sum_i trace(rho_i @ a_i).
+    mu(a) = dual @ coords = sum_i trace(rho_i @ a_i),
 
-The canonical coordinate basis is the family of matrix units, blocks in
-declared order and row-major within each block; every dense matrix in this
-package (coproducts, translation operators, semigroup maps) acts on these
-coordinates.  All values are immutable after construction and every
-operation is a pure function, so everything is safe to share between
-threads.
+where the dual block ``rho_i`` is the transpose of the block's slice of
+``dual``.  Per-block matrices are read-only views of the vectors.  Every
+dense matrix in this package (coproducts, translation operators, semigroup
+maps) acts on these coordinates.  All values are immutable after
+construction and every operation is a pure function, so everything is safe
+to share between threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -88,85 +91,121 @@ class Algebra:
         starts = np.concatenate([[0], np.cumsum([n * n for n in self.blocks])])
         return tuple(int(s) for s in starts[:-1])
 
+    @cached_property
+    def star_perm(self) -> np.ndarray:
+        """Index array with ``coords(a*) = conj(coords(a)[star_perm])``.
+
+        It transposes each block, so it is its own inverse; the same rule
+        gives the dual vector of the adjoint functional.
+        """
+        perm = np.concatenate(
+            [
+                off + np.arange(n * n).reshape(n, n).T.ravel()
+                for off, n in zip(self.coord_offsets, self.blocks)
+            ]
+        )
+        perm.setflags(write=False)
+        return perm
+
+    @cached_property
+    def unit_coords(self) -> np.ndarray:
+        return _frozen(np.concatenate([np.eye(n).ravel() for n in self.blocks]))
+
+    @cached_property
+    def _blocks_by_size(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """For each distinct block size ``n``, the ``(count, n * n)`` coordinate indices."""
+        groups: dict[int, list[np.ndarray]] = {}
+        for off, n in zip(self.coord_offsets, self.blocks):
+            groups.setdefault(n, []).append(np.arange(off, off + n * n))
+        return tuple((n, np.array(rows)) for n, rows in groups.items())
+
     # -- constructors -----------------------------------------------------
 
     def element(self, blocks) -> "Element":
         """Wrap per-block matrices as an element, validating shapes."""
-        mats = tuple(_frozen(b) for b in blocks)
+        mats = [np.asarray(b, dtype=np.complex128) for b in blocks]
         self._check_shapes(mats)
-        return Element(mats)
+        return Element(self, np.concatenate([m.ravel() for m in mats]))
 
     def functional(self, dual_blocks) -> "Functional":
         """Wrap per-block dual matrices as a functional, validating shapes."""
-        mats = tuple(_frozen(b) for b in dual_blocks)
+        mats = [np.asarray(b, dtype=np.complex128) for b in dual_blocks]
         self._check_shapes(mats)
-        return Functional(mats)
+        return Functional(self, np.concatenate([m.T.ravel() for m in mats]))
 
     def zero(self) -> "Element":
-        return Element(tuple(_frozen(np.zeros((n, n))) for n in self.blocks))
+        return Element(self, np.zeros(self.dim))
 
     def unit(self) -> "Element":
-        return Element(tuple(_frozen(np.eye(n)) for n in self.blocks))
-
-    def basis_element(self, block: int, row: int, col: int) -> "Element":
-        """The matrix unit sitting at (row, col) of the given block."""
-        mats = [np.zeros((n, n), dtype=np.complex128) for n in self.blocks]
-        mats[block][row, col] = 1.0
-        return Element(tuple(_frozen(m) for m in mats))
+        return Element(self, self.unit_coords)
 
     def basis(self) -> list["Element"]:
         """All matrix units in canonical (block, row-major) order."""
-        out = []
-        for i, n in enumerate(self.blocks):
-            for r in range(n):
-                for s in range(n):
-                    out.append(self.basis_element(i, r, s))
-        return out
-
-    def dual_basis(self) -> list["Functional"]:
-        """Coordinate functionals: the k-th one reads off coordinate k."""
-        return [
-            self.functional_from_dual_coords(row)
-            for row in np.eye(self.dim, dtype=np.complex128)
-        ]
+        return [Element(self, row) for row in np.eye(self.dim)]
 
     # -- coordinates -------------------------------------------------------
 
     def to_coords(self, a: "Element") -> np.ndarray:
         """Coordinates of an element in the canonical matrix-unit basis."""
-        self._check_shapes(a.blocks)
-        return np.concatenate([b.ravel() for b in a.blocks])
+        self._require(a)
+        return a.coords
 
     def from_coords(self, coords) -> "Element":
         coords = np.asarray(coords, dtype=np.complex128).ravel()
         if coords.size != self.dim:
             raise ShapeError(f"expected {self.dim} coordinates, got {coords.size}")
-        mats = []
-        for off, n in zip(self.coord_offsets, self.blocks):
-            mats.append(_frozen(coords[off : off + n * n].reshape(n, n)))
-        return Element(tuple(mats))
+        return Element(self, coords)
 
     def dual_coords(self, mu: "Functional") -> np.ndarray:
         """Row vector with ``mu(a) = dual_coords(mu) @ to_coords(a)``."""
-        self._check_shapes(mu.dual_blocks)
-        return np.concatenate([b.T.ravel() for b in mu.dual_blocks])
+        self._require(mu)
+        return mu.dual
 
     def functional_from_dual_coords(self, coords) -> "Functional":
         coords = np.asarray(coords, dtype=np.complex128).ravel()
         if coords.size != self.dim:
             raise ShapeError(f"expected {self.dim} dual coordinates, got {coords.size}")
-        mats = []
-        for off, n in zip(self.coord_offsets, self.blocks):
-            mats.append(_frozen(coords[off : off + n * n].reshape(n, n).T))
-        return Functional(tuple(mats))
+        return Functional(self, coords)
 
-    def embed(self, a: "Element") -> np.ndarray:
-        """Block-diagonal matrix of ``a`` in the faithful representation."""
-        self._check_shapes(a.blocks)
-        out = np.zeros((self.rep_dim, self.rep_dim), dtype=np.complex128)
+    def split(self, vector: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-block ``(n, n)`` views of a coordinate vector, row-major."""
+        return tuple(
+            vector[off : off + n * n].reshape(n, n)
+            for off, n in zip(self.coord_offsets, self.blocks)
+        )
+
+    # -- block arithmetic on coordinate arrays -----------------------------
+
+    def multiply(self, x, y) -> np.ndarray:
+        """Coordinates of the product ``x * y`` of coordinate arrays.
+
+        This is the multiplication rule ``e_rs e_tu = delta_st e_ru`` within
+        each block.  ``x`` and ``y`` have shape ``(..., dim)`` with
+        broadcastable leading axes; the product runs as one batched matrix
+        product per distinct block size.
+        """
+        x = np.asarray(x)
+        y = np.asarray(y)
+        batch = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+        out = np.empty(batch + (self.dim,), dtype=np.result_type(x, y, np.complex128))
+        for n, idx in self._blocks_by_size:
+            k = idx.shape[0]
+            xb = x[..., idx].reshape(x.shape[:-1] + (k, n, n))
+            yb = y[..., idx].reshape(y.shape[:-1] + (k, n, n))
+            out[..., idx] = (xb @ yb).reshape(batch + (k, n * n))
+        return out
+
+    def embed(self, coords) -> np.ndarray:
+        """Block-diagonal matrices, in the faithful representation, of
+        coordinate arrays of shape ``(..., dim)``."""
+        coords = np.asarray(coords)
+        batch = coords.shape[:-1]
+        out = np.zeros(batch + (self.rep_dim, self.rep_dim), dtype=np.complex128)
         pos = 0
-        for b, n in zip(a.blocks, self.blocks):
-            out[pos : pos + n, pos : pos + n] = b
+        for off, n in zip(self.coord_offsets, self.blocks):
+            out[..., pos : pos + n, pos : pos + n] = coords[..., off : off + n * n].reshape(
+                batch + (n, n)
+            )
             pos += n
         return out
 
@@ -181,74 +220,94 @@ class Algebra:
             if m.shape != (n, n):
                 raise ShapeError(f"block {i} has shape {m.shape}, expected ({n}, {n})")
 
+    def _require(self, value) -> None:
+        if value.algebra != self:
+            raise ShapeError(
+                f"value lives on blocks {value.algebra.blocks}, expected {self.blocks}"
+            )
+
 
 @dataclass(frozen=True, eq=False)
 class Element:
-    """An algebra element: one complex matrix per block."""
+    """An algebra element: its coordinate vector in the matrix-unit basis."""
 
-    blocks: tuple[np.ndarray, ...]
+    algebra: Algebra
+    coords: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "coords", _frozen(self.coords))
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """Read-only per-block matrices."""
+        return self.algebra.split(self.coords)
+
+    def _new(self, coords) -> "Element":
+        return Element(self.algebra, coords)
 
     def adjoint(self) -> "Element":
-        return Element(tuple(_frozen(b.conj().T) for b in self.blocks))
+        return self._new(self.coords[self.algebra.star_perm].conj())
 
     def __add__(self, other: "Element") -> "Element":
-        return Element(tuple(_frozen(a + b) for a, b in zip(self.blocks, other.blocks)))
+        return self._new(self.coords + other.coords)
 
     def __sub__(self, other: "Element") -> "Element":
-        return Element(tuple(_frozen(a - b) for a, b in zip(self.blocks, other.blocks)))
+        return self._new(self.coords - other.coords)
 
     def __neg__(self) -> "Element":
-        return Element(tuple(_frozen(-a) for a in self.blocks))
+        return self._new(-self.coords)
 
     def __mul__(self, other):
         if isinstance(other, Element):
-            return Element(
-                tuple(_frozen(a @ b) for a, b in zip(self.blocks, other.blocks))
-            )
-        return Element(tuple(_frozen(complex(other) * a) for a in self.blocks))
+            return self._new(self.algebra.multiply(self.coords, other.coords))
+        return self._new(complex(other) * self.coords)
 
     def __rmul__(self, scalar) -> "Element":
-        return Element(tuple(_frozen(complex(scalar) * a) for a in self.blocks))
+        return self._new(complex(scalar) * self.coords)
 
 
 @dataclass(frozen=True, eq=False)
 class Functional:
-    """A linear functional, encoded by dual block matrices.
+    """A linear functional, stored as its values ``dual`` on the matrix units.
 
-    Calling the functional on an :class:`Element` evaluates the trace
-    pairing ``sum_i trace(rho_i @ a_i)``.
+    Calling the functional on an :class:`Element` evaluates
+    ``dual @ coords``, which equals the trace pairing
+    ``sum_i trace(rho_i @ a_i)`` with the dual blocks ``rho_i``.
     """
 
-    dual_blocks: tuple[np.ndarray, ...]
+    algebra: Algebra
+    dual: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "dual", _frozen(self.dual))
+
+    @property
+    def dual_blocks(self) -> tuple[np.ndarray, ...]:
+        """Read-only dual block matrices ``rho_i``."""
+        return tuple(v.T for v in self.algebra.split(self.dual))
+
+    def _new(self, dual) -> "Functional":
+        return Functional(self.algebra, dual)
 
     def __call__(self, a: Element) -> complex:
-        if len(a.blocks) != len(self.dual_blocks):
-            raise ShapeError("functional and element block counts differ")
-        return complex(
-            sum(np.trace(r @ b) for r, b in zip(self.dual_blocks, a.blocks))
-        )
+        self.algebra._require(a)
+        return complex(self.dual @ a.coords)
 
     def adjoint(self) -> "Functional":
         """The functional ``a -> conj(mu(a*))``; fixed points are Hermitian."""
-        return Functional(tuple(_frozen(r.conj().T) for r in self.dual_blocks))
+        return self._new(self.dual[self.algebra.star_perm].conj())
 
     def __add__(self, other: "Functional") -> "Functional":
-        return Functional(
-            tuple(_frozen(a + b) for a, b in zip(self.dual_blocks, other.dual_blocks))
-        )
+        return self._new(self.dual + other.dual)
 
     def __sub__(self, other: "Functional") -> "Functional":
-        return Functional(
-            tuple(_frozen(a - b) for a, b in zip(self.dual_blocks, other.dual_blocks))
-        )
+        return self._new(self.dual - other.dual)
 
     def __neg__(self) -> "Functional":
-        return Functional(tuple(_frozen(-a) for a in self.dual_blocks))
+        return self._new(-self.dual)
 
     def __mul__(self, scalar) -> "Functional":
-        return Functional(
-            tuple(_frozen(complex(scalar) * a) for a in self.dual_blocks)
-        )
+        return self._new(complex(scalar) * self.dual)
 
     __rmul__ = __mul__
 
@@ -273,7 +332,7 @@ def element_norm(algebra: Algebra, a: Element) -> float:
     float
         ``max_i sigma_max(a_i)``; satisfies ``norm(a* a) == norm(a) ** 2``.
     """
-    algebra._check_shapes(a.blocks)
+    algebra._require(a)
     return max(
         float(np.linalg.svd(b, compute_uv=False)[0]) if b.size else 0.0
         for b in a.blocks
@@ -299,12 +358,12 @@ def functional_norm_witness(algebra: Algebra, mu: Functional) -> Element:
     matrix: with ``rho = U S Vh`` it is ``(V @ Uh)``, so that
     ``trace(rho @ a) = trace(S)``.
     """
-    algebra._check_shapes(mu.dual_blocks)
+    algebra._require(mu)
     mats = []
     for rho in mu.dual_blocks:
         u, _, vh = np.linalg.svd(rho)
         mats.append(vh.conj().T @ u.conj().T)
-    return Element(tuple(_frozen(m) for m in mats))
+    return algebra.element(mats)
 
 
 def is_hermitian(mu_or_element, tol: float = DEFAULT_TOL) -> bool:
@@ -323,7 +382,7 @@ def is_positive(algebra: Algebra, a: Element, tol: float = DEFAULT_TOL) -> bool:
     PreconditionError
         If some block of ``a`` is not Hermitian within ``tol``.
     """
-    algebra._check_shapes(a.blocks)
+    algebra._require(a)
     defect = max(hermitian_defect(b) for b in a.blocks)
     if defect > tol:
         raise PreconditionError(
@@ -390,26 +449,46 @@ def tensor_algebra(a1: Algebra, a2: Algebra) -> Algebra:
     return Algebra(tuple(n * m for n in a1.blocks for m in a2.blocks))
 
 
+@lru_cache(maxsize=None)
+def _mixing_permutation(blocks1: tuple[int, ...], blocks2: tuple[int, ...]) -> np.ndarray:
+    a1, a2 = Algebra(blocks1), Algebra(blocks2)
+    parts = []
+    for off1, n in zip(a1.coord_offsets, blocks1):
+        for off2, m in zip(a2.coord_offsets, blocks2):
+            # tensor block (n*m) x (n*m), row (r1, r2), column (s1, s2), row-major
+            r1, r2, s1, s2 = np.ix_(range(n), range(m), range(n), range(m))
+            k1 = off1 + r1 * n + s1
+            k2 = off2 + r2 * m + s2
+            parts.append((k1 * a2.dim + k2).ravel())
+    perm = np.concatenate(parts).astype(np.intp)
+    perm.setflags(write=False)
+    return perm
+
+
+def mixing_permutation(a1: Algebra, a2: Algebra) -> np.ndarray:
+    """Index array with ``coords(x (x) y) = kron(coords(x), coords(y))[perm]``.
+
+    The Kronecker product of the factor coordinates interleaves row and
+    column indices; this permutation is the one place that reorders it into
+    the canonical matrix-unit coordinates of :func:`tensor_algebra`.
+    """
+    return _mixing_permutation(a1.blocks, a2.blocks)
+
+
 def tensor_element(a: Element, b: Element) -> Element:
     """Elementary tensor of two elements, block-pairwise Kronecker products.
 
     The convention is ``(X (x) Y)[(r1, r2), (s1, s2)] = X[r1, s1] * Y[r2, s2]``,
     i.e. exactly ``numpy.kron`` per block pair.
     """
-    return Element(
-        tuple(_frozen(np.kron(x, y)) for x in a.blocks for y in b.blocks)
-    )
+    perm = mixing_permutation(a.algebra, b.algebra)
+    return Element(tensor_algebra(a.algebra, b.algebra), np.kron(a.coords, b.coords)[perm])
 
 
 def tensor_functional(mu: Functional, nu: Functional) -> Functional:
     """Product functional with ``(mu (x) nu)(a (x) b) = mu(a) * nu(b)``."""
-    return Functional(
-        tuple(
-            _frozen(np.kron(r, s))
-            for r in mu.dual_blocks
-            for s in nu.dual_blocks
-        )
-    )
+    perm = mixing_permutation(mu.algebra, nu.algebra)
+    return Functional(tensor_algebra(mu.algebra, nu.algebra), np.kron(mu.dual, nu.dual)[perm])
 
 
 # ---------------------------------------------------------------------------
@@ -449,21 +528,15 @@ class GNSData:
 
 
 def left_multiplication_matrix(algebra: Algebra, a: Element) -> np.ndarray:
-    """Coordinate matrix of ``b -> a * b`` (block-diagonal Kronecker form)."""
-    algebra._check_shapes(a.blocks)
-    out = np.zeros((algebra.dim, algebra.dim), dtype=np.complex128)
-    for off, n, blk in zip(algebra.coord_offsets, algebra.blocks, a.blocks):
-        out[off : off + n * n, off : off + n * n] = np.kron(blk, np.eye(n))
-    return out
+    """Coordinate matrix of ``b -> a * b``."""
+    algebra._require(a)
+    return algebra.multiply(a.coords, np.eye(algebra.dim)).T
 
 
 def right_multiplication_matrix(algebra: Algebra, a: Element) -> np.ndarray:
     """Coordinate matrix of ``b -> b * a``."""
-    algebra._check_shapes(a.blocks)
-    out = np.zeros((algebra.dim, algebra.dim), dtype=np.complex128)
-    for off, n, blk in zip(algebra.coord_offsets, algebra.blocks, a.blocks):
-        out[off : off + n * n, off : off + n * n] = np.kron(np.eye(n), blk.T)
-    return out
+    algebra._require(a)
+    return algebra.multiply(np.eye(algebra.dim), a.coords).T
 
 
 def gns(algebra: Algebra, omega: Functional, tol: float = DEFAULT_TOL) -> GNSData:
@@ -472,7 +545,9 @@ def gns(algebra: Algebra, omega: Functional, tol: float = DEFAULT_TOL) -> GNSDat
     Builds the Gram matrix ``G[x, y] = omega(x* y)`` over the canonical
     basis, quotients by its numerical null space (eigenvalues below
     ``tol * max_eigenvalue``), and represents left multiplication on an
-    orthonormal basis of the quotient.
+    orthonormal basis of the quotient.  Both come from one tensor of basis
+    products: ``e_x* = e_{star_perm[x]}``, and the left-multiplication
+    matrix of ``e_k`` is ``products[k].T``.
 
     Parameters
     ----------
@@ -494,13 +569,9 @@ def gns(algebra: Algebra, omega: Functional, tol: float = DEFAULT_TOL) -> GNSDat
     if not is_positive_functional(omega, tol):
         raise PreconditionError("GNS construction requires a positive functional")
 
-    dim = algebra.dim
-    basis = algebra.basis()
-    gram = np.empty((dim, dim), dtype=np.complex128)
-    for x, ex in enumerate(basis):
-        star = ex.adjoint()
-        for y, ey in enumerate(basis):
-            gram[x, y] = omega(star * ey)
+    eye = np.eye(algebra.dim)
+    products = algebra.multiply(eye[:, None, :], eye)  # [x, y] -> coords(e_x e_y)
+    gram = products[algebra.star_perm] @ algebra.dual_coords(omega)
     gram = (gram + gram.conj().T) / 2.0
 
     eigvals, eigvecs = np.linalg.eigh(gram)
@@ -517,9 +588,6 @@ def gns(algebra: Algebra, omega: Functional, tol: float = DEFAULT_TOL) -> GNSDat
     to_space = (np.sqrt(svals)[:, None]) * vecs.conj().T
     from_space = vecs / np.sqrt(svals)[None, :] if d else vecs
 
-    reps = np.empty((dim, d, d), dtype=np.complex128)
-    for k, ek in enumerate(basis):
-        mult = left_multiplication_matrix(algebra, ek)
-        reps[k] = to_space @ mult @ from_space
-    eta = to_space @ algebra.to_coords(algebra.unit())
+    reps = to_space @ products.transpose(0, 2, 1) @ from_space
+    eta = to_space @ algebra.unit_coords
     return GNSData(d, _frozen(reps), _frozen(eta))

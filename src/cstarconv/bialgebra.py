@@ -21,10 +21,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import Algebra, Element, Functional, tensor_element
+from .algebra import Algebra, Element, Functional, mixing_permutation, tensor_algebra
 from .errors import ConstructionError, ShapeError
 from .groups import IrrepTable, SemigroupTable
-from .maps import LinearMap, mixing_permutation, tensor_algebra, tensor_flip
+from .maps import LinearMap
 
 _STRUCT_TOL = 1e-12
 
@@ -59,7 +59,7 @@ class Bialgebra:
             or self.delta.target.blocks != square.blocks
         ):
             raise ShapeError("coproduct must map the algebra into its tensor square")
-        self.algebra._check_shapes(self.epsilon.dual_blocks)
+        self.algebra._require(self.epsilon)
 
     @cached_property
     def tensor_square(self) -> Algebra:
@@ -76,11 +76,9 @@ class Bialgebra:
         tensor.setflags(write=False)
         return tensor
 
-    @cached_property
+    @property
     def counit_coords(self) -> np.ndarray:
-        out = self.algebra.dual_coords(self.epsilon)
-        out.setflags(write=False)
-        return out
+        return self.epsilon.dual
 
 
 @dataclass(frozen=True)
@@ -127,8 +125,9 @@ def validate_bialgebra(b: Bialgebra, tol: float = 1e-10) -> ValidationReport:
     Coassociativity and the counit laws are matrix identities on the
     structure tensor; the character law and (in ``hom`` mode) the
     homomorphism law are checked exhaustively over all pairs of canonical
-    basis elements.  In ``hyper`` mode the homomorphism residual is replaced
-    by the minimum Choi eigenvalue of the coproduct.
+    basis elements, from one tensor of basis products.  In ``hyper`` mode
+    the homomorphism residual is replaced by the minimum Choi eigenvalue of
+    the coproduct.
     """
     alg = b.algebra
     t3 = b.structure_tensor
@@ -145,40 +144,26 @@ def validate_bialgebra(b: Bialgebra, tol: float = 1e-10) -> ValidationReport:
         float(np.max(np.abs(np.einsum("k,kjl->jl", eps, t3) - eye))),
     )
 
-    basis = alg.basis()
-    values = np.array([b.epsilon(e) for e in basis])
-    prods = np.empty((dim, dim), dtype=np.complex128)
-    for x, ex in enumerate(basis):
-        for y, ey in enumerate(basis):
-            prods[x, y] = b.epsilon(ex * ey)
-    character = float(np.max(np.abs(prods - np.outer(values, values))))
-    character = max(character, abs(b.epsilon(alg.unit()) - 1.0))
-    stars = np.array([b.epsilon(e.adjoint()) for e in basis])
-    character = max(character, float(np.max(np.abs(stars - values.conj()))))
+    # products[x, y] = coords(e_x e_y); the basis is real, so e_x* = e_{star_perm[x]}
+    products = alg.multiply(eye[:, None, :], eye)
+    character = float(np.max(np.abs(products @ eps - np.outer(eps, eps))))
+    character = max(character, abs(eps @ alg.unit_coords - 1.0))
+    character = max(character, float(np.max(np.abs(eps[alg.star_perm] - eps.conj()))))
 
     square = b.tensor_square
-    tensor_unit = square.to_coords(square.unit())
-    unit_res = float(
-        np.max(np.abs(b.delta.matrix @ alg.to_coords(alg.unit()) - tensor_unit))
-    )
+    delta = b.delta.matrix
+    unit_res = float(np.max(np.abs(delta @ alg.unit_coords - square.unit_coords)))
 
     hom_residual = None
     cp_min_eig = None
     if b.mode == "hom":
-        hom = 0.0
-        delta_elems = [square.from_coords(b.delta.matrix[:, x]) for x in range(dim)]
-        for x, ex in enumerate(basis):
-            dx_star = square.to_coords(delta_elems[x].adjoint())
-            hom = max(
-                hom,
-                float(
-                    np.max(np.abs(dx_star - b.delta.matrix @ alg.to_coords(ex.adjoint())))
-                ),
-            )
-            for y, ey in enumerate(basis):
-                lhs = square.to_coords(delta_elems[x] * delta_elems[y])
-                rhs = b.delta.matrix @ alg.to_coords(ex * ey)
-                hom = max(hom, float(np.max(np.abs(lhs - rhs))))
+        # delta(e_x)* against delta(e_x*), for all x at once
+        hom = float(np.max(np.abs(delta[square.star_perm].conj() - delta[:, alg.star_perm])))
+        images = delta.T  # images[x] = coords(delta(e_x))
+        for x in range(dim):
+            lhs = square.multiply(images[x], images)
+            rhs = products[x] @ images
+            hom = max(hom, float(np.max(np.abs(lhs - rhs))))
         hom_residual = hom
     else:
         from .semigroup import is_completely_positive
@@ -204,12 +189,8 @@ def function_bialgebra(monoid: SemigroupTable) -> Bialgebra:
     alg = Algebra((1,) * m)
     square = tensor_algebra(alg, alg)
     delta = np.zeros((m * m, m), dtype=np.complex128)
-    for g in range(m):
-        for h in range(m):
-            delta[g * m + h, monoid.table[g, h]] = 1.0
-    eps = alg.functional(
-        [np.array([[1.0 if g == monoid.identity else 0.0]]) for g in range(m)]
-    )
+    delta[np.arange(m * m), monoid.table.ravel()] = 1.0
+    eps = alg.functional_from_dual_coords(np.eye(m)[monoid.identity])
     return Bialgebra(alg, LinearMap(alg, square, delta), eps)
 
 
@@ -234,30 +215,15 @@ def group_cstar_bialgebra(group: SemigroupTable, irreps: IrrepTable) -> Bialgebr
         If the irrep table is incomplete or fails validation.
     """
     irreps.validate(group)
-    m = group.order
     alg = Algebra(irreps.dims)
     square = tensor_algebra(alg, alg)
-
-    lam = np.empty((alg.dim, m), dtype=np.complex128)
-    for g in range(m):
-        lam[:, g] = np.concatenate([mats[g].ravel() for mats in irreps.matrices])
-
-    fourier = np.empty((m, alg.dim), dtype=np.complex128)
-    col = 0
-    for d, mats in zip(irreps.dims, irreps.matrices):
-        fourier[:, col : col + d * d] = (d / m) * mats.conj().reshape(m, d * d)
-        col += d * d
-
-    lam_pairs = np.empty((square.dim, m), dtype=np.complex128)
-    for g in range(m):
-        lam_g = alg.from_coords(lam[:, g])
-        lam_pairs[:, g] = square.to_coords(tensor_element(lam_g, lam_g))
-    delta = lam_pairs @ fourier
-
-    eps_blocks = [np.zeros((d, d)) for d in irreps.dims]
-    eps_blocks[irreps.trivial_index] = np.array([[1.0]])
-    eps = alg.functional(eps_blocks)
-    return Bialgebra(alg, LinearMap(alg, square, delta), eps)
+    lam, fourier = fourier_matrices(group, irreps)
+    # column g: coords(lam_g (x) lam_g) = kron(lam_g, lam_g)[perm]
+    lam_pairs = (lam[:, None, :] * lam[None, :, :]).reshape(square.dim, group.order)
+    delta = lam_pairs[mixing_permutation(alg, alg)] @ fourier
+    eps = np.zeros(alg.dim)
+    eps[alg.coord_offsets[irreps.trivial_index]] = 1.0
+    return Bialgebra(alg, LinearMap(alg, square, delta), alg.functional_from_dual_coords(eps))
 
 
 def fourier_matrices(group: SemigroupTable, irreps: IrrepTable):
@@ -269,16 +235,9 @@ def fourier_matrices(group: SemigroupTable, irreps: IrrepTable):
     coordinates).
     """
     m = group.order
-    alg = Algebra(irreps.dims)
-    lam = np.empty((alg.dim, m), dtype=np.complex128)
-    for g in range(m):
-        lam[:, g] = np.concatenate([mats[g].ravel() for mats in irreps.matrices])
-    fourier = np.empty((m, alg.dim), dtype=np.complex128)
-    col = 0
-    for d, mats in zip(irreps.dims, irreps.matrices):
-        fourier[:, col : col + d * d] = (d / m) * mats.conj().reshape(m, d * d)
-        col += d * d
-    return lam, fourier
+    lam = irreps.coefficient_rows()
+    weights = np.repeat([d / m for d in irreps.dims], [d * d for d in irreps.dims])
+    return lam, (weights[:, None] * lam.conj()).T
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +285,6 @@ def discrete_type_decomposition(
     mats[carrier] = np.array([[1.0]])
     omega = alg.element(mats)
     return DiscreteDecomposition(carrier, omega, alg.unit() - omega)
-
-
-def flip(b: Bialgebra) -> LinearMap:
-    """Tensor flip on the tensor square of the underlying algebra."""
-    return tensor_flip(b.algebra)
 
 
 def is_commutative(b: Bialgebra) -> bool:

@@ -416,9 +416,27 @@ def _times_list(text: str) -> list[float]:
         times = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad time list {text!r}: {exc}") from exc
-    if not times or any(t < 0 for t in times):
-        raise argparse.ArgumentTypeError("times must be nonnegative and non-empty")
+    if not times or not all(np.isfinite(t) and t >= 0 for t in times):
+        raise argparse.ArgumentTypeError("times must be finite, nonnegative and non-empty")
     return times
+
+
+def _finite_nonnegative(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
+    if not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite nonnegative number, got {text!r}")
+    return value
+
+
+def _finite_positive(text: str) -> float:
+    # a non-positive --grid-max would let the 1/T cap make the norm-bound gate vacuous
+    value = _finite_nonnegative(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,7 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cstarconv",
         description="Convolution semigroups of states on finite-dimensional C*-bialgebras.",
     )
-    parser.add_argument("--tol", type=float, default=1e-9, help="absolute tolerance")
+    parser.add_argument(
+        "--tol", type=_finite_nonnegative, default=1e-9, help="absolute tolerance"
+    )
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     parser.add_argument(
         "--format", choices=("json", "text"), default="json", help="report format"
@@ -454,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_evolve.add_argument(
         "--grid-max",
-        type=float,
+        type=_finite_positive,
         default=8.0,
         dest="grid_max",
         help="largest time in the generator norm-bound grid",

@@ -18,16 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    DEFAULT_TOL,
-    Algebra,
-    Element,
-    Functional,
-    GNSData,
-    _frozen,
-    gns,
+from .algebra import DEFAULT_TOL, Algebra, Element, Functional, GNSData, gns
+from .bialgebra import (
+    Bialgebra,
+    discrete_type_decomposition,
+    fourier_matrices,
+    group_cstar_bialgebra,
 )
-from .bialgebra import Bialgebra, discrete_type_decomposition
 from .errors import ConstructionError, PreconditionError
 from .groups import IrrepTable, SemigroupTable
 
@@ -188,8 +185,12 @@ def guichardet_constant(
 
 
 def translation_unitary(irreps: IrrepTable, g: int) -> Element:
-    """The element ``(+)_pi pi(g)`` of the group C*-algebra."""
-    return Element(tuple(_frozen(mats[g]) for mats in irreps.matrices))
+    """The element ``(+)_pi pi(g)`` of the group C*-algebra.
+
+    Its coordinates are column ``g`` of the ``lam`` matrix of
+    :func:`fourier_matrices`.
+    """
+    return Algebra(irreps.dims).from_coords(irreps.coefficient_rows()[:, g])
 
 
 def functional_from_function(
@@ -206,21 +207,16 @@ def functional_from_function(
     m = group.order
     if values.shape != (m,):
         raise PreconditionError(f"expected {m} values, got shape {values.shape}")
-    blocks = []
-    for d, mats in zip(irreps.dims, irreps.matrices):
-        blocks.append(
-            (d / m) * np.einsum("g,gij->ji", values, mats.conj())
-        )
-    return Functional(tuple(_frozen(b) for b in blocks))
+    _, fourier = fourier_matrices(group, irreps)
+    return Algebra(irreps.dims).functional_from_dual_coords(values @ fourier)
 
 
 def function_from_functional(
     group: SemigroupTable, irreps: IrrepTable, omega: Functional
 ) -> np.ndarray:
     """Evaluate a functional on all translation unitaries."""
-    return np.array(
-        [omega(translation_unitary(irreps, g)) for g in range(group.order)]
-    )
+    lam, _ = fourier_matrices(group, irreps)
+    return Algebra(irreps.dims).dual_coords(omega) @ lam
 
 
 # ---------------------------------------------------------------------------
@@ -330,26 +326,21 @@ def guichardet_via_gns(
     """
     values = np.asarray(values, dtype=np.complex128)
     _check_guichardet_preconditions(group, values, tol)
-    from .bialgebra import group_cstar_bialgebra
-
     b = bialgebra if bialgebra is not None else group_cstar_bialgebra(group, irreps)
+    alg = b.algebra
     gamma = functional_from_function(group, irreps, values)
     dec = discrete_type_decomposition(b)
 
-    # compress away the counit block: the remaining dual blocks are PSD
-    compressed_blocks = [
-        np.zeros((n, n)) if i == dec.omega_index else rho
-        for i, (n, rho) in enumerate(zip(b.algebra.blocks, gamma.dual_blocks))
-    ]
-    omega = b.algebra.functional(compressed_blocks)
-    constant = omega(b.algebra.unit()).real
+    # compress away the (1x1) counit block: the remaining dual blocks are PSD
+    dual = np.array(gamma.dual)
+    dual[alg.coord_offsets[dec.omega_index]] = 0.0
+    omega = alg.functional_from_dual_coords(dual)
+    constant = omega(alg.unit()).real
 
-    data = gns(b.algebra, omega, tol=1e-12)
+    data = gns(alg, omega, tol=1e-12)
+    lam, _ = fourier_matrices(group, irreps)
     shifted = np.array(
-        [
-            data.vector_value(b.algebra, translation_unitary(irreps, g))
-            for g in range(group.order)
-        ]
+        [data.vector_value(alg, alg.from_coords(lam[:, g])) for g in range(group.order)]
     )
     deviation = float(np.max(np.abs((shifted - shifted[group.identity]) - values)))
     return GuichardetViaGNS(float(constant), shifted, data, deviation)

@@ -38,9 +38,11 @@ class SemigroupTable:
             raise ConstructionError(f"identity index {e} out of range")
         if not (np.all(table[e] == np.arange(m)) and np.all(table[:, e] == np.arange(m))):
             raise ConstructionError("declared identity is not a two-sided unit")
-        # exhaustive associativity check; m stays small at desk scale
-        if not np.array_equal(table[table], table[:, table]):
-            raise ConstructionError("multiplication table is not associative")
+        # exhaustive associativity check, one row g at a time so memory stays
+        # at m^2: (g h) k = table[table[g]][h, k] and g (h k) = table[g][table][h, k]
+        for g in range(m):
+            if not np.array_equal(table[table[g]], table[g][table]):
+                raise ConstructionError("multiplication table is not associative")
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "identity", e)
@@ -121,16 +123,17 @@ class IrrepTable:
             d = mats.shape[1]
             if np.abs(mats[group.identity] - np.eye(d)).max() > tol:
                 raise ConstructionError(f"irrep {p} does not map the identity to 1")
-            eye = np.eye(d)
+            gram = mats @ mats.conj().transpose(0, 2, 1)
+            bad = np.flatnonzero(np.abs(gram - np.eye(d)).max(axis=(1, 2)) > tol)
+            if bad.size:
+                raise ConstructionError(f"irrep {p} is not unitary at element {bad[0]}")
             for g in range(m):
-                if np.abs(mats[g] @ mats[g].conj().T - eye).max() > tol:
-                    raise ConstructionError(f"irrep {p} is not unitary at element {g}")
-            for g in range(m):
-                for h in range(m):
-                    if np.abs(mats[g] @ mats[h] - mats[group.table[g, h]]).max() > tol:
-                        raise ConstructionError(
-                            f"irrep {p} violates the homomorphism law at ({g}, {h})"
-                        )
+                deviation = np.abs(mats[g] @ mats - mats[group.table[g]]).max(axis=(1, 2))
+                bad = np.flatnonzero(deviation > tol)
+                if bad.size:
+                    raise ConstructionError(
+                        f"irrep {p} violates the homomorphism law at ({g}, {bad[0]})"
+                    )
         # Schur orthogonality of matrix-coefficient rows
         rows = self.coefficient_rows()
         gram = rows.conj() @ rows.T
@@ -288,7 +291,12 @@ def builtin_group(name: str) -> tuple[SemigroupTable, IrrepTable]:
     """Resolve a fixture name: ``zn:<n>``, ``s3``, ``d4`` or ``q8``."""
     key = name.strip().lower()
     if key.startswith("zn:"):
-        n = int(key.split(":", 1)[1])
+        try:
+            n = int(key.split(":", 1)[1])
+        except ValueError:
+            raise ConstructionError(
+                f"cyclic group order must be an integer in {name!r}"
+            ) from None
         if n < 1:
             raise ConstructionError(f"cyclic order must be positive, got {n}")
         return cyclic_group(n), cyclic_irreps(n)

@@ -5,17 +5,17 @@ tensor product algebra: the canonical matrix-unit coordinates of
 ``tensor_algebra(A, B)`` and the plain Kronecker product of the factor
 coordinates.  The two differ by a fixed permutation (:func:`mixing_permutation`)
 because the Kronecker product of matrix units interleaves row and column
-indices.
+indices.  That permutation lives beside :func:`tensor_algebra` in
+:mod:`cstarconv.algebra`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .algebra import Algebra, Element, _frozen, tensor_algebra
+from .algebra import Algebra, Element, _frozen, mixing_permutation, tensor_algebra
 from .errors import ShapeError
 
 
@@ -51,45 +51,6 @@ class LinearMap:
     @staticmethod
     def identity(algebra: Algebra) -> "LinearMap":
         return LinearMap(algebra, algebra, np.eye(algebra.dim, dtype=np.complex128))
-
-
-@lru_cache(maxsize=None)
-def _mixing_permutation(blocks1: tuple[int, ...], blocks2: tuple[int, ...]) -> np.ndarray:
-    dims2 = sum(m * m for m in blocks2)
-    offsets1 = np.concatenate([[0], np.cumsum([n * n for n in blocks1])])
-    offsets2 = np.concatenate([[0], np.cumsum([m * m for m in blocks2])])
-    perm = np.empty(sum(n * n for n in blocks1) * dims2, dtype=np.intp)
-    t = 0
-    for i, n in enumerate(blocks1):
-        for j, m in enumerate(blocks2):
-            for r1 in range(n):
-                for r2 in range(m):
-                    for s1 in range(n):
-                        for s2 in range(m):
-                            k1 = offsets1[i] + r1 * n + s1
-                            k2 = offsets2[j] + r2 * m + s2
-                            perm[t] = k1 * dims2 + k2
-                            t += 1
-    perm.setflags(write=False)
-    return perm
-
-
-def mixing_permutation(a1: Algebra, a2: Algebra) -> np.ndarray:
-    """Index array with ``coords(x (x) y) = kron(coords(x), coords(y))[perm]``."""
-    return _mixing_permutation(a1.blocks, a2.blocks)
-
-
-def kron_coords(a1: Algebra, a2: Algebra, coords: np.ndarray) -> np.ndarray:
-    """Rewrite tensor-algebra coordinates in the Kronecker coordinate system."""
-    perm = mixing_permutation(a1, a2)
-    out = np.empty_like(coords)
-    out[perm] = coords
-    return out
-
-
-def unkron_coords(a1: Algebra, a2: Algebra, coords: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`kron_coords`."""
-    return coords[mixing_permutation(a1, a2)]
 
 
 def tensor_map(s: LinearMap, t: LinearMap) -> LinearMap:

@@ -8,28 +8,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Algebra, Element, Functional, _frozen, functional_norm
+from .algebra import Algebra, Element, Functional, functional_norm
 from .bialgebra import Bialgebra, discrete_type_decomposition
+
+
+def _gaussian_blocks(algebra: Algebra, rng: np.random.Generator) -> list[np.ndarray]:
+    return [
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for n in algebra.blocks
+    ]
 
 
 def random_element(algebra: Algebra, rng: np.random.Generator) -> Element:
     """Element with independent standard complex Gaussian entries."""
-    return Element(
-        tuple(
-            _frozen(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-            for n in algebra.blocks
-        )
-    )
+    return algebra.element(_gaussian_blocks(algebra, rng))
 
 
 def random_functional(algebra: Algebra, rng: np.random.Generator) -> Functional:
     """Functional with independent standard complex Gaussian dual entries."""
-    return Functional(
-        tuple(
-            _frozen(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-            for n in algebra.blocks
-        )
-    )
+    return algebra.functional(_gaussian_blocks(algebra, rng))
 
 
 def random_state(algebra: Algebra, rng: np.random.Generator) -> Functional:
@@ -39,7 +36,7 @@ def random_state(algebra: Algebra, rng: np.random.Generator) -> Functional:
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         blocks.append(x @ x.conj().T + 1e-3 * np.eye(n))
     total = sum(np.trace(b).real for b in blocks)
-    return Functional(tuple(_frozen(b / total) for b in blocks))
+    return algebra.functional([b / total for b in blocks])
 
 
 def random_generating_functional(

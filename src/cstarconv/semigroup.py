@@ -20,6 +20,7 @@ from .algebra import (
     DEFAULT_TOL,
     Functional,
     element_norm,
+    hermitian_defect,
     min_hermitian_eigenvalue,
 )
 from .bialgebra import Bialgebra
@@ -154,16 +155,11 @@ def is_completely_positive(
     big_n = tgt.rep_dim
     min_eigs = []
     defects = []
-    for i, n in enumerate(src.blocks):
-        choi = np.zeros((n * big_n, n * big_n), dtype=np.complex128)
-        for r in range(n):
-            for s in range(n):
-                unit = np.zeros((n, n))
-                unit[r, s] = 1.0
-                image = tgt.embed(t_map(src.basis_element(i, r, s)))
-                choi += np.kron(unit, image)
-        defect = float(np.max(np.abs(choi - choi.conj().T)))
-        defects.append(defect)
+    for off, n in zip(src.coord_offsets, src.blocks):
+        # images[r, s] = embedded T(E_rs); the Choi matrix is indexed [(r, a), (s, b)]
+        images = tgt.embed(t_map.matrix[:, off : off + n * n].T).reshape(n, n, big_n, big_n)
+        choi = images.transpose(0, 2, 1, 3).reshape(n * big_n, n * big_n)
+        defects.append(hermitian_defect(choi))
         min_eigs.append(min_hermitian_eigenvalue(choi))
     cp = all(d <= tol for d in defects) and all(e >= -tol for e in min_eigs)
     return CompletePositivityReport(tuple(min_eigs), tuple(defects), cp)

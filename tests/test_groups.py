@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,3 +63,44 @@ def test_irreps_without_trivial_rejected():
     )
     with pytest.raises(cc.ConstructionError):
         sign_only.validate(z2)
+
+
+def _with_standard_irrep(matrices):
+    irreps = cc.s3_irreps().matrices
+    return cc.IrrepTable((irreps[0], irreps[1], matrices))
+
+
+def test_non_unitary_irrep_rejected_at_first_element(s3):
+    std = np.array(cc.s3_irreps().matrices[2])
+    std[4] *= 1.01
+    std[2] *= 1.01
+    with pytest.raises(cc.ConstructionError, match="irrep 2 is not unitary at element 2$"):
+        _with_standard_irrep(std).validate(s3)
+
+
+def test_non_homomorphic_irrep_rejected_at_first_pair(s3):
+    std = np.array(cc.s3_irreps().matrices[2])
+    std[[3, 4]] = std[[4, 3]]  # still unitary, no longer multiplicative
+    first = next(
+        (g, h)
+        for g in range(s3.order)
+        for h in range(s3.order)
+        if np.abs(std[g] @ std[h] - std[s3.table[g, h]]).max() > 1e-10
+    )
+    with pytest.raises(
+        cc.ConstructionError,
+        match=rf"irrep 2 violates the homomorphism law at \({first[0]}, {first[1]}\)$",
+    ):
+        _with_standard_irrep(std).validate(s3)
+
+
+def test_large_cyclic_table_builds_in_bounded_memory():
+    # the associativity check must not materialise an m^3 index array
+    tracemalloc.start()
+    try:
+        table = cc.cyclic_group(300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.order == 300
+    assert peak < 50 * 2**20

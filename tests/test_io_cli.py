@@ -336,3 +336,26 @@ def test_cli_reports_are_deterministic(tmp_path):
         second = run_cli(*command)
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode
+
+
+MALFORMED_INPUTS = {
+    "times-nan": ["evolve", "zn:2", "{gamma}", "--times", "nan"],
+    "times-inf": ["evolve", "zn:2", "{gamma}", "--times", "0,inf"],
+    "zn-abc": ["validate", "zn:abc"],
+    "grid-neg": ["evolve", "zn:2", "{gamma}", "--grid-max", "-1"],
+    "grid-zero": ["evolve", "zn:2", "{gamma}", "--grid-max", "0"],
+    "grid-nan": ["evolve", "zn:2", "{gamma}", "--grid-max", "nan"],
+    "tol-neg": ["--tol=-1e-9", "validate", "zn:2"],
+    "tol-inf": ["--tol", "inf", "validate", "zn:2"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+def test_cli_rejects_malformed_numbers_and_names(tmp_path, argv):
+    gamma_path = tmp_path / "gamma.json"
+    gamma_path.write_text(json.dumps({"dual_blocks": [[[[-1.0, 0.0]]], [[[1.0, 0.0]]]]}))
+    result = run_cli(*[arg.format(gamma=gamma_path) for arg in argv])
+    assert result.returncode == 2
+    assert "error:" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
