@@ -45,10 +45,15 @@ def hermitian_defect(matrix: np.ndarray) -> float:
 
 
 def min_hermitian_eigenvalue(matrix: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of a square matrix."""
+    """Smallest eigenvalue of the Hermitian part of a square matrix.
+
+    ``nan`` if an entry is not finite: LAPACK would return zeros for it.
+    """
     matrix = np.asarray(matrix)
     if matrix.size == 0:
         return 0.0
+    if not np.isfinite(matrix).all():
+        return float("nan")
     return float(np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0).min())
 
 
@@ -112,12 +117,17 @@ class Algebra:
         return _frozen(np.concatenate([np.eye(n).ravel() for n in self.blocks]))
 
     @cached_property
-    def _blocks_by_size(self) -> tuple[tuple[int, np.ndarray], ...]:
-        """For each distinct block size ``n``, the ``(count, n * n)`` coordinate indices."""
-        groups: dict[int, list[np.ndarray]] = {}
-        for off, n in zip(self.coord_offsets, self.blocks):
-            groups.setdefault(n, []).append(np.arange(off, off + n * n))
-        return tuple((n, np.array(rows)) for n, rows in groups.items())
+    def blocks_by_size(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+        """For each distinct block size ``n``: the positions of the blocks of
+        that size in ``blocks`` and their ``(count, n * n)`` coordinate indices."""
+        groups: dict[int, list[int]] = {}
+        for i, n in enumerate(self.blocks):
+            groups.setdefault(n, []).append(i)
+        offsets = np.array(self.coord_offsets)
+        return tuple(
+            (n, np.array(pos), offsets[pos][:, None] + np.arange(n * n))
+            for n, pos in groups.items()
+        )
 
     # -- constructors -----------------------------------------------------
 
@@ -188,25 +198,11 @@ class Algebra:
         y = np.asarray(y)
         batch = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
         out = np.empty(batch + (self.dim,), dtype=np.result_type(x, y, np.complex128))
-        for n, idx in self._blocks_by_size:
+        for n, _, idx in self.blocks_by_size:
             k = idx.shape[0]
             xb = x[..., idx].reshape(x.shape[:-1] + (k, n, n))
             yb = y[..., idx].reshape(y.shape[:-1] + (k, n, n))
             out[..., idx] = (xb @ yb).reshape(batch + (k, n * n))
-        return out
-
-    def embed(self, coords) -> np.ndarray:
-        """Block-diagonal matrices, in the faithful representation, of
-        coordinate arrays of shape ``(..., dim)``."""
-        coords = np.asarray(coords)
-        batch = coords.shape[:-1]
-        out = np.zeros(batch + (self.rep_dim, self.rep_dim), dtype=np.complex128)
-        pos = 0
-        for off, n in zip(self.coord_offsets, self.blocks):
-            out[..., pos : pos + n, pos : pos + n] = coords[..., off : off + n * n].reshape(
-                batch + (n, n)
-            )
-            pos += n
         return out
 
     # -- helpers -----------------------------------------------------------
@@ -331,8 +327,11 @@ def element_norm(algebra: Algebra, a: Element) -> float:
     -------
     float
         ``max_i sigma_max(a_i)``; satisfies ``norm(a* a) == norm(a) ** 2``.
+        ``nan`` if a coordinate is not finite.
     """
     algebra._require(a)
+    if not np.isfinite(a.coords).all():
+        return float("nan")
     return max(
         float(np.linalg.svd(b, compute_uv=False)[0]) if b.size else 0.0
         for b in a.blocks
@@ -344,8 +343,10 @@ def functional_norm(mu: Functional) -> float:
 
     This is the norm dual to the block operator norm, and agrees with
     ``sup { |mu(a)| : element_norm(a) <= 1 }``; the supremum is attained by
-    :func:`functional_norm_witness`.
+    :func:`functional_norm_witness`.  ``nan`` if a coordinate is not finite.
     """
+    if not np.isfinite(mu.dual).all():
+        return float("nan")
     return float(
         sum(np.linalg.svd(r, compute_uv=False).sum() for r in mu.dual_blocks)
     )
@@ -411,15 +412,23 @@ class StateCheck:
         return (
             self.hermitian_defect <= tol
             and self.min_eigenvalue >= -tol
-            and abs(self.unit_value - 1.0) <= tol
+            and bool(np.abs(self.unit_value - 1.0) <= tol)
         )
 
     def violation(self) -> float:
-        """Largest deviation from the state conditions (0 for exact states)."""
-        return max(
-            self.hermitian_defect,
-            max(0.0, -self.min_eigenvalue),
-            abs(self.unit_value - 1.0),
+        """Largest deviation from the state conditions (0 for exact states).
+
+        ``nan`` if any diagnostic is ``nan``, so that it fails every check.
+        """
+        return float(
+            np.max(
+                [
+                    self.hermitian_defect,
+                    0.0,
+                    -self.min_eigenvalue,
+                    np.abs(self.unit_value - 1.0),
+                ]
+            )
         )
 
 
@@ -429,8 +438,9 @@ def state_check(mu: Functional) -> StateCheck:
     A functional is a state iff every dual block is positive semidefinite
     and the value at the unit (the sum of the block traces) equals 1.
     """
-    defect = max(hermitian_defect(r) for r in mu.dual_blocks)
-    min_eig = min(min_hermitian_eigenvalue(r) for r in mu.dual_blocks)
+    # numpy's max/min propagate a nan from any block
+    defect = float(np.max([hermitian_defect(r) for r in mu.dual_blocks]))
+    min_eig = float(np.min([min_hermitian_eigenvalue(r) for r in mu.dual_blocks]))
     unit = complex(sum(np.trace(r) for r in mu.dual_blocks))
     return StateCheck(defect, min_eig, unit)
 

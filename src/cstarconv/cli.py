@@ -50,7 +50,6 @@ from .semigroup import (
     commutation_residual,
     is_completely_positive,
     recover_functional,
-    strong_invariance_residual,
     unitality_residual,
     weak_invariance_residual,
 )
@@ -123,13 +122,26 @@ def _is_builtin(name: str) -> bool:
 
 
 def _check(name: str, residual: float, tol: float, lower_bound: bool = False) -> dict:
-    ok = residual >= -tol if lower_bound else residual <= tol
+    # a non-finite residual never passes and is reported as null
+    finite = bool(np.isfinite(residual))
+    ok = finite and (residual >= -tol if lower_bound else residual <= tol)
     return {
         "name": name,
-        "residual": float(residual),
+        "residual": float(residual) if finite else None,
         "tolerance": float(tol),
         "pass": bool(ok),
     }
+
+
+def _nonfinite_to_null(obj):
+    """Replace every non-finite float in a report by ``None`` (JSON ``null``)."""
+    if isinstance(obj, dict):
+        return {k: _nonfinite_to_null(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_nonfinite_to_null(v) for v in obj]
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
+    return obj
 
 
 def _validation_checks(label: str, report, tol: float) -> list[dict]:
@@ -245,8 +257,11 @@ def _resolve_bialgebra(ref: str) -> Bialgebra:
 
 def _norm_bound_grid(t_max: float, generator_norm: float, tol: float) -> list[float]:
     # halve down from t_max; the floor scales with the generator norm so the
-    # grid estimate of sup lambda_t(p)/t sits within tol of its t -> 0 limit
-    floor = min(2.0**-10, tol / (4.0 * (1.0 + generator_norm**2)))
+    # grid estimate of sup lambda_t(p)/t sits within tol of its t -> 0 limit.
+    # It stays a positive normal number for tol = 0 and for a norm whose
+    # square overflows (the product gives inf where ** would raise).
+    floor = min(2.0**-10, tol / (4.0 * (1.0 + generator_norm * generator_norm)))
+    floor = max(floor, sys.float_info.min)
     grid = []
     t = t_max
     while t > floor:
@@ -303,8 +318,9 @@ def cmd_evolve(args) -> tuple[dict, int]:
         cp = is_completely_positive(p_t, tol)
         unital = unitality_residual(p_t)
         recovery = functional_norm(recover_functional(b, p_t) - lam)
-        commutation = commutation_residual(b, p_t)
-        strong = strong_invariance_residual(b, p_t)
+        # over the coordinate dual basis the commutation and strong-invariance
+        # residuals are the same tensor, so it is computed once for both checks
+        invariance = commutation_residual(b, p_t)
         weak = weak_invariance_residual(b, p_t)
         entries.append(
             {
@@ -323,17 +339,24 @@ def cmd_evolve(args) -> tuple[dict, int]:
         tag = f"t={_fmt(t)}"
         checks.append(_check(f"state[{tag}]", state.violation(), tol))
         checks.append(
-            _check(f"choi_min_eig[{tag}]", min(cp.min_choi_eigenvalues), tol, lower_bound=True)
+            _check(
+                f"choi_min_eig[{tag}]",
+                float(np.min(cp.min_choi_eigenvalues)),
+                tol,
+                lower_bound=True,
+            )
         )
         checks.append(_check(f"unital[{tag}]", unital, tol))
         checks.append(_check(f"recovery[{tag}]", recovery, tol))
-        checks.append(_check(f"commutation[{tag}]", commutation, tol))
-        checks.append(_check(f"strong_invariance[{tag}]", strong, tol))
+        checks.append(_check(f"commutation[{tag}]", invariance, tol))
+        checks.append(_check(f"strong_invariance[{tag}]", invariance, tol))
         checks.append(_check(f"weak_invariance[{tag}]", weak, tol))
     report["times"] = entries
     report["checks"] = checks
     report["pass"] = all(c["pass"] for c in checks) and diag.valid
-    return report, 0 if report["pass"] else 1
+    # an overflowing exponential leaves nan/inf in the diagnostics; the
+    # checks built from them have failed above
+    return _nonfinite_to_null(report), 0 if report["pass"] else 1
 
 
 def cmd_guichardet(args) -> tuple[dict, int]:
@@ -503,10 +526,15 @@ def main(argv=None) -> int:
     except (SchemaError, ConstructionError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        sys.stdout.write(render_json(report) + "\n")
-    else:
-        sys.stdout.write("\n".join(render_text(report)) + "\n")
+    try:
+        if args.format == "json":
+            text = render_json(report)
+        else:
+            text = "\n".join(render_text(report))
+    except ValueError as exc:  # a non-finite number that no check caught
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    sys.stdout.write(text + "\n")
     print(f"# elapsed seconds: {time.perf_counter() - start:.3f}", file=sys.stderr)
     return code
 

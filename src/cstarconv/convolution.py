@@ -161,7 +161,8 @@ def generating_functional(
         for i, r in enumerate(gamma.dual_blocks)
         if i != dec.omega_index
     )
-    return GeneratingFunctional(gamma, hermitian, abs(unit_val) <= tol, cond)
+    # np.abs gives inf where the builtin abs of a complex raises OverflowError
+    return GeneratingFunctional(gamma, hermitian, bool(np.abs(unit_val) <= tol), cond)
 
 
 def continuity_moduli(b: Bialgebra, gamma: Functional, times) -> list[float]:
@@ -223,7 +224,8 @@ def norm_continuity_bound(
     if not grid or any(t <= 0 for t in grid):
         raise PreconditionError("grid must consist of strictly positive times")
     p = discrete_type_decomposition(b).ideal_unit
-    best = max(convolution_exp_quotient(b, gamma, t)(p).real for t in grid)
+    # np.max so that a grid value lost to overflow (nan) fails the bound
+    best = float(np.max([convolution_exp_quotient(b, gamma, t)(p).real for t in grid]))
     c_hat = max(best, 1.0 / max(grid))
     norm = functional_norm(gamma)
     return NormContinuityBound(c_hat, norm, norm <= 2.0 * c_hat + tol)

@@ -238,6 +238,10 @@ def is_probability(weights, tol: float = DEFAULT_TOL) -> bool:
     return bool(weights.min(initial=0.0) >= -tol and abs(weights.sum() - 1.0) <= tol)
 
 
+#: Largest Poisson intensity summed as a series; larger ones are halved first.
+POISSON_PIECE_INTENSITY = 30.0
+
+
 def compound_poisson(
     monoid: SemigroupTable, jump_weights, rate: float, t: float, tol: float = 1e-12
 ) -> np.ndarray:
@@ -245,37 +249,46 @@ def compound_poisson(
 
     The generator is ``rate * (jump - point mass at identity)``; the
     distribution is the Poisson mixture
-    ``exp(-rate t) sum_n (rate t)^n / n! jump^{*n}``, truncated once the
-    Poisson tail falls below ``tol``.
+    ``exp(-rate t) sum_n (rate t)^n / n! jump^{*n}``.  The intensity
+    ``rate * t`` is halved ``s`` times until it is at most
+    :data:`POISSON_PIECE_INTENSITY`, the series of that piece is truncated
+    once its Poisson tail falls below ``tol / 2^s``, and the piece is
+    convolved with itself ``s`` times (scaling and squaring, Higham 2005).
+    The start weight ``exp(-intensity)`` of a single series would be
+    subnormal or zero past an intensity of about 708, and the mass would drift.
 
     Raises
     ------
     PreconditionError
         If ``jump_weights`` is not a probability vector or ``rate``/``t``
-        are negative.
+        are negative or not finite.
     """
     jump = np.asarray(jump_weights, dtype=np.float64)
     if not is_probability(jump):
         raise PreconditionError("jump distribution must be a probability vector")
-    if rate < 0 or t < 0:
-        raise PreconditionError("rate and time must be nonnegative")
+    if not (np.isfinite(rate) and np.isfinite(t)) or rate < 0 or t < 0:
+        raise PreconditionError("rate and time must be finite and nonnegative")
     intensity = rate * t
+    squarings = 0
+    while intensity > POISSON_PIECE_INTENSITY:
+        intensity /= 2.0
+        squarings += 1
+    piece_tol = tol / 2.0**squarings
     power = np.zeros(monoid.order)
     power[monoid.identity] = 1.0
     weight = np.exp(-intensity)
-    if weight == 0.0:
-        raise PreconditionError(
-            f"rate * t = {intensity} is too large for the series cutoff"
-        )
     out = weight * power
     accumulated = weight
     n = 0
-    while 1.0 - accumulated > tol:
+    # weight > 0 stops the sum once rounding keeps the tail above piece_tol
+    while 1.0 - accumulated > piece_tol and weight > 0.0:
         n += 1
         weight *= intensity / n
         power = convolve_measures(monoid, power, jump)
         out += weight * power
         accumulated += weight
+    for _ in range(squarings):
+        out = convolve_measures(monoid, out, out)
     return out
 
 

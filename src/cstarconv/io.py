@@ -18,6 +18,7 @@ A ``<ref>`` is a built-in fixture name (``zn:<n>``, ``s3``, ``d4``, ``q8``).
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,19 @@ def _as_complex(value, path: str) -> complex:
         or not all(isinstance(v, (int, float)) for v in value)
     ):
         _fail(path, f"expected a [re, im] pair, got {value!r}")
-    return complex(value[0], value[1])
+    return complex(_as_finite(value[0], path), _as_finite(value[1], path))
+
+
+def _as_finite(value: int | float, path: str) -> float:
+    # the JSON parser accepts NaN, Infinity and integers beyond float range;
+    # no schema allows them
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        _fail(path, f"expected finite numbers, got {value!r}")
+    return number
 
 
 def _as_complex_matrix(value, path: str) -> np.ndarray:
@@ -68,10 +81,11 @@ def complex_matrix_to_json(matrix: np.ndarray) -> list:
 def load_document(source) -> dict:
     if isinstance(source, dict):
         return source
-    text = Path(source).read_text()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(Path(source).read_text())
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError, integers past the digit limit
+        # and too deep nesting
         raise SchemaError(f"at {source}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise SchemaError(f"at {source}: top level must be an object")
@@ -189,7 +203,7 @@ def load_measure(source) -> tuple[str | None, np.ndarray]:
     for i, w in enumerate(data["weights"]):
         if not isinstance(w, (int, float)):
             _fail(f"$.weights[{i}]", f"expected a real number, got {w!r}")
-        weights.append(float(w))
+        weights.append(_as_finite(w, f"$.weights[{i}]"))
     ref = data.get("monoid")
     if ref is not None and not isinstance(ref, str):
         _fail("$.monoid", "expected a built-in monoid name")

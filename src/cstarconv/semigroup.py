@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .algebra import (
-    DEFAULT_TOL,
-    Functional,
-    element_norm,
-    hermitian_defect,
-    min_hermitian_eigenvalue,
-)
+from .algebra import DEFAULT_TOL, Functional, element_norm, mixing_permutation
 from .bialgebra import Bialgebra
 from .convolution import (
     convolution_exp,
@@ -81,29 +75,50 @@ def recover_functional(b: Bialgebra, p_t: LinearMap) -> Functional:
 # ---------------------------------------------------------------------------
 
 
+def _invariance_tensor(b: Bialgebra, t_map: LinearMap) -> np.ndarray:
+    """The tensor ``T[k] @ M - M @ T[k]`` over all ``k``, ``M`` the map's matrix.
+
+    ``T[k] @ M`` is one ``(dim^2, dim) @ (dim, dim)`` product of the reshaped
+    structure tensor and ``M @ T[k]`` one batched matrix product, so the
+    cost is that of two GEMMs of ``dim^3`` outputs.
+    """
+    t3 = b.structure_tensor
+    mat = t_map.matrix
+    dim = mat.shape[0]
+    out = (t3.reshape(dim * dim, dim) @ mat).reshape(dim, dim, dim)
+    out -= np.matmul(mat, t3)
+    return out
+
+
 def commutation_residual(b: Bialgebra, t_map: LinearMap, extra_functionals=()) -> float:
     """Max commutator norm of ``t_map`` with all left-convolution operators.
 
     The coordinate dual basis spans the dual, so running over it makes the
-    check complete; ``extra_functionals`` may add smoke-test samples.
+    check complete; ``extra_functionals`` may add smoke-test samples.  The
+    left-convolution operator of the ``k``-th coordinate functional is
+    ``T[k]``, so over that basis the commutators are the tensor
+    ``T[k] @ M - M @ T[k]``, the same tensor as the strong-invariance
+    defect: the two residuals are equal in coordinates, and the ``evolve``
+    command evaluates it once per time point and reports it under both names.
     """
-    t3 = b.structure_tensor
     mat = t_map.matrix
-    left_all = np.einsum("kjl,lm->kjm", t3, mat) - np.einsum("jl,klm->kjm", mat, t3)
-    residual = float(np.max(np.abs(left_all)))
+    residual = float(np.max(np.abs(_invariance_tensor(b, t_map))))
     for mu in extra_functionals:
-        lmat = np.einsum("k,kjl->jl", b.algebra.dual_coords(mu), t3)
+        lmat = np.einsum("k,kjl->jl", b.algebra.dual_coords(mu), b.structure_tensor)
         residual = max(residual, float(np.max(np.abs(lmat @ mat - mat @ lmat))))
     return residual
 
 
 def strong_invariance_residual(b: Bialgebra, t_map: LinearMap) -> float:
-    """Deviation of ``delta T`` from ``(id (x) T) delta`` (max-abs entries)."""
-    t3 = b.structure_tensor
-    mat = t_map.matrix
-    lhs = np.einsum("kjl,lm->kjm", t3, mat)
-    rhs = np.einsum("kjm,ij->kim", t3, mat)
-    return float(np.max(np.abs(lhs - rhs)))
+    """Deviation of ``delta T`` from ``(id (x) T) delta`` (max-abs entries).
+
+    In structure-tensor coordinates ``delta T`` is ``T[k] @ M`` and
+    ``(id (x) T) delta`` is ``M @ T[k]``, so this is the same tensor as the
+    commutator with the left-convolution operators of the coordinate
+    functionals (:func:`commutation_residual`): the two residuals are equal
+    in coordinates, and the ``evolve`` command evaluates it once per time point.
+    """
+    return float(np.max(np.abs(_invariance_tensor(b, t_map))))
 
 
 def weak_invariance_residual(b: Bialgebra, t_map: LinearMap) -> float:
@@ -143,26 +158,45 @@ def is_completely_positive(
     """Complete positivity via per-source-block Choi matrices.
 
     For each source block ``M_n`` the Choi matrix
-    ``sum_{r,s} E_rs (x) T(E_rs)`` is formed with the target embedded
-    block-diagonally in its faithful representation.  A map from a direct
-    sum of matrix blocks is completely positive iff each such restriction
-    is (restrictions of CP maps to the summands are compositions with
+    ``sum_{r,s} E_rs (x) T(E_rs)`` is formed with the target in its
+    faithful block-diagonal representation.  A map from a direct sum of
+    matrix blocks is completely positive iff each such restriction is
+    (restrictions of CP maps to the summands are compositions with
     *-homomorphisms, and a sum of CP contributions is CP), and for a map
     out of a single full matrix block positivity of the Choi matrix is
     exactly Choi's criterion.
+
+    The Choi matrix of a source block is block-diagonal over the target
+    blocks, so it is never assembled: its ``n * m`` square pieces, one per
+    target block ``M_m``, are batched over all source and target blocks of
+    equal sizes, and the minimum eigenvalue and Hermitian defect of a
+    source block are the minimum and maximum over its pieces.  A piece with
+    a non-finite entry reports ``nan``, so such a map is never CP.
     """
     src, tgt = t_map.source, t_map.target
-    big_n = tgt.rep_dim
-    min_eigs = []
-    defects = []
-    for off, n in zip(src.coord_offsets, src.blocks):
-        # images[r, s] = embedded T(E_rs); the Choi matrix is indexed [(r, a), (s, b)]
-        images = tgt.embed(t_map.matrix[:, off : off + n * n].T).reshape(n, n, big_n, big_n)
-        choi = images.transpose(0, 2, 1, 3).reshape(n * big_n, n * big_n)
-        defects.append(hermitian_defect(choi))
-        min_eigs.append(min_hermitian_eigenvalue(choi))
-    cp = all(d <= tol for d in defects) and all(e >= -tol for e in min_eigs)
-    return CompletePositivityReport(tuple(min_eigs), tuple(defects), cp)
+    min_eigs = np.full(len(src.blocks), np.inf)
+    defects = np.zeros(len(src.blocks))
+    for n, src_pos, src_idx in src.blocks_by_size:
+        for m, _, tgt_idx in tgt.blocks_by_size:
+            # images[tb, a, b, sb, r, s] = T(E_rs of source block sb)[a, b] in
+            # target block tb; each piece is indexed [(r, a), (s, b)]
+            images = t_map.matrix[np.ix_(tgt_idx.ravel(), src_idx.ravel())]
+            images = images.reshape(len(tgt_idx), m, m, len(src_idx), n, n)
+            choi = images.transpose(3, 0, 4, 1, 5, 2).reshape(
+                len(src_idx), len(tgt_idx), n * m, n * m
+            )
+            choi_h = choi.conj().swapaxes(-1, -2)
+            defect = np.abs(choi - choi_h).max(axis=(-2, -1))
+            # LAPACK fails or returns zeros on non-finite input: keep it out
+            finite = np.isfinite(choi).all(axis=(-2, -1))
+            herm = np.where(finite[..., None, None], (choi + choi_h) / 2.0, 0.0)
+            eigs = np.where(finite, np.linalg.eigvalsh(herm)[..., 0], np.nan)
+            min_eigs[src_pos] = np.minimum(min_eigs[src_pos], eigs.min(axis=1))
+            defects[src_pos] = np.maximum(defects[src_pos], defect.max(axis=1))
+    cp = bool(np.all(defects <= tol) and np.all(min_eigs >= -tol))
+    return CompletePositivityReport(
+        tuple(float(e) for e in min_eigs), tuple(float(d) for d in defects), cp
+    )
 
 
 def unitality_residual(t_map: LinearMap) -> float:
@@ -177,19 +211,21 @@ def unitality_residual(t_map: LinearMap) -> float:
 
 
 def generator_pairing_residual(b: Bialgebra, gamma: Functional) -> float:
-    """Largest deviation in ``mu(Z a) = gamma(L_mu a)`` over basis pairs.
+    """Largest deviation in ``mu(Z a) = (mu (x) gamma)(delta a)`` over basis pairs.
 
-    The left side applies the semigroup generator and pairs with each
-    coordinate functional; the right side runs each coordinate functional
-    through its left-convolution operator and pairs with the generator.
-    The two sides traverse the structure tensor along different axes, so
-    the identity is a genuine cross-check of the implementation.
+    The left side is the generator matrix ``Z``, contracted from the
+    structure tensor by :func:`right_convolution_operator`; the right side
+    pairs the coproduct matrix itself with the product functionals
+    ``e_k (x) gamma`` of the coordinate functionals, built as Kronecker
+    products reordered by :func:`mixing_permutation`.  The identity holds
+    for any bilinear coproduct, coassociative or not, so it checks the
+    coordinate bookkeeping of :attr:`Bialgebra.structure_tensor` (which leg
+    is which, and the Kronecker reordering), not the coproduct axioms.
     """
     alg = b.algebra
     z_matrix = right_convolution_operator(b, gamma).matrix
-    t3 = b.structure_tensor
-    dual_gamma = alg.dual_coords(gamma)
-    paired = np.empty((alg.dim, alg.dim), dtype=np.complex128)
-    for k in range(alg.dim):
-        paired[k] = dual_gamma @ t3[k]
+    # row k is the dual vector of e_k (x) gamma on the tensor square
+    products = np.kron(np.eye(alg.dim), alg.dual_coords(gamma))
+    products = products[:, mixing_permutation(alg, alg)]
+    paired = products @ b.delta.matrix
     return float(np.max(np.abs(z_matrix - paired)))

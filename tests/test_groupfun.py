@@ -269,11 +269,28 @@ def test_compound_poisson_matches_convolution_exponential(rng):
                 assert cc.is_probability(series, tol=1e-10)
 
 
+def test_compound_poisson_large_intensity_keeps_mass():
+    """At rate * t = 740 one series starts from the subnormal exp(-740)."""
+    z3 = cc.cyclic_group(3)
+    out = cc.compound_poisson(z3, np.array([0.0, 1.0, 0.0]), 2.0, 370.0)
+    assert abs(out.sum() - 1.0) <= 1e-12
+    assert np.abs(out - 1.0 / 3.0).max() <= 1e-12
+    # the squared pieces agree with the closed form of a lazy jump on Z_2
+    z2 = cc.cyclic_group(2)
+    for t in (25.0, 40.0, 100.0, 740.0):
+        out = cc.compound_poisson(z2, np.array([0.99, 0.01]), 1.0, t)
+        assert abs(out[1] - (1 - math.exp(-0.02 * t)) / 2) <= 1e-12
+        assert abs(out.sum() - 1.0) <= 1e-12
+
+
 def test_compound_poisson_rejects_bad_input(z2):
     with pytest.raises(cc.PreconditionError):
         cc.compound_poisson(z2, np.array([0.5, 0.6]), 1.0, 1.0)
     with pytest.raises(cc.PreconditionError):
         cc.compound_poisson(z2, np.array([0.5, 0.5]), -1.0, 1.0)
+    for rate, t in ((math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(cc.PreconditionError):
+            cc.compound_poisson(z2, np.array([0.5, 0.5]), rate, t)
 
 
 # ---------------------------------------------------------------------------

@@ -359,3 +359,97 @@ def test_cli_rejects_malformed_numbers_and_names(tmp_path, argv):
     assert "error:" in result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+def test_cli_evolve_overflow_is_a_failed_check(tmp_path):
+    """An invalid generator overflows at t = 800: failing checks, not a traceback."""
+    gamma_path = tmp_path / "g.json"
+    gamma_path.write_text(json.dumps({"dual_blocks": [[[[5.0, 0.0]]], [[[-1.0, 0.0]]]]}))
+    result = run_cli("evolve", "zn:2", str(gamma_path), "--times", "1,800")
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    report = json.loads(result.stdout)
+    assert report["pass"] is False
+    overflowed = [c for c in report["checks"] if c["name"].endswith("[t=800]")]
+    assert len(overflowed) == 7
+    assert all(c["residual"] is None and c["pass"] is False for c in overflowed)
+    entry = report["times"][1]
+    assert entry["t"] == 800 and entry["state_min_eigenvalue"] is None
+    assert all(c["residual"] is not None for c in report["checks"] if "[t=1]" in c["name"])
+
+
+def test_check_never_passes_a_non_finite_residual():
+    from cstarconv.cli import _check
+
+    for residual in (math.nan, math.inf, -math.inf):
+        for lower_bound in (False, True):
+            check = _check("x", residual, 1e-9, lower_bound=lower_bound)
+            assert check["pass"] is False and check["residual"] is None
+
+
+def test_cli_main_refuses_to_render_non_finite(monkeypatch, capsys):
+    """A non-finite number outside the checks ends in exit 1, not a ValueError."""
+    from cstarconv import cli
+
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: ({"value": math.inf}, 0))
+    assert cli.main(["validate", "zn:2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "non-finite" in captured.err
+
+
+NON_FINITE_OR_BROKEN_GAMMA = {
+    "nan": '{"dual_blocks": [[[[NaN, 0.0]]], [[[1.0, 0.0]]]]}',
+    "infinity": '{"dual_blocks": [[[[1.0, -Infinity]]], [[[1.0, 0.0]]]]}',
+    "int-past-float": '{"dual_blocks": [[[[1' + "0" * 400 + ', 0]]], [[[1, 0]]]]}',
+    "int-past-digit-limit": '{"dual_blocks": [[[[1' + "0" * 5000 + ', 0]]], [[[1, 0]]]]}',
+    "deep-nesting": "[" * 100000 + "]" * 100000,
+}
+
+
+@pytest.mark.parametrize(
+    "text", NON_FINITE_OR_BROKEN_GAMMA.values(), ids=NON_FINITE_OR_BROKEN_GAMMA.keys()
+)
+def test_cli_rejects_non_finite_and_unparsable_numbers(tmp_path, capsys, text):
+    from cstarconv import cli
+
+    gamma_path = tmp_path / "gamma.json"
+    gamma_path.write_text(text)
+    assert cli.main(["evolve", "zn:2", str(gamma_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
+def test_cli_rejects_binary_file(tmp_path, capsys):
+    from cstarconv import cli
+
+    path = tmp_path / "binary.json"
+    path.write_bytes(bytes([0xB3, 0x00, 0xFF, 0x7B]))
+    assert cli.main(["validate", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "values, argv",
+    [
+        # tol = 0 once put t = 0 into the norm-bound grid (PreconditionError);
+        # it now runs, and the rounding-level residuals fail a zero tolerance
+        ([-1.0, 1.0], ["--tol", "0"]),
+        # a norm whose square overflows: OverflowError, then a zero grid floor
+        ([-1e154, 1e154], []),
+        ([-1e308, 1e308], []),
+    ],
+    ids=["tol-zero", "norm-1e154", "norm-1e308"],
+)
+def test_cli_evolve_norm_bound_grid_edges(tmp_path, capsys, values, argv):
+    from cstarconv import cli
+
+    gamma_path = tmp_path / "gamma.json"
+    gamma_path.write_text(json.dumps({"dual_blocks": [[[[v, 0.0]]] for v in values]}))
+    assert cli.main([*argv, "evolve", "zn:2", str(gamma_path), "--times", "1"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["generating_functional"]["conditionally_positive"] is True
+    assert report["checks"][0]["name"] == "generator_norm_bound"
+    if argv:
+        assert report["norm_bound"]["satisfied"] is True

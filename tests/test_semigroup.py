@@ -145,6 +145,70 @@ def test_reconstruction_exact_on_translation_range(s3_dual, rng):
 
 
 # ---------------------------------------------------------------------------
+# Invariance residuals against the dim^4 einsum reference
+# ---------------------------------------------------------------------------
+
+
+def reference_commutation_residual(b, t_map):
+    t3 = b.structure_tensor
+    mat = t_map.matrix
+    left_all = np.einsum("kjl,lm->kjm", t3, mat) - np.einsum("jl,klm->kjm", mat, t3)
+    return float(np.max(np.abs(left_all)))
+
+
+def reference_strong_invariance_residual(b, t_map):
+    t3 = b.structure_tensor
+    mat = t_map.matrix
+    lhs = np.einsum("kjl,lm->kjm", t3, mat)
+    rhs = np.einsum("kjm,ij->kim", t3, mat)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def bialgebra_battery():
+    out = {}
+    for name in ("zn:4", "s3", "d4", "q8"):
+        table, irreps = cc.builtin_group(name)
+        out[f"functions[{name}]"] = cc.function_bialgebra(table)
+        out[f"group_cstar[{name}]"] = cc.group_cstar_bialgebra(table, irreps)
+    return out
+
+
+def map_battery(b, rng):
+    """Invariant maps (semigroup maps, translations) and random maps that are not."""
+    gamma = random_generating_functional(b, rng)
+    sg = cc.associated_semigroup(b, gamma)
+    maps = {f"P_{t}": sg.operator_at(t) for t in (0.0, 0.5, 2.0)}
+    maps["left_translation"] = cc.left_convolution_operator(b, random_functional(b.algebra, rng))
+    maps["identity"] = cc.LinearMap.identity(b.algebra)
+    for i in range(2):
+        maps[f"random_{i}"] = random_map(b, rng)
+    return maps
+
+
+def test_invariance_residuals_match_einsum_reference(rng):
+    worst_invariant = 0.0
+    largest_random = 0.0
+    for label, b in bialgebra_battery().items():
+        for name, t_map in map_battery(b, rng).items():
+            commutation = cc.commutation_residual(b, t_map)
+            strong = cc.strong_invariance_residual(b, t_map)
+            # the equality that lets evolve compute the tensor once
+            assert commutation == strong, (label, name)
+            for ref in (
+                reference_commutation_residual(b, t_map),
+                reference_strong_invariance_residual(b, t_map),
+            ):
+                assert abs(commutation - ref) <= 1e-12, (label, name, commutation, ref)
+            if name.startswith("random"):
+                largest_random = max(largest_random, commutation)
+                assert commutation > 0.1, (label, name)
+            elif name != "left_translation":
+                worst_invariant = max(worst_invariant, commutation)
+    assert worst_invariant < 1e-9
+    assert largest_random > 1.0
+
+
+# ---------------------------------------------------------------------------
 # Complete positivity
 # ---------------------------------------------------------------------------
 
@@ -166,6 +230,109 @@ def test_transpose_is_not_completely_positive():
     report = cc.is_completely_positive(cc.LinearMap(m2, m2, mat))
     assert not report.cp
     assert min(report.min_choi_eigenvalues) == pytest.approx(-1.0, abs=1e-12)
+
+
+def reference_choi_report(t_map):
+    """Choi matrices with the target embedded in its faithful representation."""
+    src, tgt = t_map.source, t_map.target
+    big_n = tgt.rep_dim
+    min_eigs, defects = [], []
+    for off, n in zip(src.coord_offsets, src.blocks):
+        cols = t_map.matrix[:, off : off + n * n].T
+        embedded = np.zeros((n * n, big_n, big_n), dtype=np.complex128)
+        pos = 0
+        for t_off, m in zip(tgt.coord_offsets, tgt.blocks):
+            embedded[:, pos : pos + m, pos : pos + m] = cols[:, t_off : t_off + m * m].reshape(
+                n * n, m, m
+            )
+            pos += m
+        images = embedded.reshape(n, n, big_n, big_n)
+        choi = images.transpose(0, 2, 1, 3).reshape(n * big_n, n * big_n)
+        defects.append(cc.hermitian_defect(choi))
+        min_eigs.append(cc.min_hermitian_eigenvalue(choi))
+    return min_eigs, defects
+
+
+def assert_choi_matches_reference(t_map):
+    report = cc.is_completely_positive(t_map)
+    min_eigs, defects = reference_choi_report(t_map)
+    assert len(report.min_choi_eigenvalues) == len(t_map.source.blocks)
+    assert np.abs(np.array(report.min_choi_eigenvalues) - min_eigs).max() <= 1e-12
+    assert np.abs(np.array(report.hermitian_defects) - defects).max() <= 1e-12
+    return report
+
+
+def kraus_map(source, target, rng, count=2):
+    """A random CP map: Kraus operators on the faithful representations,
+    followed by the (CP) compression onto the target's diagonal blocks."""
+    src_pos = np.cumsum((0,) + source.blocks)
+    tgt_pos = np.cumsum((0,) + target.blocks)
+    mat = np.zeros((target.dim, source.dim), dtype=np.complex128)
+    eye = np.eye(source.dim)
+    kraus = [
+        rng.standard_normal((target.rep_dim, source.rep_dim))
+        + 1j * rng.standard_normal((target.rep_dim, source.rep_dim))
+        for _ in range(count)
+    ]
+    for col in range(source.dim):
+        x = np.zeros((source.rep_dim, source.rep_dim), dtype=np.complex128)
+        for i, blk in enumerate(source.split(eye[col])):
+            x[src_pos[i] : src_pos[i + 1], src_pos[i] : src_pos[i + 1]] = blk
+        y = sum(v @ x @ v.conj().T for v in kraus)
+        mat[:, col] = np.concatenate(
+            [
+                y[tgt_pos[i] : tgt_pos[i + 1], tgt_pos[i] : tgt_pos[i + 1]].ravel()
+                for i in range(len(target.blocks))
+            ]
+        )
+    return cc.LinearMap(source, target, mat)
+
+
+def test_choi_matches_embedded_reference(rng):
+    for b in bialgebra_battery().values():
+        for t_map in map_battery(b, rng).values():
+            assert_choi_matches_reference(t_map)
+    for blocks_in, blocks_out in (((1, 2), (3, 1, 2)), ((2, 2, 1), (1, 3)), ((3,), (2, 1, 2))):
+        source, target = cc.Algebra(blocks_in), cc.Algebra(blocks_out)
+        report = assert_choi_matches_reference(kraus_map(source, target, rng))
+        assert report.cp
+        assert min(report.min_choi_eigenvalues) > -1e-12
+        noise = rng.standard_normal((target.dim, source.dim))
+        assert_choi_matches_reference(cc.LinearMap(source, target, noise))
+
+
+def test_transpose_between_different_block_sizes_is_not_cp():
+    """(a, X) in M_1 + M_2  ->  (X^T, a) in M_2 + M_1 pins the Choi reshape order."""
+    source, target = cc.Algebra((1, 2)), cc.Algebra((2, 1))
+    mat = np.zeros((target.dim, source.dim))
+    mat[4, 0] = 1.0  # a -> the M_1 block of the target
+    for r in range(2):
+        for s in range(2):
+            mat[s * 2 + r, 1 + r * 2 + s] = 1.0  # E_rs -> E_sr
+    report = assert_choi_matches_reference(cc.LinearMap(source, target, mat))
+    assert not report.cp
+    # the M_1 block lands in M_1 only, so its Choi matrix has zero pieces too
+    assert report.min_choi_eigenvalues == pytest.approx((0.0, -1.0), abs=1e-12)
+    assert report.hermitian_defects == (0.0, 0.0)
+    # the map without the transpose is a *-isomorphism, hence CP
+    swap = np.zeros_like(mat)
+    swap[4, 0] = 1.0
+    swap[:4, 1:] = np.eye(4)
+    assert cc.is_completely_positive(cc.LinearMap(source, target, swap)).cp
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_map_is_never_cp():
+    alg = cc.Algebra((2, 1))
+    for bad in (np.nan, np.inf, -np.inf):
+        mat = np.eye(alg.dim, dtype=np.complex128)
+        mat[0, 0] = bad
+        report = cc.is_completely_positive(cc.LinearMap(alg, alg, mat))
+        assert not report.cp
+        assert math.isnan(report.min_choi_eigenvalues[0])
+        assert report.min_choi_eigenvalues[1] == 0.0
+        mat[0, 0], mat[1, 2] = 1.0, bad
+        assert math.isnan(cc.is_completely_positive(cc.LinearMap(alg, alg, mat)).min_choi_eigenvalues[0])
 
 
 def test_flow_is_cp_and_unital_iff_state(s3_dual, rng):
@@ -215,6 +382,31 @@ def test_generator_pairing_separates_functionals(s3_dual, rng):
     t3 = b.structure_tensor
     paired = np.einsum("j,kjl->kl", b.algebra.dual_coords(other), t3)
     assert np.abs(z_matrix - paired).max() > 1e-3
+
+
+def test_generator_pairing_catches_swapped_convolution_side(s3_functions, rng, monkeypatch):
+    """With the left operator in place of the right one the residual is O(1)."""
+    b = s3_functions
+    gamma = random_generating_functional(b, rng)
+    assert cc.generator_pairing_residual(b, gamma) < 1e-12
+    monkeypatch.setattr(
+        "cstarconv.semigroup.right_convolution_operator", cc.left_convolution_operator
+    )
+    assert cc.generator_pairing_residual(b, gamma) > 1e-3
+
+
+def test_generator_pairing_catches_swapped_tensor_legs(s3_functions, rng):
+    """A structure tensor with its two tensor legs exchanged is caught.
+
+    The right side pairs the coproduct matrix itself, not the structure
+    tensor, so this bookkeeping error shows; on the noncommutative dual of
+    C(S3) the swap changes the generator.
+    """
+    good = s3_functions
+    gamma = random_generating_functional(good, rng)
+    b = cc.Bialgebra(good.algebra, good.delta, good.epsilon, good.mode)
+    b.__dict__["structure_tensor"] = good.structure_tensor.transpose(1, 0, 2)
+    assert cc.generator_pairing_residual(b, gamma) > 1e-3
 
 
 def test_generator_commutes_with_translations(s3_dual, rng):
