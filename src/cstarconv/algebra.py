@@ -29,6 +29,9 @@ from .errors import PreconditionError, ShapeError
 #: Default absolute tolerance for every numerical predicate in the package.
 DEFAULT_TOL = 1e-9
 
+# largest block size that Algebra.multiply forms without a batched matmul
+_SMALL_BLOCK = 2
+
 
 def _frozen(array, dtype=np.complex128) -> np.ndarray:
     out = np.array(array, dtype=dtype)
@@ -192,7 +195,9 @@ class Algebra:
         This is the multiplication rule ``e_rs e_tu = delta_st e_ru`` within
         each block.  ``x`` and ``y`` have shape ``(..., dim)`` with
         broadcastable leading axes; the product runs as one batched matrix
-        product per distinct block size.
+        product per distinct block size.  Blocks of size at most
+        ``_SMALL_BLOCK`` are formed as a broadcast sum of outer products,
+        which numpy runs faster than a batched ``@`` over tiny matrices.
         """
         x = np.asarray(x)
         y = np.asarray(y)
@@ -202,7 +207,13 @@ class Algebra:
             k = idx.shape[0]
             xb = x[..., idx].reshape(x.shape[:-1] + (k, n, n))
             yb = y[..., idx].reshape(y.shape[:-1] + (k, n, n))
-            out[..., idx] = (xb @ yb).reshape(batch + (k, n * n))
+            if n <= _SMALL_BLOCK:
+                prod = xb[..., :, 0, None] * yb[..., None, 0, :]
+                for b in range(1, n):
+                    prod += xb[..., :, b, None] * yb[..., None, b, :]
+            else:
+                prod = xb @ yb
+            out[..., idx] = prod.reshape(batch + (k, n * n))
         return out
 
     # -- helpers -----------------------------------------------------------
@@ -332,10 +343,7 @@ def element_norm(algebra: Algebra, a: Element) -> float:
     algebra._require(a)
     if not np.isfinite(a.coords).all():
         return float("nan")
-    return max(
-        float(np.linalg.svd(b, compute_uv=False)[0]) if b.size else 0.0
-        for b in a.blocks
-    )
+    return max(float(s[:, 0].max()) for _, s in _singular_values(algebra, a.coords))
 
 
 def functional_norm(mu: Functional) -> float:
@@ -347,9 +355,26 @@ def functional_norm(mu: Functional) -> float:
     """
     if not np.isfinite(mu.dual).all():
         return float("nan")
-    return float(
-        sum(np.linalg.svd(r, compute_uv=False).sum() for r in mu.dual_blocks)
-    )
+    traces = np.empty(len(mu.algebra.blocks))
+    for pos, s in _singular_values(mu.algebra, mu.dual, dual=True):
+        traces[pos] = s.sum(axis=-1)
+    # summed in block order, so the value does not depend on the batching
+    return float(sum(traces.tolist()))
+
+
+def _singular_values(algebra: Algebra, vector: np.ndarray, dual: bool = False):
+    """Singular values of the blocks of a vector, one batched SVD per block size.
+
+    Yields ``(positions, values)`` for each distinct block size ``n``:
+    ``positions`` index ``algebra.blocks`` and ``values`` has shape
+    ``(len(positions), n)``.  With ``dual`` the blocks are read as the dual
+    matrices ``rho_i``, the transposes of the row-major slices.
+    """
+    for n, pos, idx in algebra.blocks_by_size:
+        mats = vector[idx].reshape(-1, n, n)
+        if dual:
+            mats = mats.transpose(0, 2, 1)
+        yield pos, np.linalg.svd(mats, compute_uv=False)
 
 
 def functional_norm_witness(algebra: Algebra, mu: Functional) -> Element:

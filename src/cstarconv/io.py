@@ -59,6 +59,9 @@ def _as_finite(value: int | float, path: str) -> float:
 def _as_complex_matrix(value, path: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         _fail(path, "expected a non-empty nested list (matrix)")
+    matrix = _decode_pairs(value)
+    if matrix is not None:
+        return matrix
     rows = []
     width = None
     for r, row in enumerate(value):
@@ -70,6 +73,25 @@ def _as_complex_matrix(value, path: str) -> np.ndarray:
             _fail(f"{path}[{r}]", f"ragged row: {len(row)} entries, expected {width}")
         rows.append([_as_complex(v, f"{path}[{r}][{c}]") for c, v in enumerate(row)])
     return np.array(rows, dtype=np.complex128)
+
+
+def _decode_pairs(value: list) -> np.ndarray | None:
+    """A well-formed matrix of ``[re, im]`` pairs in one ``np.array`` call.
+
+    ``None`` when the value is anything else (ragged, non-numeric, a wrong
+    pair length, non-finite, past float range), so that the per-entry walk
+    in :func:`_as_complex_matrix` reports it.
+    """
+    try:
+        array = np.array(value)
+    except (ValueError, OverflowError):
+        return None
+    if array.dtype.kind not in "biuf" or array.ndim != 3 or array.shape[2] != 2:
+        return None
+    pairs = np.ascontiguousarray(array, dtype=np.float64)
+    if not np.isfinite(pairs).all():
+        return None
+    return pairs.view(np.complex128)[..., 0]
 
 
 def complex_matrix_to_json(matrix: np.ndarray) -> list:
@@ -125,10 +147,20 @@ def load_irreps(source) -> IrrepTable:
         if not isinstance(entry, dict) or "dim" not in entry or "matrices" not in entry:
             _fail(prefix, "each irrep needs 'dim' and 'matrices'")
         d = entry["dim"]
+        matrices = entry["matrices"]
+        # a non-empty string or object fails entry by entry below
+        if not matrices or isinstance(matrices, (int, float)):
+            _fail(f"{prefix}.matrices", "expected a non-empty list of matrices")
         stack = [
             _as_complex_matrix(m, f"{prefix}.matrices[{g}]")
-            for g, m in enumerate(entry["matrices"])
+            for g, m in enumerate(matrices)
         ]
+        for g, m in enumerate(stack):
+            if m.shape != stack[0].shape:
+                _fail(
+                    f"{prefix}.matrices[{g}]",
+                    f"shape {m.shape} differs from matrices[0] {stack[0].shape}",
+                )
         arr = np.stack(stack)
         if arr.shape[1:] != (d, d):
             _fail(prefix, f"matrices have shape {arr.shape[1:]}, declared dim {d}")
@@ -147,7 +179,10 @@ def load_bialgebra(source) -> Bialgebra:
     blocks = data["blocks"]
     if not isinstance(blocks, list) or not all(isinstance(n, int) for n in blocks):
         _fail("$.blocks", "expected a list of integers")
-    algebra = Algebra(tuple(blocks))
+    try:
+        algebra = Algebra(tuple(blocks))
+    except ValueError as exc:
+        raise SchemaError(f"at $.blocks: {exc}") from exc
     delta = _as_complex_matrix(data["delta"], "$.delta")
     square = tensor_algebra(algebra, algebra)
     if delta.shape != (square.dim, algebra.dim):

@@ -217,6 +217,42 @@ def test_multiplication_matrices(rng):
     assert np.allclose(right, alg.to_coords(b * a), atol=1e-12)
 
 
+def test_multiply_matches_per_block_matmul(rng):
+    # sizes 1 and 2 take the broadcast-sum path, 3 to 5 the batched matmul
+    alg = cc.Algebra((1, 2, 3, 2, 4, 1, 5))
+
+    def gaussian(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    x = gaussian((3, 1, alg.dim))
+    y = gaussian((4, alg.dim))
+    product = alg.multiply(x, y)
+    assert product.shape == (3, 4, alg.dim)
+    for i in range(3):
+        for j in range(4):
+            expected = np.concatenate(
+                [(a @ b).ravel() for a, b in zip(alg.split(x[i, 0]), alg.split(y[j]))]
+            )
+            assert np.abs(product[i, j] - expected).max() <= 1e-12
+
+
+def _random_blocks(rng):
+    return tuple(int(n) for n in rng.integers(1, 6, size=rng.integers(1, 9)))
+
+
+def test_batched_norms_equal_per_block_loop(rng):
+    for _ in range(40):
+        alg = cc.Algebra(_random_blocks(rng))
+        a = random_element(alg, rng)
+        mu = random_functional(alg, rng)
+        per_block_norm = max(float(np.linalg.svd(b, compute_uv=False)[0]) for b in a.blocks)
+        per_block_dual = float(
+            sum(np.linalg.svd(r, compute_uv=False).sum() for r in mu.dual_blocks)
+        )
+        assert np.array_equal(cc.element_norm(alg, a), per_block_norm)
+        assert np.array_equal(cc.functional_norm(mu), per_block_dual)
+
+
 def test_tensor_map_acts_factorwise(rng):
     a1, a2 = cc.Algebra((2,)), cc.Algebra((1, 2))
     s = cc.LinearMap(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,57 @@ def test_corrupted_coproduct_detected(s3_dual):
     )
     report = cc.validate_bialgebra(corrupted)
     assert report.coassoc_residual >= 1e-4
+
+
+def _einsum_coassoc_residual(b):
+    """Reference: both sides of coassociativity as full dim^4 einsums."""
+    t3 = b.structure_tensor
+    left = np.einsum("kjl,abj->kabl", t3, t3)
+    right = np.einsum("kjl,abk->abjl", t3, t3)
+    return float(np.max(np.abs(left - right)))
+
+
+def _builtin_bialgebra(spec):
+    dual = spec.startswith("dual:")
+    table, irreps = cc.builtin_group(spec.removeprefix("dual:"))
+    return cc.group_cstar_bialgebra(table, irreps) if dual else cc.function_bialgebra(table)
+
+
+# zn:36 has dim 36, so a column chunk is 5 wide and the last chunk is partial
+@pytest.mark.parametrize(
+    "spec", ["zn:4", "zn:36", "s3", "d4", "q8", "dual:zn:4", "dual:s3", "dual:d4", "dual:q8"]
+)
+def test_coassociativity_matches_einsum_reference(spec):
+    b = _builtin_bialgebra(spec)
+    residual = cc.validate_bialgebra(b).coassoc_residual
+    assert abs(residual - _einsum_coassoc_residual(b)) <= 1e-12
+    assert residual <= 1e-12
+
+
+def test_coassociativity_of_perturbed_coproduct_matches_einsum_reference(s3_dual):
+    rng = np.random.default_rng(SEED)
+    noise = rng.standard_normal(s3_dual.delta.matrix.shape)
+    perturbed = cc.Bialgebra(
+        s3_dual.algebra,
+        cc.LinearMap(s3_dual.delta.source, s3_dual.delta.target, s3_dual.delta.matrix + noise),
+        s3_dual.epsilon,
+    )
+    residual = cc.validate_bialgebra(perturbed).coassoc_residual
+    assert residual > 1.0
+    assert abs(residual - _einsum_coassoc_residual(perturbed)) <= 1e-12
+
+
+def test_validation_runs_in_bounded_memory():
+    # coassociativity must not materialise dim^4 arrays (2 x 85 MB at dim 48)
+    b = cc.function_bialgebra(cc.cyclic_group(48))
+    tracemalloc.start()
+    try:
+        report = cc.validate_bialgebra(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.max_residual() == 0.0
+    assert peak < 64 * 2**20
 
 
 def test_delta_of_translation_unitaries(s3, s3_irreps, s3_dual):

@@ -99,6 +99,98 @@ def test_group_function_and_measure_schemas(tmp_path):
     assert cc.is_probability(weights)
 
 
+# JSON matrix texts: (text, decoded in one np.array call)
+MATRIX_TEXTS = {
+    "ints": ("[[[1, 2], [3, -4]], [[0, 0], [5, 6]]]", True),
+    "bools": ("[[[true, false], [1, 0.5]]]", True),
+    "floats": ("[[[1.5, -0.0], [-0.0, 2.25e-300]], [[1e300, -1e-320], [0.1, 0.2]]]", True),
+    "int-past-2^53": ("[[[9007199254740993, -9007199254740993]]]", True),
+    "int-past-int64": ("[[[1180591620717411303424, 0]]]", False),
+    "int-past-float": ("[[[1" + "0" * 400 + ", 0]]]", False),
+    "nan": ("[[[NaN, 0.0]]]", False),
+    "infinity": ("[[[1.0, -Infinity]]]", False),
+    "string": ('[[["1", 0]]]', False),
+    "null": ("[[[null, 0]]]", False),
+    "ragged": ("[[[1, 0], [2, 0]], [[3, 0]]]", False),
+    "singletons": ("[[[1], [2]]]", False),
+    "triples": ("[[[1, 2, 3]]]", False),
+    "numbers-not-pairs": ("[[1, 2]]", False),
+    "empty-row": ("[[]]", False),
+    "empty-second-row": ("[[[1, 0]], []]", False),
+    "empty": ("[]", False),
+}
+
+
+@pytest.mark.parametrize("text, fast", MATRIX_TEXTS.values(), ids=MATRIX_TEXTS.keys())
+def test_matrix_decoding_matches_per_entry_walk(monkeypatch, text, fast):
+    value = json.loads(text)
+    assert (schemas._decode_pairs(value) is not None) == fast
+
+    def decode(walk_only):
+        with monkeypatch.context() as patch:
+            if walk_only:
+                patch.setattr(schemas, "_decode_pairs", lambda value: None)
+            try:
+                return schemas._as_complex_matrix(value, "$.m")
+            except cc.SchemaError as exc:
+                return str(exc)
+
+    walked, decoded = decode(walk_only=True), decode(walk_only=False)
+    if isinstance(walked, str):
+        assert decoded == walked
+    else:
+        assert decoded.dtype == walked.dtype == np.complex128
+        assert decoded.shape == walked.shape
+        assert decoded.tobytes() == walked.tobytes()  # signed zeros included
+
+
+def _bialgebra_doc(blocks):
+    return {"blocks": blocks, "mode": "hom", "delta": [[[0, 0]]], "epsilon": []}
+
+
+def _irrep_doc(matrices):
+    return {"irreps": [{"dim": 1, "matrices": matrices}]}
+
+
+# (command, file, path in the message); each was a traceback with exit 1
+BROKEN_STRUCTURE_FILES = {
+    "negative-block": ("validate", _bialgebra_doc([1, -1]), "$.blocks"),
+    "no-blocks": ("validate", _bialgebra_doc([]), "$.blocks"),
+    "no-irrep-matrices": ("irreps", _irrep_doc([]), "$.irreps[0].matrices"),
+    "scalar-irrep-matrices": ("irreps", _irrep_doc(5), "$.irreps[0].matrices"),
+    "mixed-irrep-shapes": (
+        "irreps",
+        _irrep_doc([[[[1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]),
+        "$.irreps[0].matrices[1]",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, doc, where", BROKEN_STRUCTURE_FILES.values(), ids=BROKEN_STRUCTURE_FILES.keys()
+)
+def test_cli_rejects_broken_structure_files(tmp_path, capsys, kind, doc, where):
+    from cstarconv import cli
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    if kind == "validate":
+        argv = ["validate", str(path)]
+    else:
+        group = tmp_path / "s3.json"
+        s3 = cc.s3_group()
+        group.write_text(
+            json.dumps({"order": 6, "identity": s3.identity, "table": s3.table.tolist()})
+        )
+        psi = tmp_path / "psi.json"
+        psi.write_text(json.dumps({"values": [[0.0, 0.0]] + [[-1.0, 0.0]] * 5}))
+        argv = ["guichardet", str(group), str(psi), "--irreps", str(path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"error: at {where}:" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # CLI: exit codes and report content
 # ---------------------------------------------------------------------------
