@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import (
     DEFAULT_TOL,
@@ -85,6 +84,89 @@ def right_convolution_operator(b: Bialgebra, mu: Functional) -> LinearMap:
 # Exponentials and norm-continuous semigroups
 # ---------------------------------------------------------------------------
 
+# Higham (2005), Table 2.3: the largest 1-norm at which the degree-m
+# diagonal Pade approximant of exp has backward error below double-precision
+# unit roundoff.
+_PADE_THETA = {
+    3: 1.495585217958292e-2,
+    5: 2.539398330063230e-1,
+    7: 9.504178996162932e-1,
+    9: 2.097847961257068e0,
+    13: 5.371920351148152e0,
+}
+# numerator coefficients b_0 .. b_m of the degree-m diagonal Pade approximant
+_PADE_COEFFS = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (
+        17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0,
+    ),
+    13: (
+        64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+        1187353796428800.0, 129060195264000.0, 10559470521600.0,
+        670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+        16380.0, 182.0, 1.0,
+    ),
+}
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential by scaling and squaring with a Pade approximant.
+
+    Higham, *The scaling and squaring method for the matrix exponential
+    revisited*, SIAM J. Matrix Anal. Appl. 26 (2005): the smallest degree
+    ``m`` in 3, 5, 7, 9 whose threshold ``theta_m`` bounds the 1-norm, else
+    degree 13 after ``s = ceil(log2(|a|_1 / theta_13))`` halvings undone by
+    ``s`` squarings.  Real input gives a real result; the zero matrix gives
+    the identity exactly.  A non-finite entry (or a 1-norm that overflows)
+    gives an all-``nan`` result instead of raising.
+    """
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"expm needs a square matrix, got shape {a.shape}")
+    a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
+    ident = np.eye(a.shape[0], dtype=a.dtype)
+    if a.shape[0] == 0:
+        return ident
+    norm = float(np.abs(a).sum(axis=0).max())
+    if not np.isfinite(norm):
+        return np.full_like(a, np.nan)
+    for m in (3, 5, 7, 9):
+        if norm <= _PADE_THETA[m]:
+            c = _PADE_COEFFS[m]
+            a2 = a @ a
+            power = ident
+            u = c[1] * ident
+            v = c[0] * ident
+            for j in range(2, m, 2):
+                power = power @ a2
+                u += c[j + 1] * power
+                v += c[j] * power
+            u = a @ u
+            return np.linalg.solve(v - u, v + u)
+    s = max(0, int(np.ceil(np.log2(norm / _PADE_THETA[13]))))
+    # an exact power of two; s reaches 1022 at the largest finite norms,
+    # where a factor such as 4.0**s (for a @ a) would raise OverflowError
+    a = a * np.ldexp(1.0, -s)
+    c = _PADE_COEFFS[13]
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (
+        a6 @ (c[13] * a6 + c[11] * a4 + c[9] * a2)
+        + c[7] * a6 + c[5] * a4 + c[3] * a2 + c[1] * ident
+    )
+    v = (
+        a6 @ (c[12] * a6 + c[10] * a4 + c[8] * a2)
+        + c[6] * a6 + c[4] * a4 + c[2] * a2 + c[0] * ident
+    )
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
 
 def convolution_exp(
     b: Bialgebra, gamma: Functional, t: float, tol: float = DEFAULT_TOL
@@ -92,15 +174,29 @@ def convolution_exp(
     """The convolution exponential ``sum_n (t gamma)^{*n} / n!``.
 
     Implemented as the matrix exponential of the left-convolution operator
-    applied to the counit coordinates; scipy's scaling-and-squaring Pade
-    scheme keeps the error far below ``tol`` at desk scale.  ``t = 0``
-    returns the counit exactly.
+    applied to the counit coordinates; the scaling-and-squaring Pade scheme
+    of :func:`expm` keeps the error far below ``tol`` at desk scale.
+    ``t = 0`` returns the counit exactly.
     """
     if t < 0:
         raise PreconditionError(f"time must be nonnegative, got {t}")
     mult = convolution_matrix(b, gamma, side="left")
-    dual = scipy.linalg.expm(t * mult) @ b.counit_coords
+    dual = expm(t * mult) @ b.counit_coords
     return b.algebra.functional_from_dual_coords(dual)
+
+
+def _exp_quotient(
+    b: Bialgebra, mult: np.ndarray, dual_gamma: np.ndarray, t: float
+) -> Functional:
+    """:func:`convolution_exp_quotient` from the prebuilt left-convolution
+    matrix ``mult`` of ``gamma`` and its dual coordinates ``dual_gamma``."""
+    if t < 0:
+        raise PreconditionError(f"time must be nonnegative, got {t}")
+    dim = b.algebra.dim
+    aug = np.zeros((dim + 1, dim + 1), dtype=np.complex128)
+    aug[:dim, :dim] = t * mult
+    aug[:dim, dim] = dual_gamma
+    return b.algebra.functional_from_dual_coords(expm(aug)[:dim, dim])
 
 
 def convolution_exp_quotient(b: Bialgebra, gamma: Functional, t: float) -> Functional:
@@ -112,16 +208,7 @@ def convolution_exp_quotient(b: Bialgebra, gamma: Functional, t: float) -> Funct
     cancellation of forming ``exp(t M) - I`` at small ``t`` and extends
     continuously to ``t = 0``, where it returns ``gamma`` itself.
     """
-    if t < 0:
-        raise PreconditionError(f"time must be nonnegative, got {t}")
-    mult = convolution_matrix(b, gamma, side="left")
-    dual_gamma = _dual(b, gamma)
-    dim = b.algebra.dim
-    aug = np.zeros((dim + 1, dim + 1), dtype=np.complex128)
-    aug[:dim, :dim] = t * mult
-    aug[:dim, dim] = dual_gamma
-    quotient = scipy.linalg.expm(aug)[:dim, dim]
-    return b.algebra.functional_from_dual_coords(quotient)
+    return _exp_quotient(b, convolution_matrix(b, gamma, side="left"), _dual(b, gamma), t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,12 +258,14 @@ def continuity_moduli(b: Bialgebra, gamma: Functional, times) -> list[float]:
     Computed as ``t * norm((exp(t gamma) - epsilon) / t)`` through the
     stable difference quotient, so small times lose no accuracy.
     """
+    mult = convolution_matrix(b, gamma, side="left")
+    dual_gamma = _dual(b, gamma)
     out = []
     for t in times:
         if t == 0:
             out.append(0.0)
             continue
-        out.append(float(t) * functional_norm(convolution_exp_quotient(b, gamma, t)))
+        out.append(float(t) * functional_norm(_exp_quotient(b, mult, dual_gamma, t)))
     return out
 
 
@@ -224,8 +313,10 @@ def norm_continuity_bound(
     if not grid or any(t <= 0 for t in grid):
         raise PreconditionError("grid must consist of strictly positive times")
     p = discrete_type_decomposition(b).ideal_unit
+    mult = convolution_matrix(b, gamma, side="left")
+    dual_gamma = _dual(b, gamma)
     # np.max so that a grid value lost to overflow (nan) fails the bound
-    best = float(np.max([convolution_exp_quotient(b, gamma, t)(p).real for t in grid]))
+    best = float(np.max([_exp_quotient(b, mult, dual_gamma, t)(p).real for t in grid]))
     c_hat = max(best, 1.0 / max(grid))
     norm = functional_norm(gamma)
     return NormContinuityBound(c_hat, norm, norm <= 2.0 * c_hat + tol)

@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import DEFAULT_TOL, Functional, element_norm, mixing_permutation
 from .bialgebra import Bialgebra
 from .convolution import (
     convolution_exp,
+    expm,
     right_convolution_operator,
 )
 from .maps import LinearMap
@@ -46,7 +46,7 @@ class AssociatedSemigroup:
     def operator_at(self, t: float) -> LinearMap:
         """``P_t = exp(t Z)`` on the algebra."""
         alg = self.bialgebra.algebra
-        return LinearMap(alg, alg, scipy.linalg.expm(t * self.generator.matrix))
+        return LinearMap(alg, alg, expm(t * self.generator.matrix))
 
     def functional_at(self, t: float) -> Functional:
         """The convolution exponential at time ``t`` (the state of the flow)."""

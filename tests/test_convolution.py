@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 import cstarconv as cc
+from cstarconv.convolution import _PADE_THETA, expm
 from cstarconv.sampling import (
     corrupted_generating_functional,
     random_functional,
@@ -139,11 +140,84 @@ def test_translation_norm_brackets_functional_norm(s3_dual, rng):
 # ---------------------------------------------------------------------------
 
 
+def _gaussian(n, norm, complex_, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    if complex_:
+        a = a + 1j * rng.standard_normal((n, n))
+    return a * (norm / np.abs(a).sum(axis=0).max())
+
+
+def _relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+# both sides of each Pade degree's threshold, plus one norm deep enough that
+# the degree-13 branch squares several times (s = 4)
+THETA_NORMS = [1e-6, 50.0] + [f * th for th in _PADE_THETA.values() for f in (0.99, 1.01)]
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [1, 2, 5, 65])
+def test_expm_matches_scipy(n, complex_):
+    for k, norm in enumerate(THETA_NORMS):
+        a = _gaussian(n, norm, complex_, [n, complex_, k])
+        got, want = expm(a), scipy.linalg.expm(a)
+        assert got.dtype == want.dtype
+        assert _relative_error(got, want) < 1e-12, norm
+
+
+@pytest.mark.parametrize("n", [5, 65])
+@pytest.mark.parametrize("norm", [300.0, 1000.0])
+def test_expm_matches_scipy_deep_in_squaring(n, norm):
+    """s = 6 and s = 8 squarings on random complex matrices."""
+    a = _gaussian(n, norm, True, [n, int(norm)])
+    assert _relative_error(expm(a), scipy.linalg.expm(a)) < 1e-12
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [1, 2, 5, 65])
+def test_expm_of_hermitian_matches_spectral_oracle(n, complex_):
+    """Deep in the squaring branch against ``Q exp(w) Q*`` from ``eigh``.
+
+    Hermitian matrices make ``exp`` well conditioned, so the spectral route is
+    an accurate second oracle where scipy itself can be 1e-11 off (real 2x2
+    and 5x5 matrices with eigenvalues in the hundreds).
+    """
+    a = _gaussian(n, 1.0, complex_, [n, complex_, 300])
+    a = a + a.conj().T
+    a *= 300.0 / np.abs(a).sum(axis=0).max()
+    w, q = np.linalg.eigh(a)
+    assert _relative_error(expm(a), (q * np.exp(w)) @ q.conj().T) < 1e-12
+
+
+def test_expm_edge_cases():
+    assert expm(np.zeros((0, 0))).shape == (0, 0)
+    for dtype in (np.float64, np.complex128):
+        ident = expm(np.zeros((4, 4), dtype=dtype))
+        assert ident.dtype == dtype and np.array_equal(ident, np.eye(4))
+    assert expm(np.array([[0, 1], [0, 0]])).dtype == np.float64
+    with pytest.raises(cc.ShapeError):
+        expm(np.zeros((2, 3)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_expm_non_finite_and_huge_input():
+    for bad in (np.inf, -np.inf, np.nan):
+        a = np.eye(3, dtype=np.complex128)
+        a[1, 2] = bad
+        assert not np.isfinite(expm(a)).all()
+    # s = 1021 squarings; no OverflowError from forming 2**s or 4**s
+    for sign in (1.0, -1.0):
+        out = expm(np.full((3, 3), sign * 1e308 / 3))
+        assert out.shape == (3, 3) and not np.isfinite(out).all()
+
+
 def test_exp_at_zero_is_counit(s3_dual, rng):
     b = s3_dual
     gamma = random_functional(b.algebra, rng)
     lam = cc.convolution_exp(b, gamma, 0.0)
-    assert cc.functional_norm(lam - b.epsilon) == 0.0
+    assert np.array_equal(lam.dual, b.epsilon.dual)
     with pytest.raises(cc.PreconditionError):
         cc.convolution_exp(b, gamma, -0.5)
 

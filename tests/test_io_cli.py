@@ -545,3 +545,36 @@ def test_cli_evolve_norm_bound_grid_edges(tmp_path, capsys, values, argv):
     assert report["checks"][0]["name"] == "generator_norm_bound"
     if argv:
         assert report["norm_bound"]["satisfied"] is True
+
+
+IMPORT_GUARD = """
+import contextlib, io, json, sys
+from cstarconv import cli
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_cli_never_imports_scipy(tmp_path):
+    """All three commands run without loading scipy, which is a test-only dependency."""
+    gamma_path = tmp_path / "gamma.json"
+    gamma_path.write_text(json.dumps({"dual_blocks": [[[[-1.0, 0.0]]], [[[1.0, 0.0]]]]}))
+    psi_path = tmp_path / "psi.json"
+    psi_path.write_text(json.dumps({"group": "s3", "values": [[0.0, 0.0]] * 3 + [[-2.0, 0.0]] * 3}))
+    commands = [
+        ["validate", "zn:4"],
+        ["evolve", "zn:2", str(gamma_path), "--times", "0,1"],
+        ["guichardet", "s3", str(psi_path)],
+    ]
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    outcome = json.loads(result.stdout)
+    assert outcome == {"codes": [0, 0, 0], "scipy": []}
