@@ -60,7 +60,6 @@ from .convolution import (
     continuity_moduli,
     convolution_exp,
     convolution_exp_quotient,
-    convolution_matrix,
     convolve,
     generating_functional,
     left_convolution_operator,

@@ -419,10 +419,8 @@ def is_positive(algebra: Algebra, a: Element, tol: float = DEFAULT_TOL) -> bool:
 
 def is_positive_functional(mu: Functional, tol: float = DEFAULT_TOL) -> bool:
     """Whether every dual block is positive semidefinite within tol."""
-    return all(
-        hermitian_defect(r) <= tol and min_hermitian_eigenvalue(r) >= -tol
-        for r in mu.dual_blocks
-    )
+    defects, min_eigs, _ = _dual_block_spectra(mu)
+    return bool(np.all((defects <= tol) & (min_eigs >= -tol)))
 
 
 @dataclass(frozen=True)
@@ -463,11 +461,33 @@ def state_check(mu: Functional) -> StateCheck:
     A functional is a state iff every dual block is positive semidefinite
     and the value at the unit (the sum of the block traces) equals 1.
     """
-    # numpy's max/min propagate a nan from any block
-    defect = float(np.max([hermitian_defect(r) for r in mu.dual_blocks]))
-    min_eig = float(np.min([min_hermitian_eigenvalue(r) for r in mu.dual_blocks]))
-    unit = complex(sum(np.trace(r) for r in mu.dual_blocks))
-    return StateCheck(defect, min_eig, unit)
+    defects, min_eigs, traces = _dual_block_spectra(mu)
+    # numpy's max/min propagate a nan from any block; the traces are summed
+    # in block order
+    unit = complex(sum(traces.tolist()))
+    return StateCheck(float(np.max(defects)), float(np.min(min_eigs)), unit)
+
+
+def _dual_block_spectra(mu: Functional) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hermitian defect, smallest Hermitian-part eigenvalue and trace of each dual block.
+
+    Three arrays in block order, from one batched ``eigvalsh`` per block
+    size.  The eigenvalue of a block with a non-finite entry is ``nan``,
+    where LAPACK would return zeros.
+    """
+    count = len(mu.algebra.blocks)
+    defects = np.empty(count)
+    min_eigs = np.empty(count)
+    traces = np.empty(count, dtype=np.complex128)
+    for n, pos, idx in mu.algebra.blocks_by_size:
+        rho = mu.dual[idx].reshape(-1, n, n).transpose(0, 2, 1)
+        rho_h = rho.conj().transpose(0, 2, 1)
+        defects[pos] = np.abs(rho - rho_h).max(axis=(1, 2))
+        finite = np.isfinite(rho).all(axis=(1, 2))
+        herm = np.where(finite[:, None, None], (rho + rho_h) / 2.0, 0.0)
+        min_eigs[pos] = np.where(finite, np.linalg.eigvalsh(herm)[:, 0], np.nan)
+        traces[pos] = np.trace(rho, axis1=1, axis2=2)
+    return defects, min_eigs, traces
 
 
 def is_state(mu: Functional, tol: float = DEFAULT_TOL) -> bool:
@@ -487,15 +507,19 @@ def tensor_algebra(a1: Algebra, a2: Algebra) -> Algebra:
 @lru_cache(maxsize=None)
 def _mixing_permutation(blocks1: tuple[int, ...], blocks2: tuple[int, ...]) -> np.ndarray:
     a1, a2 = Algebra(blocks1), Algebra(blocks2)
-    parts = []
-    for off1, n in zip(a1.coord_offsets, blocks1):
-        for off2, m in zip(a2.coord_offsets, blocks2):
-            # tensor block (n*m) x (n*m), row (r1, r2), column (s1, s2), row-major
-            r1, r2, s1, s2 = np.ix_(range(n), range(m), range(n), range(m))
-            k1 = off1 + r1 * n + s1
-            k2 = off2 + r2 * m + s2
-            parts.append((k1 * a2.dim + k2).ravel())
-    perm = np.concatenate(parts).astype(np.intp)
+    square = tensor_algebra(a1, a2)
+    starts = np.array(square.coord_offsets).reshape(len(blocks1), len(blocks2))
+    perm = np.empty(square.dim, dtype=np.intp)
+    # one broadcast per pair of block sizes (n, m), over all block pairs of
+    # those sizes: tensor block (n*m) x (n*m), row (r1, r2), column (s1, s2),
+    # row-major, holds Kronecker entry k1 * a2.dim + k2
+    for n, pos1, idx1 in a1.blocks_by_size:
+        for m, pos2, idx2 in a2.blocks_by_size:
+            r1, r2, s1, s2 = np.indices((n, m, n, m)).reshape(4, -1)
+            k1 = idx1[:, 0, None, None] + r1 * n + s1
+            k2 = idx2[None, :, 0, None] + r2 * m + s2
+            targets = starts[np.ix_(pos1, pos2)][:, :, None] + np.arange(r1.size)
+            perm[targets] = k1 * a2.dim + k2
     perm.setflags(write=False)
     return perm
 

@@ -8,10 +8,23 @@ C*-algebra of a finite group presented through a complete table of unitary
 irreps (cocommutative).  ``mode="hyper"`` relaxes the coproduct from a
 *-homomorphism to a completely positive unital map.
 
-Internally most computations run over the *structure tensor* ``T[k, j, l]``:
-the coefficient of ``e_k (x) e_j`` (Kronecker coordinates) in ``delta(e_l)``.
-Convolution of functionals, translation operators and the cocommutativity
-test are all contractions of this tensor.
+Most computations are contractions of the *structure tensor*
+``T[k, j, l]``: the coefficient of ``e_k (x) e_j`` (Kronecker coordinates)
+in ``delta(e_l)``.  Convolution of functionals, translation operators, the
+invariance residual and the coassociativity, counit and cocommutativity
+tests all go through a few :class:`Bialgebra` methods, backed by one of two
+kernels chosen once per bialgebra from ``delta`` itself:
+
+* the *table* kernel, when every row of the coproduct matrix holds exactly
+  one nonzero entry, that entry is exactly ``1.0``, and every left
+  translation ``f(k, .)`` of the table it defines is a bijection.  Then
+  ``T[k, j, l] = [f(k, j) = l]`` (functions on a finite group), and the
+  contractions are exact index gathers and scatters on the int table ``f``;
+* the *dense* kernel otherwise: einsums and matrix products over ``T``.
+
+The selection never rounds: a coproduct with rounding fill (such as the
+Fourier-built group C*-coproducts) or with one entry off ``1.0`` stays dense,
+so ``validate`` sees every defect.
 """
 
 from __future__ import annotations
@@ -27,9 +40,20 @@ from .groups import IrrepTable, SemigroupTable
 from .maps import LinearMap
 
 _STRUCT_TOL = 1e-12
-# target size, in entries, of each side of one coassociativity column chunk
-# (dim^3 * width); a single column is dim^3 whatever the target
-_COASSOC_CHUNK = 2**18
+# target size, in entries, of the temporaries of one chunk of a chunked
+# contraction; a single index of the chunked axis is never split
+_CHUNK = 2**18
+
+
+def _chunks(dim: int, entries_per_index: int) -> list[slice]:
+    """Consecutive slices of ``range(dim)`` of about ``_CHUNK`` entries each."""
+    width = max(1, _CHUNK // entries_per_index)
+    return [slice(start, min(start + width, dim)) for start in range(0, dim, width)]
+
+
+def _max_abs(parts) -> float:
+    """Largest absolute entry over arrays; ``nan`` if any entry is ``nan``."""
+    return float(np.max([np.max(np.abs(p)) for p in parts]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,6 +107,138 @@ class Bialgebra:
     def counit_coords(self) -> np.ndarray:
         return self.epsilon.dual
 
+    # -- the contraction kernel --------------------------------------------
+
+    @cached_property
+    def _table(self) -> np.ndarray | None:
+        """The int table ``f`` with ``T[k, j, l] = [f[k, j] = l]``, or ``None``.
+
+        ``None`` selects the dense kernel.  The table is read off ``delta``
+        exactly: each row of the coproduct matrix must hold one nonzero
+        entry, equal to ``1.0``, and each row ``f[k]`` must be a permutation.
+        """
+        dim = self.algebra.dim
+        delta = self.delta.matrix
+        nonzero = delta != 0
+        if not (np.count_nonzero(nonzero, axis=1) == 1).all():
+            return None
+        cols = nonzero.argmax(axis=1)
+        if not (delta[np.arange(dim * dim), cols] == 1.0).all():
+            return None
+        table = np.empty(dim * dim, dtype=np.intp)
+        table[mixing_permutation(self.algebra, self.algebra)] = cols
+        table = table.reshape(dim, dim)
+        if not (np.sort(table, axis=1) == np.arange(dim)).all():
+            return None
+        return table
+
+    def left_matrix(self, dual: np.ndarray) -> np.ndarray:
+        """``sum_k dual[k] T[k]``, the matrix of ``a -> (mu (x) id)(delta a)``.
+
+        Its transpose is the matrix of ``nu -> mu * nu`` on dual coordinates.
+        """
+        f = self._table
+        if f is None:
+            return np.einsum("k,kjl->jl", dual, self.structure_tensor)
+        dim = len(f)
+        # T[k] has its one 1 of row j in column f[k, j]: scatter-add dual[k] there
+        index = (np.arange(dim) * dim + f).ravel()
+        weights = np.repeat(dual, dim)
+        out = np.empty(dim * dim, dtype=np.complex128)
+        out.real = np.bincount(index, weights.real, dim * dim)
+        out.imag = np.bincount(index, weights.imag, dim * dim)
+        return out.reshape(dim, dim)
+
+    def right_matrix(self, dual: np.ndarray) -> np.ndarray:
+        """``sum_j dual[j] T[:, j, :]``, the matrix of ``a -> (id (x) mu)(delta a)``.
+
+        Its transpose is the matrix of ``nu -> nu * mu`` on dual coordinates.
+        """
+        f = self._table
+        if f is None:
+            return np.einsum("j,kjl->kl", dual, self.structure_tensor)
+        # row k is a permutation of dual: entry [k, f[k, j]] is dual[j]
+        out = np.empty(f.shape, dtype=np.complex128)
+        out[np.arange(len(f))[:, None], f] = dual
+        return out
+
+    def convolve(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Dual vector of the convolution of the functionals with dual vectors ``x``, ``y``."""
+        if self._table is None:
+            return np.einsum("k,j,kjl->l", x, y, self.structure_tensor)
+        return x @ self.right_matrix(y)
+
+    def invariance_residual(self, matrix: np.ndarray) -> float:
+        """``max |T[k] @ matrix - matrix @ T[k]|`` over all ``k``.
+
+        Runs over chunks of ``k`` whose temporaries hold about ``_CHUNK``
+        entries, so memory stays bounded at any ``dim``.  On the dense kernel
+        the two products are one matrix product and one batched matrix
+        product per chunk.  On the table kernel ``T[k] @ M`` is the row
+        gather ``M[f[k]]`` and ``M @ T[k]`` the column gather
+        ``M[:, f_inv[k]]``; renumbering the columns by ``f[k]`` turns their
+        difference into ``M[f[k]][:, f[k]] - M``, the same entries in
+        another order, so one gather per chunk gives the same maximum.
+        """
+        dim = self.algebra.dim
+        f = self._table
+
+        def commutators(ks):
+            if f is None:
+                t3 = self.structure_tensor[ks]
+                out = (t3.reshape(-1, dim) @ matrix).reshape(t3.shape)
+                out -= np.matmul(matrix, t3)
+            else:
+                out = matrix[f[ks, :, None], f[ks, None, :]]
+                out -= matrix
+            return out
+
+        return _max_abs(commutators(ks) for ks in _chunks(dim, dim * dim))
+
+    def coassociativity_residual(self) -> float:
+        """Max-abs deviation of ``(delta (x) id) delta`` from ``(id (x) delta) delta``.
+
+        On the table kernel both sides are 0/1 tensors and the residual is
+        ``1.0`` exactly when ``f[f[x, y], z] != f[x, f[y, z]]`` somewhere.
+        On the dense kernel it compares every entry, as two matrix products
+        per chunk of output columns, so peak memory is about ``dim**3``
+        entries rather than two ``dim**4`` arrays.
+        """
+        dim = self.algebra.dim
+        f = self._table
+        if f is not None:
+            return float(
+                any((f[f[xs]] != f[xs][:, f]).any() for xs in _chunks(dim, dim * dim))
+            )
+        t3 = self.structure_tensor
+        pairs = t3.reshape(dim * dim, dim)
+
+        # (delta (x) id) delta (e_l) has entries [k, a, b] = sum_j T[a, b, j] T[k, j, l]
+        # and (id (x) delta) delta (e_l) has [a, b, j] = sum_k T[a, b, k] T[k, j, l]:
+        # one GEMM each per chunk of columns l
+        def defects(cols):
+            c = cols.stop - cols.start
+            left = pairs @ t3.transpose(1, 0, 2)[:, :, cols].reshape(dim, dim * c)
+            right = pairs @ t3[:, :, cols].reshape(dim, dim * c)
+            left = left.reshape(dim, dim, dim, c).transpose(2, 0, 1, 3)
+            return left - right.reshape(dim, dim, dim, c)
+
+        return _max_abs(defects(cols) for cols in _chunks(dim, dim**3))
+
+    def counit_residual(self) -> float:
+        """Max-abs deviation of ``(eps (x) id) delta`` and ``(id (x) eps) delta`` from ``id``."""
+        eps = self.counit_coords
+        eye = np.eye(self.algebra.dim)
+        return _max_abs([self.right_matrix(eps) - eye, self.left_matrix(eps) - eye])
+
+    def cocommutativity_residual(self) -> float:
+        """Max-abs deviation of the coproduct from its tensor flip."""
+        f = self._table
+        if f is not None:
+            return float((f != f.T).any())
+        t3 = self.structure_tensor
+        return float(np.max(np.abs(t3 - t3.transpose(1, 0, 2))))
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -125,40 +281,20 @@ class ValidationReport:
 def validate_bialgebra(b: Bialgebra, tol: float = 1e-10) -> ValidationReport:
     """Measure all bialgebra axioms and return their residuals.
 
-    Coassociativity and the counit laws are matrix identities on the
-    structure tensor.  Coassociativity compares every entry of both sides,
-    as two matrix products per chunk of output columns, so peak memory is
-    about ``dim**3`` entries rather than two ``dim**4`` arrays.  The
+    Coassociativity and the counit laws are identities on the structure
+    tensor, measured by :meth:`Bialgebra.coassociativity_residual` and
+    :meth:`Bialgebra.counit_residual` on the bialgebra's kernel.  The
     character law and (in ``hom`` mode) the homomorphism law are checked
     exhaustively over all pairs of canonical basis elements, from one
     tensor of basis products.  In ``hyper`` mode the homomorphism residual
     is replaced by the minimum Choi eigenvalue of the coproduct.
     """
     alg = b.algebra
-    t3 = b.structure_tensor
     dim = alg.dim
     eye = np.eye(dim)
-
-    # (delta (x) id) delta (e_l) has entries [k, a, b] = sum_j T[a, b, j] T[k, j, l]
-    # and (id (x) delta) delta (e_l) has [a, b, j] = sum_k T[a, b, k] T[k, j, l]:
-    # one GEMM each per chunk of columns l
-    pairs = t3.reshape(dim * dim, dim)
-    width = max(1, _COASSOC_CHUNK // dim**3)
-    coassoc = 0.0
-    for start in range(0, dim, width):
-        cols = slice(start, min(start + width, dim))
-        c = cols.stop - start
-        left = pairs @ t3.transpose(1, 0, 2)[:, :, cols].reshape(dim, dim * c)
-        right = pairs @ t3[:, :, cols].reshape(dim, dim * c)
-        left = left.reshape(dim, dim, dim, c).transpose(2, 0, 1, 3)
-        diff = left - right.reshape(dim, dim, dim, c)
-        coassoc = max(coassoc, float(np.max(np.abs(diff))))
-
+    coassoc = b.coassociativity_residual()
+    counit = b.counit_residual()
     eps = b.counit_coords
-    counit = max(
-        float(np.max(np.abs(np.einsum("j,kjl->kl", eps, t3) - eye))),
-        float(np.max(np.abs(np.einsum("k,kjl->jl", eps, t3) - eye))),
-    )
 
     # products[x, y] = coords(e_x e_y); the basis is real, so e_x* = e_{star_perm[x]}
     products = alg.multiply(eye[:, None, :], eye)
@@ -314,5 +450,4 @@ def is_cocommutative(b: Bialgebra, tol: float = 1e-10) -> bool:
 
 
 def cocommutativity_residual(b: Bialgebra) -> float:
-    t3 = b.structure_tensor
-    return float(np.max(np.abs(t3 - t3.transpose(1, 0, 2))))
+    return b.cocommutativity_residual()

@@ -12,16 +12,13 @@ discharge a "for all functionals" quantifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import DEFAULT_TOL, Functional, element_norm, mixing_permutation
 from .bialgebra import Bialgebra
-from .convolution import (
-    convolution_exp,
-    expm,
-    right_convolution_operator,
-)
+from .convolution import _exp, expm, right_convolution_operator
 from .maps import LinearMap
 
 
@@ -50,7 +47,12 @@ class AssociatedSemigroup:
 
     def functional_at(self, t: float) -> Functional:
         """The convolution exponential at time ``t`` (the state of the flow)."""
-        return convolution_exp(self.bialgebra, self.gamma, t)
+        return _exp(self.bialgebra, self._convolution_matrix, t)
+
+    @cached_property
+    def _convolution_matrix(self) -> np.ndarray:
+        """Left convolution by ``gamma`` on dual coordinates, built once per flow."""
+        return self.bialgebra.left_matrix(self.gamma.dual).T
 
 
 def associated_semigroup(b: Bialgebra, gamma: Functional) -> AssociatedSemigroup:
@@ -75,50 +77,23 @@ def recover_functional(b: Bialgebra, p_t: LinearMap) -> Functional:
 # ---------------------------------------------------------------------------
 
 
-def _invariance_tensor(b: Bialgebra, t_map: LinearMap) -> np.ndarray:
-    """The tensor ``T[k] @ M - M @ T[k]`` over all ``k``, ``M`` the map's matrix.
-
-    ``T[k] @ M`` is one ``(dim^2, dim) @ (dim, dim)`` product of the reshaped
-    structure tensor and ``M @ T[k]`` one batched matrix product, so the
-    cost is that of two GEMMs of ``dim^3`` outputs.
-    """
-    t3 = b.structure_tensor
-    mat = t_map.matrix
-    dim = mat.shape[0]
-    out = (t3.reshape(dim * dim, dim) @ mat).reshape(dim, dim, dim)
-    out -= np.matmul(mat, t3)
-    return out
-
-
-def commutation_residual(b: Bialgebra, t_map: LinearMap, extra_functionals=()) -> float:
+def commutation_residual(b: Bialgebra, t_map: LinearMap) -> float:
     """Max commutator norm of ``t_map`` with all left-convolution operators.
 
-    The coordinate dual basis spans the dual, so running over it makes the
-    check complete; ``extra_functionals`` may add smoke-test samples.  The
-    left-convolution operator of the ``k``-th coordinate functional is
-    ``T[k]``, so over that basis the commutators are the tensor
-    ``T[k] @ M - M @ T[k]``, the same tensor as the strong-invariance
-    defect: the two residuals are equal in coordinates, and the ``evolve``
-    command evaluates it once per time point and reports it under both names.
+    The left-convolution operator of the ``k``-th coordinate functional is
+    ``T[k]``, and every left-convolution operator is a combination of these,
+    so the commutators ``T[k] @ M - M @ T[k]`` over the coordinate dual
+    basis make the check complete (:meth:`Bialgebra.invariance_residual`).
     """
-    mat = t_map.matrix
-    residual = float(np.max(np.abs(_invariance_tensor(b, t_map))))
-    for mu in extra_functionals:
-        lmat = np.einsum("k,kjl->jl", b.algebra.dual_coords(mu), b.structure_tensor)
-        residual = max(residual, float(np.max(np.abs(lmat @ mat - mat @ lmat))))
-    return residual
+    return b.invariance_residual(t_map.matrix)
 
 
-def strong_invariance_residual(b: Bialgebra, t_map: LinearMap) -> float:
-    """Deviation of ``delta T`` from ``(id (x) T) delta`` (max-abs entries).
-
-    In structure-tensor coordinates ``delta T`` is ``T[k] @ M`` and
-    ``(id (x) T) delta`` is ``M @ T[k]``, so this is the same tensor as the
-    commutator with the left-convolution operators of the coordinate
-    functionals (:func:`commutation_residual`): the two residuals are equal
-    in coordinates, and the ``evolve`` command evaluates it once per time point.
-    """
-    return float(np.max(np.abs(_invariance_tensor(b, t_map))))
+#: Deviation of ``delta T`` from ``(id (x) T) delta`` (max-abs entries).  In
+#: structure-tensor coordinates ``delta T`` is ``T[k] @ M`` and
+#: ``(id (x) T) delta`` is ``M @ T[k]``, so this is the residual of
+#: :func:`commutation_residual`; the ``evolve`` command evaluates it once per
+#: time point and reports it under both names.
+strong_invariance_residual = commutation_residual
 
 
 def weak_invariance_residual(b: Bialgebra, t_map: LinearMap) -> float:
@@ -213,14 +188,15 @@ def unitality_residual(t_map: LinearMap) -> float:
 def generator_pairing_residual(b: Bialgebra, gamma: Functional) -> float:
     """Largest deviation in ``mu(Z a) = (mu (x) gamma)(delta a)`` over basis pairs.
 
-    The left side is the generator matrix ``Z``, contracted from the
-    structure tensor by :func:`right_convolution_operator`; the right side
-    pairs the coproduct matrix itself with the product functionals
+    The left side is the generator matrix ``Z``, contracted by the
+    bialgebra's kernel through :func:`right_convolution_operator`; the right
+    side pairs the coproduct matrix itself with the product functionals
     ``e_k (x) gamma`` of the coordinate functionals, built as Kronecker
     products reordered by :func:`mixing_permutation`.  The identity holds
     for any bilinear coproduct, coassociative or not, so it checks the
-    coordinate bookkeeping of :attr:`Bialgebra.structure_tensor` (which leg
-    is which, and the Kronecker reordering), not the coproduct axioms.
+    coordinate bookkeeping of the kernel's storage, the gather table or the
+    structure tensor (which leg is which, and the Kronecker reordering),
+    not the coproduct axioms.
     """
     alg = b.algebra
     z_matrix = right_convolution_operator(b, gamma).matrix

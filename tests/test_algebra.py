@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cstarconv as cc
-from cstarconv.sampling import random_element, random_functional, random_state
+from cstarconv.sampling import (
+    random_element,
+    random_functional,
+    random_generating_functional,
+    random_state,
+)
 
 from conftest import SEED
 
@@ -251,6 +256,67 @@ def test_batched_norms_equal_per_block_loop(rng):
         )
         assert np.array_equal(cc.element_norm(alg, a), per_block_norm)
         assert np.array_equal(cc.functional_norm(mu), per_block_dual)
+
+
+def _loop_mixing_permutation(blocks1, blocks2):
+    """Reference: one index grid per pair of blocks."""
+    a1, a2 = cc.Algebra(blocks1), cc.Algebra(blocks2)
+    parts = []
+    for off1, n in zip(a1.coord_offsets, blocks1):
+        for off2, m in zip(a2.coord_offsets, blocks2):
+            r1, r2, s1, s2 = np.ix_(range(n), range(m), range(n), range(m))
+            k1 = off1 + r1 * n + s1
+            k2 = off2 + r2 * m + s2
+            parts.append((k1 * a2.dim + k2).ravel())
+    return np.concatenate(parts)
+
+
+def test_mixing_permutation_matches_block_pair_loop(rng):
+    layouts = [((1,), (1,)), ((1,) * 64, (1,) * 64), ((2, 1, 2), (1, 3, 1, 3))]
+    layouts += [(_random_blocks(rng), _random_blocks(rng)) for _ in range(40)]
+    for blocks1, blocks2 in layouts:
+        perm = cc.mixing_permutation(cc.Algebra(blocks1), cc.Algebra(blocks2))
+        assert np.array_equal(perm, _loop_mixing_permutation(blocks1, blocks2))
+
+
+def test_batched_state_checks_equal_per_block_loop(rng):
+    for _ in range(40):
+        alg = cc.Algebra(_random_blocks(rng))
+        for mu in (random_functional(alg, rng), random_state(alg, rng)):
+            check = cc.state_check(mu)
+            blocks = mu.dual_blocks
+            assert check.hermitian_defect == max(cc.hermitian_defect(r) for r in blocks)
+            assert check.min_eigenvalue == min(cc.min_hermitian_eigenvalue(r) for r in blocks)
+            assert check.unit_value == complex(sum(np.trace(r) for r in blocks))
+            assert cc.is_positive_functional(mu) == all(
+                cc.hermitian_defect(r) <= 1e-9 and cc.min_hermitian_eigenvalue(r) >= -1e-9
+                for r in blocks
+            )
+
+
+def test_nan_block_among_block_sizes_fails_state_checks(rng):
+    """A ``nan`` block reads ``nan``, never the zeros LAPACK returns for it."""
+    alg = cc.Algebra((1, 2, 1, 2))
+    state = random_state(alg, rng)
+    for i in range(len(alg.blocks)):
+        blocks = [r.copy() for r in state.dual_blocks]
+        blocks[i][0, 0] = np.nan
+        mu = alg.functional(blocks)
+        check = cc.state_check(mu)
+        assert np.isnan(check.min_eigenvalue) and np.isnan(check.violation())
+        assert not check.is_state()
+        assert not cc.is_positive_functional(mu)
+    table, irreps = cc.builtin_group("d4")
+    b = cc.group_cstar_bialgebra(table, irreps)
+    omega = cc.discrete_type_decomposition(b).omega_index
+    gamma = random_generating_functional(b, rng)
+    assert cc.generating_functional(b, gamma).valid
+    for i in range(len(b.algebra.blocks)):
+        blocks = [r.copy() for r in gamma.dual_blocks]
+        blocks[i][0, 0] = np.nan
+        diag = cc.generating_functional(b, b.algebra.functional(blocks))
+        assert not diag.hermitian
+        assert diag.conditionally_positive == (i == omega)
 
 
 def test_tensor_map_acts_factorwise(rng):

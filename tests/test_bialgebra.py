@@ -1,9 +1,11 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import cstarconv as cc
+from cstarconv.io import load_bialgebra
 
 from conftest import SEED
 
@@ -214,3 +216,124 @@ def test_class_hypergroup_fails_hom_mode():
     report = cc.validate_bialgebra(as_hom)
     assert report.hom_residual > 0.1
     assert not report.passes(1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Contraction kernels: the table kernel against the dense oracle
+# ---------------------------------------------------------------------------
+
+
+def _dense(b):
+    """The same bialgebra forced onto the dense kernel (the oracle)."""
+    dense = cc.Bialgebra(b.algebra, b.delta, b.epsilon, b.mode)
+    dense.__dict__["_table"] = None
+    return dense
+
+
+def _function_bialgebra_file(tmp_path, table, identity):
+    """Functions on a group, written in the bialgebra JSON schema."""
+    m = len(table)
+    delta = [[[int(table[g][h] == l), 0] for l in range(m)] for g in range(m) for h in range(m)]
+    eps = [[[[int(g == identity), 0]]] for g in range(m)]
+    path = tmp_path / "functions.json"
+    path.write_text(json.dumps({"blocks": [1] * m, "mode": "hom", "delta": delta, "epsilon": eps}))
+    return load_bialgebra(str(path))
+
+
+def _random_complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("spec", ["zn:1", "zn:2", "zn:7", "zn:64", "s3", "d4", "q8", "json:s3"])
+def test_table_kernel_matches_dense_oracle(spec, tmp_path):
+    if spec == "json:s3":
+        b = _function_bialgebra_file(tmp_path, cc.s3_group().table, 0)
+    else:
+        b = _builtin_bialgebra(spec)
+    assert b._table is not None
+    dense = _dense(b)
+    rng = np.random.default_rng(SEED)
+    dim = b.algebra.dim
+    for _ in range(3):
+        x, y = _random_complex(rng, dim), _random_complex(rng, dim)
+        assert np.array_equal(b.left_matrix(x), dense.left_matrix(x))
+        assert np.array_equal(b.right_matrix(x), dense.right_matrix(x))
+        assert np.abs(b.convolve(x, y) - dense.convolve(x, y)).max() <= 1e-12
+        mat = _random_complex(rng, dim, dim)
+        invariant = b.right_matrix(x)
+        for m in (mat, invariant):
+            assert b.invariance_residual(m) == dense.invariance_residual(m)
+    # right translations commute with left ones
+    assert b.invariance_residual(invariant) == 0.0
+    assert b.coassociativity_residual() == dense.coassociativity_residual() == 0.0
+    assert b.counit_residual() == dense.counit_residual() == 0.0
+    assert b.cocommutativity_residual() == dense.cocommutativity_residual()
+    assert "structure_tensor" not in b.__dict__
+
+
+@pytest.mark.parametrize("spec", ["zn:5", "s3", "d4", "q8"])
+def test_group_functions_select_table_kernel(spec):
+    b = _builtin_bialgebra(spec)
+    assert b._table is not None
+    assert np.array_equal(b._table, cc.builtin_group(spec)[0].table)
+
+
+@pytest.mark.parametrize("spec", ["dual:zn:4", "dual:zn:24", "dual:s3", "dual:d4", "dual:q8"])
+def test_group_cstar_bialgebras_select_dense_kernel(spec):
+    # the Fourier-built coproduct carries rounding fill; it is never rounded away
+    assert _builtin_bialgebra(spec)._table is None
+
+
+def test_monoid_that_is_not_a_group_selects_dense_kernel():
+    table = np.array([[0, 1, 2], [1, 2, 2], [2, 2, 2]])
+    b = cc.function_bialgebra(cc.SemigroupTable(table, 0))
+    assert b._table is None
+    assert cc.validate_bialgebra(b).max_residual() == 0.0
+
+
+def test_coproduct_entry_off_one_selects_dense_kernel_and_fails_validation(s3_functions):
+    b = s3_functions
+    delta = b.delta.matrix.copy()
+    # row (g, h) = (1, 2), away from the identity element 0
+    row = 1 * 6 + 2
+    delta[row, np.flatnonzero(delta[row])] = 1.0 + 1e-9
+    coproduct = cc.LinearMap(b.delta.source, b.delta.target, delta)
+    perturbed = cc.Bialgebra(b.algebra, coproduct, b.epsilon)
+    assert perturbed._table is None
+    report = cc.validate_bialgebra(perturbed)
+    assert report.coassoc_residual > 5e-10
+    assert not report.passes(1e-10)
+
+
+def test_non_associative_latin_square_fails_coassociativity_on_both_kernels():
+    """``x * y = x - y (mod 3)``: every left translation is a bijection, so the
+    table kernel is selected, but ``(x - y) - z != x - (y - z)``."""
+    idx = np.arange(3)
+    table = (idx[:, None] - idx[None, :]) % 3
+    alg = cc.Algebra((1, 1, 1))
+    square = cc.tensor_algebra(alg, alg)
+    delta = np.zeros((9, 3), dtype=np.complex128)
+    delta[np.arange(9), table.ravel()] = 1.0
+    eps = alg.functional_from_dual_coords([1.0, 0.0, 0.0])
+    b = cc.Bialgebra(alg, cc.LinearMap(alg, square, delta), eps)
+    assert b._table is not None
+    assert cc.validate_bialgebra(b).coassoc_residual == 1.0
+    assert cc.validate_bialgebra(_dense(b)).coassoc_residual == 1.0
+    assert _einsum_coassoc_residual(b) == 1.0
+
+
+def test_invariance_residual_runs_in_bounded_memory():
+    # a dim^3 complex tensor at dim 128 would be 32 MB, and so would structure_tensor
+    b = cc.function_bialgebra(cc.cyclic_group(128))
+    assert b._table is not None
+    rng = np.random.default_rng(SEED)
+    t_map = cc.LinearMap(b.algebra, b.algebra, _random_complex(rng, 128, 128))
+    tracemalloc.start()
+    try:
+        residual = cc.commutation_residual(b, t_map)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual > 0.1
+    assert peak < 16 * 2**20
+    assert "structure_tensor" not in b.__dict__

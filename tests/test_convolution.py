@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import cstarconv as cc
-from cstarconv.convolution import _PADE_THETA, expm
+from cstarconv.convolution import _PADE_THETA, _pade_expm, expm
 from cstarconv.sampling import (
     corrupted_generating_functional,
     random_functional,
@@ -211,6 +211,26 @@ def test_expm_non_finite_and_huge_input():
     for sign in (1.0, -1.0):
         out = expm(np.full((3, 3), sign * 1e308 / 3))
         assert out.shape == (3, 3) and not np.isfinite(out).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 65])
+def test_expm_of_complex_input_with_zero_imaginary_part(n):
+    """Real arithmetic agrees with the complex path and keeps the dtype.
+
+    The identity at zero and the all-``nan`` result on a ``nan`` entry are
+    kept, whether the ``nan`` sits in the real or the imaginary part.
+    """
+    for k, norm in enumerate(THETA_NORMS + [300.0]):
+        a = _gaussian(n, norm, False, [n, 7, k]).astype(np.complex128)
+        got = expm(a)
+        assert got.dtype == np.complex128 and not got.imag.any()
+        assert _relative_error(got, _pade_expm(a)) < 1e-13, norm
+    assert np.array_equal(expm(np.zeros((n, n), dtype=np.complex128)), np.eye(n))
+    for bad in (np.nan, complex(0.0, np.nan)):
+        a = np.eye(n, dtype=np.complex128)
+        a[0, 0] = bad
+        out = expm(a)
+        assert out.dtype == np.complex128 and np.isnan(out).all()
 
 
 def test_exp_at_zero_is_counit(s3_dual, rng):

@@ -61,14 +61,33 @@ def test_recover_functional(s3_dual, rng):
         assert cc.functional_norm(recovered - sg.functional_at(t)) < 1e-9
 
 
+def test_flow_builds_its_convolution_matrix_once(s3_functions, s3_dual, rng, monkeypatch):
+    calls = []
+    left_matrix = cc.Bialgebra.left_matrix
+
+    def counted(self, dual):
+        calls.append(dual)
+        return left_matrix(self, dual)
+
+    for b in (s3_functions, s3_dual):
+        gamma = random_generating_functional(b, rng)
+        sg = cc.associated_semigroup(b, gamma)
+        monkeypatch.setattr(cc.Bialgebra, "left_matrix", counted)
+        states = [sg.functional_at(t) for t in GRID]
+        monkeypatch.setattr(cc.Bialgebra, "left_matrix", left_matrix)
+        assert len(calls) == 1
+        calls.clear()
+        for t, lam in zip(GRID, states):
+            assert np.array_equal(lam.dual, cc.convolution_exp(b, gamma, t).dual)
+
+
 def test_associated_maps_pass_all_characterisations(s3_dual, rng):
     b = s3_dual
     gamma = random_generating_functional(b, rng)
     sg = cc.associated_semigroup(b, gamma)
-    samples = [random_functional(b.algebra, rng) for _ in range(3)]
     for t in GRID:
         p_t = sg.operator_at(t)
-        assert cc.commutation_residual(b, p_t, samples) < 1e-9
+        assert cc.commutation_residual(b, p_t) < 1e-9
         assert cc.strong_invariance_residual(b, p_t) < 1e-9
         assert cc.weak_invariance_residual(b, p_t) < 1e-9
 
@@ -396,17 +415,28 @@ def test_generator_pairing_catches_swapped_convolution_side(s3_functions, rng, m
 
 
 def test_generator_pairing_catches_swapped_tensor_legs(s3_functions, rng):
-    """A structure tensor with its two tensor legs exchanged is caught.
+    """Tensor legs exchanged in the storage the kernel contracts are caught.
 
-    The right side pairs the coproduct matrix itself, not the structure
-    tensor, so this bookkeeping error shows; on the noncommutative dual of
-    C(S3) the swap changes the generator.
+    The right side pairs the coproduct matrix itself, not the kernel's
+    storage, so this bookkeeping error shows whenever the swap changes the
+    generator, i.e. on a coproduct that is not cocommutative.  C(S3) runs
+    on the table kernel (the swap is ``f.T``).  Functions on the monoid
+    ``{e, a, b}`` with ``xy = x`` for ``x != e`` run on the dense kernel (a
+    left translation is constant, so not a bijection), and the swap
+    exchanges the first two axes of the structure tensor.
     """
-    good = s3_functions
-    gamma = random_generating_functional(good, rng)
-    b = cc.Bialgebra(good.algebra, good.delta, good.epsilon, good.mode)
-    b.__dict__["structure_tensor"] = good.structure_tensor.transpose(1, 0, 2)
-    assert cc.generator_pairing_residual(b, gamma) > 1e-3
+    left_zero = cc.function_bialgebra(
+        cc.SemigroupTable(np.array([[0, 1, 2], [1, 1, 1], [2, 2, 2]]), 0)
+    )
+    for good, storage, swap in (
+        (s3_functions, "_table", lambda f: f.T),
+        (left_zero, "structure_tensor", lambda t3: t3.transpose(1, 0, 2)),
+    ):
+        gamma = random_generating_functional(good, rng)
+        b = cc.Bialgebra(good.algebra, good.delta, good.epsilon, good.mode)
+        assert (b._table is not None) == (storage == "_table")
+        b.__dict__[storage] = swap(getattr(good, storage))
+        assert cc.generator_pairing_residual(b, gamma) > 1e-3
 
 
 def test_generator_commutes_with_translations(s3_dual, rng):
