@@ -26,13 +26,11 @@ from .algebra import (
     functional_norm,
     functional_norm_witness,
     gns,
-    hermitian_defect,
-    is_hermitian,
+    hermitian_spectrum,
     is_positive,
     is_positive_functional,
     is_state,
     left_multiplication_matrix,
-    min_hermitian_eigenvalue,
     mixing_permutation,
     right_multiplication_matrix,
     state_check,
@@ -44,7 +42,6 @@ from .bialgebra import (
     Bialgebra,
     DiscreteDecomposition,
     ValidationReport,
-    cocommutativity_residual,
     discrete_type_decomposition,
     function_bialgebra,
     fourier_matrices,

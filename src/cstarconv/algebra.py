@@ -39,25 +39,25 @@ def _frozen(array, dtype=np.complex128) -> np.ndarray:
     return out
 
 
-def hermitian_defect(matrix: np.ndarray) -> float:
-    """Max-abs deviation of a square matrix from its conjugate transpose."""
-    matrix = np.asarray(matrix)
-    if matrix.size == 0:
-        return 0.0
-    return float(np.max(np.abs(matrix - matrix.conj().T)))
+def hermitian_spectrum(mats) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian defect and smallest Hermitian-part eigenvalue of each matrix.
 
+    ``mats`` is a stack of shape ``(..., n, n)``; both results have shape
+    ``(...)``.  The defect of ``A`` is ``max|A - A^H|`` and the eigenvalue
+    the smallest of ``(A + A^H) / 2``, from one batched ``eigvalsh``.  A
+    matrix with a non-finite entry gets the eigenvalue ``nan``, where LAPACK
+    would return zeros or fail to converge, so it fails every gate.
 
-def min_hermitian_eigenvalue(matrix: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of a square matrix.
-
-    ``nan`` if an entry is not finite: LAPACK would return zeros for it.
+    Every positive-semidefiniteness decision of the package (states,
+    conditionally positive functionals, Choi pieces, translation kernels)
+    is made here.
     """
-    matrix = np.asarray(matrix)
-    if matrix.size == 0:
-        return 0.0
-    if not np.isfinite(matrix).all():
-        return float("nan")
-    return float(np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0).min())
+    mats = np.asarray(mats)
+    mats_h = mats.conj().swapaxes(-1, -2)
+    defects = np.abs(mats - mats_h).max(axis=(-2, -1))
+    finite = np.isfinite(mats).all(axis=(-2, -1))
+    herm = np.where(finite[..., None, None], (mats + mats_h) / 2.0, 0.0)
+    return defects, np.where(finite, np.linalg.eigvalsh(herm)[..., 0], np.nan)
 
 
 @dataclass(frozen=True)
@@ -343,7 +343,10 @@ def element_norm(algebra: Algebra, a: Element) -> float:
     algebra._require(a)
     if not np.isfinite(a.coords).all():
         return float("nan")
-    return max(float(s[:, 0].max()) for _, s in _singular_values(algebra, a.coords))
+    return max(
+        float(np.linalg.svd(mats, compute_uv=False)[:, 0].max())
+        for _, mats in _block_stacks(algebra, a.coords)
+    )
 
 
 def functional_norm(mu: Functional) -> float:
@@ -356,25 +359,23 @@ def functional_norm(mu: Functional) -> float:
     if not np.isfinite(mu.dual).all():
         return float("nan")
     traces = np.empty(len(mu.algebra.blocks))
-    for pos, s in _singular_values(mu.algebra, mu.dual, dual=True):
-        traces[pos] = s.sum(axis=-1)
+    for pos, rho in _block_stacks(mu.algebra, mu.dual, dual=True):
+        traces[pos] = np.linalg.svd(rho, compute_uv=False).sum(axis=-1)
     # summed in block order, so the value does not depend on the batching
     return float(sum(traces.tolist()))
 
 
-def _singular_values(algebra: Algebra, vector: np.ndarray, dual: bool = False):
-    """Singular values of the blocks of a vector, one batched SVD per block size.
+def _block_stacks(algebra: Algebra, vector: np.ndarray, dual: bool = False):
+    """The blocks of a coordinate vector, one stack per distinct block size.
 
-    Yields ``(positions, values)`` for each distinct block size ``n``:
-    ``positions`` index ``algebra.blocks`` and ``values`` has shape
-    ``(len(positions), n)``.  With ``dual`` the blocks are read as the dual
-    matrices ``rho_i``, the transposes of the row-major slices.
+    Yields ``(positions, mats)`` for each block size ``n``: ``positions``
+    index ``algebra.blocks`` and ``mats`` has shape ``(len(positions), n, n)``.
+    With ``dual`` the blocks are read as the dual matrices ``rho_i``, the
+    transposes of the row-major slices.
     """
     for n, pos, idx in algebra.blocks_by_size:
         mats = vector[idx].reshape(-1, n, n)
-        if dual:
-            mats = mats.transpose(0, 2, 1)
-        yield pos, np.linalg.svd(mats, compute_uv=False)
+        yield pos, (mats.transpose(0, 2, 1) if dual else mats)
 
 
 def functional_norm_witness(algebra: Algebra, mu: Functional) -> Element:
@@ -392,14 +393,6 @@ def functional_norm_witness(algebra: Algebra, mu: Functional) -> Element:
     return algebra.element(mats)
 
 
-def is_hermitian(mu_or_element, tol: float = DEFAULT_TOL) -> bool:
-    """Whether all (dual) blocks equal their conjugate transposes within tol."""
-    blocks = getattr(mu_or_element, "dual_blocks", None)
-    if blocks is None:
-        blocks = mu_or_element.blocks
-    return all(hermitian_defect(b) <= tol for b in blocks)
-
-
 def is_positive(algebra: Algebra, a: Element, tol: float = DEFAULT_TOL) -> bool:
     """Whether a Hermitian element is positive semidefinite within tol.
 
@@ -409,12 +402,13 @@ def is_positive(algebra: Algebra, a: Element, tol: float = DEFAULT_TOL) -> bool:
         If some block of ``a`` is not Hermitian within ``tol``.
     """
     algebra._require(a)
-    defect = max(hermitian_defect(b) for b in a.blocks)
+    spectra = [hermitian_spectrum(mats) for _, mats in _block_stacks(algebra, a.coords)]
+    defect = max(float(defects.max()) for defects, _ in spectra)
     if defect > tol:
         raise PreconditionError(
             f"element is not Hermitian within {tol} (defect {defect:.3e})"
         )
-    return all(min_hermitian_eigenvalue(b) >= -tol for b in a.blocks)
+    return all(bool(np.all(min_eigs >= -tol)) for _, min_eigs in spectra)
 
 
 def is_positive_functional(mu: Functional, tol: float = DEFAULT_TOL) -> bool:
@@ -471,21 +465,15 @@ def state_check(mu: Functional) -> StateCheck:
 def _dual_block_spectra(mu: Functional) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hermitian defect, smallest Hermitian-part eigenvalue and trace of each dual block.
 
-    Three arrays in block order, from one batched ``eigvalsh`` per block
-    size.  The eigenvalue of a block with a non-finite entry is ``nan``,
-    where LAPACK would return zeros.
+    Three arrays in block order, from one :func:`hermitian_spectrum` call
+    per block size.
     """
     count = len(mu.algebra.blocks)
     defects = np.empty(count)
     min_eigs = np.empty(count)
     traces = np.empty(count, dtype=np.complex128)
-    for n, pos, idx in mu.algebra.blocks_by_size:
-        rho = mu.dual[idx].reshape(-1, n, n).transpose(0, 2, 1)
-        rho_h = rho.conj().transpose(0, 2, 1)
-        defects[pos] = np.abs(rho - rho_h).max(axis=(1, 2))
-        finite = np.isfinite(rho).all(axis=(1, 2))
-        herm = np.where(finite[:, None, None], (rho + rho_h) / 2.0, 0.0)
-        min_eigs[pos] = np.where(finite, np.linalg.eigvalsh(herm)[:, 0], np.nan)
+    for pos, rho in _block_stacks(mu.algebra, mu.dual, dual=True):
+        defects[pos], min_eigs[pos] = hermitian_spectrum(rho)
         traces[pos] = np.trace(rho, axis1=1, axis2=2)
     return defects, min_eigs, traces
 

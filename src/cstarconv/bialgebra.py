@@ -446,8 +446,4 @@ def is_commutative(b: Bialgebra) -> bool:
 
 def is_cocommutative(b: Bialgebra, tol: float = 1e-10) -> bool:
     """Whether the coproduct is invariant under the tensor flip."""
-    return cocommutativity_residual(b) <= tol
-
-
-def cocommutativity_residual(b: Bialgebra) -> float:
-    return b.cocommutativity_residual()
+    return b.cocommutativity_residual() <= tol

@@ -153,15 +153,12 @@ def _pade_expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def convolution_exp(
-    b: Bialgebra, gamma: Functional, t: float, tol: float = DEFAULT_TOL
-) -> Functional:
+def convolution_exp(b: Bialgebra, gamma: Functional, t: float) -> Functional:
     """The convolution exponential ``sum_n (t gamma)^{*n} / n!``.
 
     Implemented as the matrix exponential of the left-convolution operator
-    applied to the counit coordinates; the scaling-and-squaring Pade scheme
-    of :func:`expm` keeps the error far below ``tol`` at desk scale.
-    ``t = 0`` returns the counit exactly.
+    applied to the counit coordinates, by the scaling-and-squaring Pade
+    scheme of :func:`expm`.  ``t = 0`` returns the counit exactly.
     """
     return _exp(b, b.left_matrix(_dual(b, gamma)).T, t)
 

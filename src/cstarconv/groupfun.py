@@ -18,13 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, Algebra, Element, Functional, GNSData, gns
-from .bialgebra import (
-    Bialgebra,
-    discrete_type_decomposition,
-    fourier_matrices,
-    group_cstar_bialgebra,
+from .algebra import (
+    DEFAULT_TOL,
+    Algebra,
+    Element,
+    Functional,
+    GNSData,
+    gns,
+    hermitian_spectrum,
 )
+from .bialgebra import fourier_matrices
 from .errors import ConstructionError, PreconditionError
 from .groups import IrrepTable, SemigroupTable
 
@@ -57,10 +60,8 @@ def kernel_matrix(group: SemigroupTable, values) -> np.ndarray:
 
 def is_positive_definite(group: SemigroupTable, values, tol: float = DEFAULT_TOL) -> bool:
     """Whether the translation kernel is Hermitian and PSD within tol."""
-    kernel = kernel_matrix(group, values)
-    if np.max(np.abs(kernel - kernel.conj().T)) > tol:
-        return False
-    return float(np.linalg.eigvalsh(kernel).min()) >= -tol
+    defect, min_eig = hermitian_spectrum(kernel_matrix(group, values))
+    return bool(defect <= tol and min_eig >= -tol)
 
 
 def is_hermitian_function(group: SemigroupTable, values, tol: float = DEFAULT_TOL) -> bool:
@@ -81,10 +82,8 @@ def is_conditionally_positive_definite(
     kernel = kernel_matrix(group, values)
     m = group.order
     proj = np.eye(m) - np.ones((m, m)) / m
-    compressed = proj @ kernel @ proj
-    if np.max(np.abs(compressed - compressed.conj().T)) > tol:
-        return False
-    return float(np.linalg.eigvalsh((compressed + compressed.conj().T) / 2).min()) >= -tol
+    defect, min_eig = hermitian_spectrum(proj @ kernel @ proj)
+    return bool(defect <= tol and min_eig >= -tol)
 
 
 def schoenberg_exp(group: SemigroupTable, values, t: float) -> np.ndarray:
@@ -166,14 +165,10 @@ def guichardet_constant(
     constant = float(-np.mean(values).real)
     shifted = values + constant
     kernel = kernel_matrix(group, shifted)
-    kernel = (kernel + kernel.conj().T) / 2
-    min_eig = float(np.linalg.eigvalsh(kernel).min())
-    ones = np.ones(m)
-    ones_residual = float(np.linalg.norm(kernel @ ones))
     lowered = kernel_matrix(group, shifted - minimality_delta)
-    lowered_min = float(
-        np.linalg.eigvalsh((lowered + lowered.conj().T) / 2).min()
-    )
+    min_eig, lowered_min = hermitian_spectrum(np.stack([kernel, lowered]))[1].tolist()
+    # the ones vector is tested against the matrix whose spectrum is certified
+    ones_residual = float(np.linalg.norm((kernel + kernel.conj().T) / 2 @ np.ones(m)))
     return GuichardetCertificate(
         constant, shifted, min_eig, ones_residual, minimality_delta, lowered_min
     )
@@ -318,7 +313,6 @@ def guichardet_via_gns(
     irreps: IrrepTable,
     values,
     tol: float = DEFAULT_TOL,
-    bialgebra: Bialgebra | None = None,
 ) -> GuichardetViaGNS:
     """Build the positive-definite shift through a cyclic representation.
 
@@ -329,24 +323,18 @@ def guichardet_via_gns(
     the input by the constant ``omega(1)``.  The result must agree with
     :func:`guichardet_constant`, which proceeds through kernel eigenvalues
     instead; the two constructions share no code path past the Fourier
-    transform.
-
-    Parameters
-    ----------
-    bialgebra : Bialgebra, optional
-        A prebuilt group C*-bialgebra for this group (to avoid
-        reconstruction inside batch loops).
+    transform.  The counit of the group C*-algebra is the trivial irrep, so
+    it lives on block ``irreps.trivial_index`` of a validated table.
     """
     values = np.asarray(values, dtype=np.complex128)
     _check_guichardet_preconditions(group, values, tol)
-    b = bialgebra if bialgebra is not None else group_cstar_bialgebra(group, irreps)
-    alg = b.algebra
+    irreps.validate(group)
+    alg = Algebra(irreps.dims)
     gamma = functional_from_function(group, irreps, values)
-    dec = discrete_type_decomposition(b)
 
     # compress away the (1x1) counit block: the remaining dual blocks are PSD
     dual = np.array(gamma.dual)
-    dual[alg.coord_offsets[dec.omega_index]] = 0.0
+    dual[alg.coord_offsets[irreps.trivial_index]] = 0.0
     omega = alg.functional_from_dual_coords(dual)
     constant = omega(alg.unit()).real
 

@@ -16,7 +16,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, Functional, element_norm, mixing_permutation
+from .algebra import (
+    DEFAULT_TOL,
+    Functional,
+    element_norm,
+    hermitian_spectrum,
+    mixing_permutation,
+)
 from .bialgebra import Bialgebra
 from .convolution import _exp, expm, right_convolution_operator
 from .maps import LinearMap
@@ -160,12 +166,7 @@ def is_completely_positive(
             choi = images.transpose(3, 0, 4, 1, 5, 2).reshape(
                 len(src_idx), len(tgt_idx), n * m, n * m
             )
-            choi_h = choi.conj().swapaxes(-1, -2)
-            defect = np.abs(choi - choi_h).max(axis=(-2, -1))
-            # LAPACK fails or returns zeros on non-finite input: keep it out
-            finite = np.isfinite(choi).all(axis=(-2, -1))
-            herm = np.where(finite[..., None, None], (choi + choi_h) / 2.0, 0.0)
-            eigs = np.where(finite, np.linalg.eigvalsh(herm)[..., 0], np.nan)
+            defect, eigs = hermitian_spectrum(choi)
             min_eigs[src_pos] = np.minimum(min_eigs[src_pos], eigs.min(axis=1))
             defects[src_pos] = np.maximum(defects[src_pos], defect.max(axis=1))
     cp = bool(np.all(defects <= tol) and np.all(min_eigs >= -tol))

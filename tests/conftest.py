@@ -6,6 +6,27 @@ import cstarconv as cc
 SEED = 20260810
 
 
+def hermitian_defect(matrix: np.ndarray) -> float:
+    """Max-abs deviation of a square matrix from its conjugate transpose."""
+    matrix = np.asarray(matrix)
+    if matrix.size == 0:
+        return 0.0
+    return float(np.max(np.abs(matrix - matrix.conj().T)))
+
+
+def min_hermitian_eigenvalue(matrix: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian part of a square matrix.
+
+    ``nan`` if an entry is not finite: LAPACK would return zeros for it.
+    """
+    matrix = np.asarray(matrix)
+    if matrix.size == 0:
+        return 0.0
+    if not np.isfinite(matrix).all():
+        return float("nan")
+    return float(np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0).min())
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(SEED)

@@ -239,7 +239,6 @@ def test_criterion_09_guichardet():
     agreements = []
     for name in ("zn:4", "s3", "q8"):
         table, irreps = cc.builtin_group(name)
-        b = cc.group_cstar_bialgebra(table, irreps)
         m = table.order
         for _ in range(100):
             vectors = rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3))
@@ -252,7 +251,7 @@ def test_criterion_09_guichardet():
             assert cert.min_eigenvalue >= -1e-8
             assert cert.ones_residual <= 1e-8
             assert cert.minimality_min_eigenvalue <= -1e-3 * m + 1e-8
-            via_gns = cc.guichardet_via_gns(table, irreps, psi, tol=1e-8, bialgebra=b)
+            via_gns = cc.guichardet_via_gns(table, irreps, psi, tol=1e-8)
             agreements.append(abs(via_gns.constant - cert.constant))
             assert agreements[-1] <= 1e-9
             assert via_gns.function_deviation <= 1e-8

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,7 @@ from cstarconv.sampling import (
     random_state,
 )
 
-from conftest import SEED
+from conftest import SEED, hermitian_defect, min_hermitian_eigenvalue
 
 
 def test_algebra_shape_data():
@@ -74,6 +77,72 @@ def test_is_positive():
     assert not cc.is_positive(m2, m2.element([np.diag([1.0, -1e-3])]), tol=1e-9)
     with pytest.raises(cc.PreconditionError):
         cc.is_positive(m2, m2.element([[[0.0, 1.0], [0.0, 0.0]]]))
+
+
+def test_is_positive_mixed_block_sizes(rng):
+    """One spectrum call per block size keeps the per-block answer and error."""
+    alg = cc.Algebra((1, 3, 2, 1, 3, 2))
+    for _ in range(20):
+        b = random_element(alg, rng)
+        for a in (b.adjoint() * b, b.adjoint() * b - 0.5 * alg.unit(), b + b.adjoint()):
+            expected = all(min_hermitian_eigenvalue(blk) >= -1e-9 for blk in a.blocks)
+            assert cc.is_positive(alg, a) == expected
+    for i, n in enumerate(alg.blocks):
+        mats = [np.eye(k) for k in alg.blocks]
+        mats[i] = np.diag([-1e-3] + [1.0] * (n - 1))
+        assert not cc.is_positive(alg, alg.element(mats))
+        if n > 1:
+            mats[i] = np.eye(n)
+            mats[i][0, 1] = 1.0
+            with pytest.raises(cc.PreconditionError, match="element is not Hermitian within"):
+                cc.is_positive(alg, alg.element(mats))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_hermitian_spectrum_equals_per_matrix_reference(rng):
+    for lead in ((7,), (3, 4)):
+        for n in range(1, 6):
+            for dtype in (np.float64, np.complex128):
+                mats = rng.standard_normal(lead + (n, n))
+                if dtype is np.complex128:
+                    mats = mats + 1j * rng.standard_normal(lead + (n, n))
+                stacks = [mats, (mats + np.conj(np.swapaxes(mats, -1, -2))) / 2]
+                for bad in (np.nan, np.inf, -np.inf):
+                    broken = mats.copy()
+                    broken.reshape(-1)[rng.integers(broken.size)] = bad
+                    stacks.append(broken)
+                for stack in stacks:
+                    defects, min_eigs = cc.hermitian_spectrum(stack)
+                    flat = stack.reshape((-1, n, n))
+                    np.testing.assert_array_equal(
+                        defects, np.reshape([hermitian_defect(m) for m in flat], lead)
+                    )
+                    np.testing.assert_array_equal(
+                        min_eigs, np.reshape([min_hermitian_eigenvalue(m) for m in flat], lead)
+                    )
+
+
+def _eigvalsh_sites():
+    """``(module, innermost enclosing function)`` of every ``eigvalsh`` in ``src/``."""
+    src = Path(cc.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name.split(".")[-1] for alias in node.names}
+            else:
+                names = {getattr(node, "attr", None), getattr(node, "id", None)}
+            if "eigvalsh" in names:
+                scope = node
+                while scope in parents and not isinstance(scope, ast.FunctionDef):
+                    scope = parents[scope]
+                yield path.name, getattr(scope, "name", None)
+
+
+def test_eigvalsh_is_called_only_in_hermitian_spectrum():
+    """Every positivity gate goes through the one spectrum routine."""
+    assert list(_eigvalsh_sites()) == [("algebra.py", "hermitian_spectrum")]
 
 
 def test_functional_norm_values(rng):
@@ -285,11 +354,11 @@ def test_batched_state_checks_equal_per_block_loop(rng):
         for mu in (random_functional(alg, rng), random_state(alg, rng)):
             check = cc.state_check(mu)
             blocks = mu.dual_blocks
-            assert check.hermitian_defect == max(cc.hermitian_defect(r) for r in blocks)
-            assert check.min_eigenvalue == min(cc.min_hermitian_eigenvalue(r) for r in blocks)
+            assert check.hermitian_defect == max(hermitian_defect(r) for r in blocks)
+            assert check.min_eigenvalue == min(min_hermitian_eigenvalue(r) for r in blocks)
             assert check.unit_value == complex(sum(np.trace(r) for r in blocks))
             assert cc.is_positive_functional(mu) == all(
-                cc.hermitian_defect(r) <= 1e-9 and cc.min_hermitian_eigenvalue(r) >= -1e-9
+                hermitian_defect(r) <= 1e-9 and min_hermitian_eigenvalue(r) >= -1e-9
                 for r in blocks
             )
 

@@ -141,7 +141,7 @@ def test_flip_and_cocommutativity(z2_functions, s3_functions, s3_dual):
     for b in (s3_functions, s3_dual):
         sigma = cc.tensor_flip(b.algebra).matrix
         via_flip = float(np.abs(sigma @ b.delta.matrix - b.delta.matrix).max())
-        assert abs(via_flip - cc.cocommutativity_residual(b)) < 1e-12
+        assert abs(via_flip - b.cocommutativity_residual()) < 1e-12
 
 
 def test_discrete_type_decomposition(z2_functions, s3_dual):

@@ -67,6 +67,21 @@ def test_positive_definite_examples(s3):
     assert not cc.is_positive_definite(s3, lopsided)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_fail_kernel_gates(s3, s3_irreps, bad):
+    """A non-finite value fails every gate instead of stopping LAPACK."""
+    for g in range(s3.order):
+        values = np.zeros(s3.order, dtype=complex)
+        values[g] = bad
+        assert not cc.is_positive_definite(s3, values)
+        assert not cc.is_conditionally_positive_definite(s3, values)
+        with pytest.raises(cc.PreconditionError):
+            cc.guichardet_constant(s3, values)
+        with pytest.raises(cc.PreconditionError):
+            cc.guichardet_via_gns(s3, s3_irreps, values)
+
+
 def test_hermitian_function_predicate(z2):
     assert cc.is_hermitian_function(z2, np.array([0.0, -2.0]))
     # the nontrivial element is its own inverse, so an imaginary value breaks it

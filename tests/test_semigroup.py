@@ -10,6 +10,8 @@ from cstarconv.sampling import (
     random_state,
 )
 
+from conftest import hermitian_defect, min_hermitian_eigenvalue
+
 GRID = (0.0, 2.0**-6, 0.25, 1.0, 4.0)
 
 
@@ -267,8 +269,8 @@ def reference_choi_report(t_map):
             pos += m
         images = embedded.reshape(n, n, big_n, big_n)
         choi = images.transpose(0, 2, 1, 3).reshape(n * big_n, n * big_n)
-        defects.append(cc.hermitian_defect(choi))
-        min_eigs.append(cc.min_hermitian_eigenvalue(choi))
+        defects.append(hermitian_defect(choi))
+        min_eigs.append(min_hermitian_eigenvalue(choi))
     return min_eigs, defects
 
 
