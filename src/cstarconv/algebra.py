@@ -50,7 +50,7 @@ def hermitian_spectrum(mats) -> tuple[np.ndarray, np.ndarray]:
 
     Every positive-semidefiniteness decision of the package (states,
     conditionally positive functionals, Choi pieces, translation kernels)
-    is made here.
+    is measured here and decided by :func:`psd_within`.
     """
     mats = np.asarray(mats)
     mats_h = mats.conj().swapaxes(-1, -2)
@@ -58,6 +58,16 @@ def hermitian_spectrum(mats) -> tuple[np.ndarray, np.ndarray]:
     finite = np.isfinite(mats).all(axis=(-2, -1))
     herm = np.where(finite[..., None, None], (mats + mats_h) / 2.0, 0.0)
     return defects, np.where(finite, np.linalg.eigvalsh(herm)[..., 0], np.nan)
+
+
+def psd_within(defects, min_eigs, tol: float) -> np.ndarray:
+    """Elementwise PSD verdict on the output of :func:`hermitian_spectrum`.
+
+    A matrix is positive semidefinite within ``tol`` when its Hermitian
+    defect is at most ``tol`` and its smallest eigenvalue at least ``-tol``;
+    a ``nan`` in either fails.
+    """
+    return (np.asarray(defects) <= tol) & (np.asarray(min_eigs) >= -tol)
 
 
 @dataclass(frozen=True)
@@ -408,13 +418,13 @@ def is_positive(algebra: Algebra, a: Element, tol: float = DEFAULT_TOL) -> bool:
         raise PreconditionError(
             f"element is not Hermitian within {tol} (defect {defect:.3e})"
         )
-    return all(bool(np.all(min_eigs >= -tol)) for _, min_eigs in spectra)
+    return all(bool(np.all(psd_within(*spectrum, tol))) for spectrum in spectra)
 
 
 def is_positive_functional(mu: Functional, tol: float = DEFAULT_TOL) -> bool:
     """Whether every dual block is positive semidefinite within tol."""
     defects, min_eigs, _ = _dual_block_spectra(mu)
-    return bool(np.all((defects <= tol) & (min_eigs >= -tol)))
+    return bool(np.all(psd_within(defects, min_eigs, tol)))
 
 
 @dataclass(frozen=True)
@@ -426,10 +436,9 @@ class StateCheck:
     unit_value: complex
 
     def is_state(self, tol: float = DEFAULT_TOL) -> bool:
-        return (
-            self.hermitian_defect <= tol
-            and self.min_eigenvalue >= -tol
-            and bool(np.abs(self.unit_value - 1.0) <= tol)
+        return bool(
+            psd_within(self.hermitian_defect, self.min_eigenvalue, tol)
+            and np.abs(self.unit_value - 1.0) <= tol
         )
 
     def violation(self) -> float:

@@ -120,10 +120,13 @@ def _is_builtin(name: str) -> bool:
     return key.startswith("zn:") or key in ("s3", "d4", "q8")
 
 
-def _check(name: str, residual: float, tol: float, lower_bound: bool = False) -> dict:
-    # a non-finite residual never passes and is reported as null
+def _check(name: str, residual: float, tol: float, verdict: bool | None = None) -> dict:
+    """One report check: ``verdict`` is the library's, else ``residual <= tol``.
+
+    A non-finite residual never passes and is reported as null.
+    """
     finite = bool(np.isfinite(residual))
-    ok = finite and (residual >= -tol if lower_bound else residual <= tol)
+    ok = finite and (residual <= tol if verdict is None else verdict)
     return {
         "name": name,
         "residual": float(residual) if finite else None,
@@ -143,26 +146,11 @@ def _nonfinite_to_null(obj):
     return obj
 
 
-def _validation_checks(label: str, report, tol: float) -> list[dict]:
-    checks = [
-        _check(f"{label}:coassociativity", report.coassoc_residual, tol),
-        _check(f"{label}:counit_laws", report.counit_residual, tol),
-        _check(f"{label}:counit_character", report.character_residual, tol),
-        _check(f"{label}:coproduct_unital", report.unit_residual, tol),
-    ]
-    if report.hom_residual is not None:
-        checks.append(_check(f"{label}:coproduct_homomorphism", report.hom_residual, tol))
-    if report.cp_min_eig is not None:
-        checks.append(
-            _check(f"{label}:coproduct_choi_min_eig", report.cp_min_eig, tol, lower_bound=True)
-        )
-    return checks
-
-
 def _smoke_checks(label: str, b: Bialgebra, rng, tol: float, samples: int = 20) -> list[dict]:
-    assoc = 0.0
-    unital = 0.0
-    submult = 0.0
+    # np.max at the end, so that a nan sample fails its check
+    assoc = [0.0]
+    unital = [0.0]
+    submult = [0.0]
     eps = b.epsilon
     for _ in range(samples):
         lam = random_functional(b.algebra, rng)
@@ -170,21 +158,17 @@ def _smoke_checks(label: str, b: Bialgebra, rng, tol: float, samples: int = 20) 
         nu = random_functional(b.algebra, rng)
         left = convolve(b, convolve(b, lam, mu), nu)
         right = convolve(b, lam, convolve(b, mu, nu))
-        assoc = max(assoc, functional_norm(left - right))
-        unital = max(
-            unital,
-            functional_norm(convolve(b, eps, mu) - mu),
-            functional_norm(convolve(b, mu, eps) - mu),
-        )
-        submult = max(
-            submult,
+        assoc.append(functional_norm(left - right))
+        unital.append(functional_norm(convolve(b, eps, mu) - mu))
+        unital.append(functional_norm(convolve(b, mu, eps) - mu))
+        submult.append(
             functional_norm(convolve(b, lam, mu))
-            - functional_norm(lam) * functional_norm(mu),
+            - functional_norm(lam) * functional_norm(mu)
         )
     return [
-        _check(f"{label}:convolution_associativity[sample]", assoc, tol),
-        _check(f"{label}:convolution_unit[sample]", unital, tol),
-        _check(f"{label}:convolution_submultiplicative[sample]", max(0.0, submult), tol),
+        _check(f"{label}:convolution_associativity[sample]", np.max(assoc), tol),
+        _check(f"{label}:convolution_unit[sample]", np.max(unital), tol),
+        _check(f"{label}:convolution_submultiplicative[sample]", np.max(submult), tol),
     ]
 
 
@@ -233,7 +217,10 @@ def cmd_validate(args) -> tuple[dict, int]:
     }
     checks = []
     for label, b in _resolve_validate_targets(args.specs):
-        checks.extend(_validation_checks(label, validate_bialgebra(b, tol), tol))
+        checks.extend(
+            _check(f"{label}:{name}", residual, tol, ok)
+            for name, residual, ok in validate_bialgebra(b, tol).checks(tol)
+        )
         checks.extend(_smoke_checks(label, b, rng, tol))
     report["checks"] = checks
     report["pass"] = all(c["pass"] for c in checks)
@@ -300,13 +287,8 @@ def cmd_evolve(args) -> tuple[dict, int]:
             "generator_norm": bound.generator_norm,
             "satisfied": bound.satisfied,
         }
-        checks.append(
-            _check(
-                "generator_norm_bound",
-                bound.generator_norm - 2.0 * bound.c_hat,
-                tol,
-            )
-        )
+        excess = bound.generator_norm - 2.0 * bound.c_hat
+        checks.append(_check("generator_norm_bound", excess, tol, bound.satisfied))
     else:
         report["norm_bound"] = None
     entries = []
@@ -336,14 +318,9 @@ def cmd_evolve(args) -> tuple[dict, int]:
             }
         )
         tag = f"t={_fmt(t)}"
-        checks.append(_check(f"state[{tag}]", state.violation(), tol))
+        checks.append(_check(f"state[{tag}]", state.violation(), tol, state.is_state(tol)))
         checks.append(
-            _check(
-                f"choi_min_eig[{tag}]",
-                float(np.min(cp.min_choi_eigenvalues)),
-                tol,
-                lower_bound=True,
-            )
+            _check(f"choi_min_eig[{tag}]", float(np.min(cp.min_choi_eigenvalues)), tol, cp.cp)
         )
         checks.append(_check(f"unital[{tag}]", unital, tol))
         checks.append(_check(f"recovery[{tag}]", recovery, tol))
@@ -407,15 +384,7 @@ def cmd_guichardet(args) -> tuple[dict, int]:
         "minimality_delta": cert.minimality_delta,
         "minimality_min_eigenvalue": cert.minimality_min_eigenvalue,
     }
-    checks = [
-        _check("kernel_psd_after_shift", cert.min_eigenvalue, tol, lower_bound=True),
-        _check("ones_vector_annihilated", cert.ones_residual, tol),
-        _check(
-            "shift_minimality",
-            cert.minimality_min_eigenvalue + cert.minimality_delta * table.order,
-            tol,
-        ),
-    ]
+    checks = [_check(name, residual, tol, ok) for name, residual, ok in cert.checks(tol)]
     if via_gns is None:
         report["gns"] = None
     else:
@@ -521,7 +490,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        report, code = args.run(args)
+        # non-finite intermediates become failing checks and nulls, not warnings
+        with np.errstate(all="ignore"):
+            report, code = args.run(args)
     except (SchemaError, ConstructionError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

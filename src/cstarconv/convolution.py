@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, Functional, _dual_block_spectra, functional_norm
+from .algebra import DEFAULT_TOL, Functional, _dual_block_spectra, functional_norm, psd_within
 from .bialgebra import Bialgebra, discrete_type_decomposition
 from .errors import PreconditionError, ShapeError
 from .maps import LinearMap
@@ -231,8 +231,7 @@ def generating_functional(
     defects, min_eigs, _ = _dual_block_spectra(gamma)
     hermitian = bool(np.all(defects <= tol))
     unit_val = gamma(b.algebra.unit())
-    positive = (defects <= tol) & (min_eigs >= -tol)
-    cond = bool(np.all(np.delete(positive, dec.omega_index)))
+    cond = bool(np.all(np.delete(psd_within(defects, min_eigs, tol), dec.omega_index)))
     # np.abs gives inf where the builtin abs of a complex raises OverflowError
     return GeneratingFunctional(gamma, hermitian, bool(np.abs(unit_val) <= tol), cond)
 
@@ -261,7 +260,8 @@ class NormContinuityBound:
     ``c_hat`` estimates ``sup_{t > 0} exp(t gamma)(p) / t`` (p the unit of
     the counit kernel) from grid values, capped below by ``1/T`` which
     dominates all ``t > T`` since the state mass of ``p`` is at most 1.
-    ``satisfied`` records the bound ``norm(gamma) <= 2 * c_hat + tol``.
+    ``satisfied`` records the bound ``norm(gamma) - 2 * c_hat <= tol``; a
+    non-finite ``c_hat`` (an exponential lost to overflow) never satisfies it.
     """
 
     c_hat: float
@@ -304,4 +304,5 @@ def norm_continuity_bound(
     best = float(np.max([_exp_quotient(b, mult, dual_gamma, t)(p).real for t in grid]))
     c_hat = max(best, 1.0 / max(grid))
     norm = functional_norm(gamma)
-    return NormContinuityBound(c_hat, norm, norm <= 2.0 * c_hat + tol)
+    excess = norm - 2.0 * c_hat
+    return NormContinuityBound(c_hat, norm, bool(np.isfinite(excess) and excess <= tol))

@@ -26,6 +26,7 @@ from .algebra import (
     GNSData,
     gns,
     hermitian_spectrum,
+    psd_within,
 )
 from .bialgebra import fourier_matrices
 from .errors import ConstructionError, PreconditionError
@@ -60,8 +61,7 @@ def kernel_matrix(group: SemigroupTable, values) -> np.ndarray:
 
 def is_positive_definite(group: SemigroupTable, values, tol: float = DEFAULT_TOL) -> bool:
     """Whether the translation kernel is Hermitian and PSD within tol."""
-    defect, min_eig = hermitian_spectrum(kernel_matrix(group, values))
-    return bool(defect <= tol and min_eig >= -tol)
+    return bool(psd_within(*hermitian_spectrum(kernel_matrix(group, values)), tol))
 
 
 def is_hermitian_function(group: SemigroupTable, values, tol: float = DEFAULT_TOL) -> bool:
@@ -82,8 +82,7 @@ def is_conditionally_positive_definite(
     kernel = kernel_matrix(group, values)
     m = group.order
     proj = np.eye(m) - np.ones((m, m)) / m
-    defect, min_eig = hermitian_spectrum(proj @ kernel @ proj)
-    return bool(defect <= tol and min_eig >= -tol)
+    return bool(psd_within(*hermitian_spectrum(proj @ kernel @ proj), tol))
 
 
 def schoenberg_exp(group: SemigroupTable, values, t: float) -> np.ndarray:
@@ -115,13 +114,23 @@ class GuichardetCertificate:
     minimality_delta: float
     minimality_min_eigenvalue: float
 
+    def checks(self, tol: float = DEFAULT_TOL) -> list[tuple[str, float, bool]]:
+        """``(fact, residual, verdict)`` for each certified fact.
+
+        The shifted kernel's Hermitian defect is the input's, which the
+        preconditions bound by ``tol``, so its PSD verdict reads the
+        eigenvalue alone.
+        """
+        order = len(self.shifted_values)
+        minimality = self.minimality_min_eigenvalue + self.minimality_delta * order
+        return [
+            ("kernel_psd_after_shift", self.min_eigenvalue, bool(self.min_eigenvalue >= -tol)),
+            ("ones_vector_annihilated", self.ones_residual, bool(self.ones_residual <= tol)),
+            ("shift_minimality", minimality, bool(minimality <= tol)),
+        ]
+
     def passes(self, tol: float = DEFAULT_TOL) -> bool:
-        order = self.shifted_values.shape[0]
-        return (
-            self.min_eigenvalue >= -tol
-            and self.ones_residual <= tol
-            and self.minimality_min_eigenvalue <= -self.minimality_delta * order + tol
-        )
+        return all(ok for _, _, ok in self.checks(tol))
 
 
 def _check_guichardet_preconditions(group, values, tol):

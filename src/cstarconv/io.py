@@ -10,7 +10,6 @@ in canonical basis order.  Schemas:
   "delta": <dim^2 x dim complex matrix>, "epsilon": [<dual blocks>]}``
 * functional file:  ``{"dual_blocks": [<per-block complex matrices>]}``
 * group function:   ``{"group": <ref>, "values": [[re, im], ...]}``
-* measure file:     ``{"monoid": <ref>, "weights": [...]}``
 
 A ``<ref>`` is a built-in fixture name (``zn:<n>``, ``s3``, ``d4``, ``q8``).
 """
@@ -228,18 +227,3 @@ def load_group_function(source) -> tuple[str | None, np.ndarray]:
     if group_ref is not None and not isinstance(group_ref, str):
         _fail("$.group", "expected a built-in group name")
     return group_ref, values
-
-
-def load_measure(source) -> tuple[str | None, np.ndarray]:
-    data = load_document(source)
-    if "weights" not in data or not isinstance(data["weights"], list):
-        _fail("$", "measure file must contain a list under 'weights'")
-    weights = []
-    for i, w in enumerate(data["weights"]):
-        if not isinstance(w, (int, float)):
-            _fail(f"$.weights[{i}]", f"expected a real number, got {w!r}")
-        weights.append(_as_finite(w, f"$.weights[{i}]"))
-    ref = data.get("monoid")
-    if ref is not None and not isinstance(ref, str):
-        _fail("$.monoid", "expected a built-in monoid name")
-    return ref, np.array(weights)

@@ -43,11 +43,6 @@ class LinearMap:
     def __call__(self, a: Element) -> Element:
         return self.target.from_coords(self.matrix @ self.source.to_coords(a))
 
-    def __matmul__(self, other: "LinearMap") -> "LinearMap":
-        if other.target.blocks != self.source.blocks:
-            raise ShapeError("composition: inner algebras do not match")
-        return LinearMap(other.source, self.target, self.matrix @ other.matrix)
-
     @staticmethod
     def identity(algebra: Algebra) -> "LinearMap":
         return LinearMap(algebra, algebra, np.eye(algebra.dim, dtype=np.complex128))

@@ -22,6 +22,7 @@ from .algebra import (
     element_norm,
     hermitian_spectrum,
     mixing_permutation,
+    psd_within,
 )
 from .bialgebra import Bialgebra
 from .convolution import _exp, expm, right_convolution_operator
@@ -169,7 +170,7 @@ def is_completely_positive(
             defect, eigs = hermitian_spectrum(choi)
             min_eigs[src_pos] = np.minimum(min_eigs[src_pos], eigs.min(axis=1))
             defects[src_pos] = np.maximum(defects[src_pos], defect.max(axis=1))
-    cp = bool(np.all(defects <= tol) and np.all(min_eigs >= -tol))
+    cp = bool(np.all(psd_within(defects, min_eigs, tol)))
     return CompletePositivityReport(
         tuple(float(e) for e in min_eigs), tuple(float(d) for d in defects), cp
     )

@@ -337,3 +337,13 @@ def test_invariance_residual_runs_in_bounded_memory():
     assert residual > 0.1
     assert peak < 16 * 2**20
     assert "structure_tensor" not in b.__dict__
+
+
+def test_nan_axiom_residual_is_not_read_as_exact():
+    """A nan counit value makes max_residual nan, not the 0.0 of an exact bialgebra."""
+    b = cc.function_bialgebra(cc.cyclic_group(3))
+    eps = b.algebra.functional_from_dual_coords(np.array([1.0, np.nan, 0.0]))
+    report = cc.validate_bialgebra(cc.Bialgebra(b.algebra, b.delta, eps))
+    assert np.isnan(report.counit_residual) and np.isnan(report.character_residual)
+    assert np.isnan(report.max_residual())
+    assert not report.passes(1e-9)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -85,7 +86,7 @@ def test_functional_schema(tmp_path, z2_functions):
         schemas.load_functional(z2_functions.algebra, path)
 
 
-def test_group_function_and_measure_schemas(tmp_path):
+def test_group_function_schema(tmp_path):
     path = tmp_path / "psi.json"
     path.write_text(json.dumps({"group": "zn:2", "values": [[0.0, 0.0], [-2.0, 0.0]]}))
     ref, values = schemas.load_group_function(path)
@@ -94,9 +95,6 @@ def test_group_function_and_measure_schemas(tmp_path):
     path.write_text(json.dumps({"values": [[0.0, 0.0], ["x", 0.0]]}))
     with pytest.raises(cc.SchemaError, match=r"values\[1\]"):
         schemas.load_group_function(path)
-    path.write_text(json.dumps({"monoid": "zn:2", "weights": [0.5, 0.5]}))
-    ref, weights = schemas.load_measure(path)
-    assert cc.is_probability(weights)
 
 
 # JSON matrix texts: (text, decoded in one np.array call)
@@ -470,12 +468,34 @@ def test_cli_evolve_overflow_is_a_failed_check(tmp_path):
     assert all(c["residual"] is not None for c in report["checks"] if "[t=1]" in c["name"])
 
 
+def test_cli_overflow_keeps_numpy_warnings_off_stderr(tmp_path):
+    """An overflowing exponential fails its checks; stderr holds only the timing line."""
+    gamma_path = tmp_path / "g.json"
+    gamma_path.write_text(json.dumps({"dual_blocks": [[[[-1e154, 0.0]]], [[[1e154, 0.0]]]]}))
+    result = run_cli("evolve", "zn:2", str(gamma_path))
+    assert result.returncode == 1
+    assert re.fullmatch(r"# elapsed seconds: \d+\.\d{3}\n", result.stderr), result.stderr
+
+
+def test_cli_smoke_check_fails_on_a_nan_sample(tmp_path):
+    """Convolutions that overflow to nan fail the sampled checks, not read as 0."""
+    path = tmp_path / "huge.json"
+    delta = [[[1e308, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [1, 0]], [[1e308, 0], [-1e308, 0]]]
+    doc = {"blocks": [1, 1], "mode": "hyper", "delta": delta, "epsilon": [[[[1, 0]]], [[[0, 0]]]]}
+    path.write_text(json.dumps(doc))
+    result = run_cli("validate", str(path))
+    assert result.returncode == 1
+    sampled = [c for c in json.loads(result.stdout)["checks"] if c["name"].endswith("[sample]")]
+    assert len(sampled) == 3
+    assert all(c["residual"] is None and c["pass"] is False for c in sampled)
+
+
 def test_check_never_passes_a_non_finite_residual():
     from cstarconv.cli import _check
 
     for residual in (math.nan, math.inf, -math.inf):
-        for lower_bound in (False, True):
-            check = _check("x", residual, 1e-9, lower_bound=lower_bound)
+        for verdict in (None, False, True):
+            check = _check("x", residual, 1e-9, verdict)
             assert check["pass"] is False and check["residual"] is None
 
 
