@@ -56,7 +56,6 @@ from .convolution import (
     NormContinuityBound,
     continuity_moduli,
     convolution_exp,
-    convolution_exp_quotient,
     convolve,
     generating_functional,
     left_convolution_operator,

@@ -432,9 +432,7 @@ class DiscreteDecomposition:
     ideal_unit: Element
 
 
-def discrete_type_decomposition(
-    b: Bialgebra, tol: float = _STRUCT_TOL
-) -> DiscreteDecomposition:
+def discrete_type_decomposition(b: Bialgebra) -> DiscreteDecomposition:
     """Locate the one-dimensional block on which the counit lives.
 
     A character on a multi-matrix algebra is supported on a single 1x1
@@ -445,9 +443,9 @@ def discrete_type_decomposition(
     carrier = None
     for i, (n, rho) in enumerate(zip(alg.blocks, b.epsilon.dual_blocks)):
         weight = float(np.abs(rho).max())
-        if weight <= tol:
+        if weight <= _STRUCT_TOL:
             continue
-        if n != 1 or abs(rho[0, 0] - 1.0) > tol or carrier is not None:
+        if n != 1 or abs(rho[0, 0] - 1.0) > _STRUCT_TOL or carrier is not None:
             raise ConstructionError(
                 "counit is not a character supported on a single 1x1 block"
             )

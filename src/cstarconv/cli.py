@@ -146,13 +146,16 @@ def _nonfinite_to_null(obj):
     return obj
 
 
-def _smoke_checks(label: str, b: Bialgebra, rng, tol: float, samples: int = 20) -> list[dict]:
+SMOKE_SAMPLES = 20  # random functional triples per bialgebra
+
+
+def _smoke_checks(label: str, b: Bialgebra, rng, tol: float) -> list[dict]:
     # np.max at the end, so that a nan sample fails its check
     assoc = [0.0]
     unital = [0.0]
     submult = [0.0]
     eps = b.epsilon
-    for _ in range(samples):
+    for _ in range(SMOKE_SAMPLES):
         lam = random_functional(b.algebra, rng)
         mu = random_functional(b.algebra, rng)
         nu = random_functional(b.algebra, rng)
@@ -265,6 +268,7 @@ def cmd_evolve(args) -> tuple[dict, int]:
     diag = generating_functional(b, gamma, tol)
     sg = associated_semigroup(b, gamma)
     moduli = continuity_moduli(b, gamma, times)
+    gamma_norm = functional_norm(gamma)
 
     report = {
         "command": "evolve",
@@ -275,12 +279,12 @@ def cmd_evolve(args) -> tuple[dict, int]:
             "hermitian": diag.hermitian,
             "vanishes_at_unit": diag.vanishes_at_unit,
             "conditionally_positive": diag.conditionally_positive,
-            "norm": functional_norm(gamma),
+            "norm": gamma_norm,
         },
     }
     checks = []
     if diag.valid:
-        grid = _norm_bound_grid(args.grid_max, functional_norm(gamma), tol)
+        grid = _norm_bound_grid(args.grid_max, gamma_norm, tol)
         bound = norm_continuity_bound(b, gamma, grid, tol)
         report["norm_bound"] = {
             "c_hat": bound.c_hat,
@@ -422,6 +426,13 @@ def _finite_nonnegative(text: str) -> float:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    # default_rng refuses a negative seed
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _finite_positive(text: str) -> float:
     # a non-positive --grid-max would let the 1/T cap make the norm-bound gate vacuous
     value = _finite_nonnegative(text)
@@ -438,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--tol", type=_finite_nonnegative, default=1e-9, help="absolute tolerance"
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    parser.add_argument("--seed", type=_nonnegative_int, default=0, help="seed for sampled checks")
     parser.add_argument(
         "--format", choices=("json", "text"), default="json", help="report format"
     )

@@ -3,14 +3,16 @@
 Functionals convolve through the coproduct, ``(lam * mu)(a) = (lam (x) mu)(delta a)``,
 making the dual space a unital Banach algebra whose unit is the counit.
 This module provides the product, the induced translation operators on the
-algebra, exponentials of generating functionals (the norm-continuous
-convolution semigroups), and the quantitative norm bound available on
+algebra, the flow of a generating functional (its norm-continuous
+convolution semigroup of functionals and the operator semigroup it induces,
+:class:`AssociatedSemigroup`), and the quantitative norm bound available on
 discrete-type bialgebras.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -160,42 +162,83 @@ def convolution_exp(b: Bialgebra, gamma: Functional, t: float) -> Functional:
     applied to the counit coordinates, by the scaling-and-squaring Pade
     scheme of :func:`expm`.  ``t = 0`` returns the counit exactly.
     """
-    return _exp(b, b.left_matrix(_dual(b, gamma)).T, t)
+    return AssociatedSemigroup(b, gamma).functional_at(t)
 
 
-def _exp(b: Bialgebra, mult: np.ndarray, t: float) -> Functional:
-    """:func:`convolution_exp` from the prebuilt left-convolution matrix ``mult``."""
-    if t < 0:
-        raise PreconditionError(f"time must be nonnegative, got {t}")
-    dual = expm(t * mult) @ b.counit_coords
-    return b.algebra.functional_from_dual_coords(dual)
+@dataclass(frozen=True, eq=False)
+class AssociatedSemigroup:
+    """The flow of a generating functional ``gamma``: its states and operators.
 
-
-def _exp_quotient(
-    b: Bialgebra, mult: np.ndarray, dual_gamma: np.ndarray, t: float
-) -> Functional:
-    """:func:`convolution_exp_quotient` from the prebuilt left-convolution
-    matrix ``mult`` of ``gamma`` and its dual coordinates ``dual_gamma``."""
-    if t < 0:
-        raise PreconditionError(f"time must be nonnegative, got {t}")
-    dim = b.algebra.dim
-    aug = np.zeros((dim + 1, dim + 1), dtype=np.complex128)
-    aug[:dim, :dim] = t * mult
-    aug[:dim, dim] = dual_gamma
-    return b.algebra.functional_from_dual_coords(expm(aug)[:dim, dim])
-
-
-def convolution_exp_quotient(b: Bialgebra, gamma: Functional, t: float) -> Functional:
-    """The difference quotient ``(exp(t gamma) - epsilon) / t`` of the exponential.
-
-    Evaluated through the phi_1 function of the convolution operator,
-    ``phi_1(t M) @ dual(gamma)`` with ``phi_1(z) = (e^z - 1)/z``, via one
-    exponential of an augmented matrix.  This avoids the catastrophic
-    cancellation of forming ``exp(t M) - I`` at small ``t`` and extends
-    continuously to ``t = 0``, where it returns ``gamma`` itself.
+    What derives from ``(bialgebra, gamma)`` is built once per flow: the dual
+    coordinates of ``gamma``, its left-convolution matrix on dual coordinates
+    (for the states and their difference quotients) and the generator ``Z``
+    (for the operators ``P_t``).  The right-convolution map is an algebra
+    morphism from the convolution algebra, so ``exp(t Z)`` is the
+    right-convolution operator of ``exp(t gamma)``; the two routes share no
+    matrix, and their agreement is part of the test suite.  A ``gamma`` on
+    another algebra raises ``ShapeError`` at once.
     """
-    dual_gamma = _dual(b, gamma)
-    return _exp_quotient(b, b.left_matrix(dual_gamma).T, dual_gamma, t)
+
+    bialgebra: Bialgebra
+    gamma: Functional
+
+    def __post_init__(self):
+        self.dual_gamma  # refuse a functional of another algebra at once
+
+    @cached_property
+    def dual_gamma(self) -> np.ndarray:
+        """Dual coordinates of ``gamma``."""
+        return _dual(self.bialgebra, self.gamma)
+
+    @cached_property
+    def convolution_matrix(self) -> np.ndarray:
+        """Left convolution ``nu -> gamma * nu`` on dual coordinates."""
+        return self.bialgebra.left_matrix(self.dual_gamma).T
+
+    @cached_property
+    def generator(self) -> LinearMap:
+        """The generator ``Z``: the right-convolution operator of ``gamma``."""
+        return right_convolution_operator(self.bialgebra, self.gamma)
+
+    @staticmethod
+    def _require_time(t: float) -> None:
+        if t < 0:
+            raise PreconditionError(f"time must be nonnegative, got {t}")
+
+    def functional_at(self, t: float) -> Functional:
+        """The convolution exponential at time ``t`` (the state of the flow)."""
+        self._require_time(t)
+        b = self.bialgebra
+        dual = expm(t * self.convolution_matrix) @ b.counit_coords
+        return b.algebra.functional_from_dual_coords(dual)
+
+    def quotient_at(self, t: float) -> Functional:
+        """The difference quotient ``(exp(t gamma) - epsilon) / t``.
+
+        Evaluated through the phi_1 function of the convolution operator,
+        ``phi_1(t M) @ dual(gamma)`` with ``phi_1(z) = (e^z - 1)/z``, via one
+        exponential of an augmented matrix.  This avoids the catastrophic
+        cancellation of forming ``exp(t M) - I`` at small ``t`` and extends
+        continuously to ``t = 0``, where it returns ``gamma`` itself.
+        """
+        self._require_time(t)
+        alg = self.bialgebra.algebra
+        dim = alg.dim
+        aug = np.zeros((dim + 1, dim + 1), dtype=np.complex128)
+        aug[:dim, :dim] = t * self.convolution_matrix
+        aug[:dim, dim] = self.dual_gamma
+        return alg.functional_from_dual_coords(expm(aug)[:dim, dim])
+
+    def operator_at(self, t: float) -> LinearMap:
+        """``P_t = exp(t Z)`` on the algebra."""
+        self._require_time(t)
+        alg = self.bialgebra.algebra
+        return LinearMap(alg, alg, expm(t * self.generator.matrix))
+
+
+def associated_semigroup(b: Bialgebra, gamma: Functional) -> AssociatedSemigroup:
+    """The flow (:class:`AssociatedSemigroup`) of the generator ``gamma``."""
+    return AssociatedSemigroup(b, gamma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,15 +285,8 @@ def continuity_moduli(b: Bialgebra, gamma: Functional, times) -> list[float]:
     Computed as ``t * norm((exp(t gamma) - epsilon) / t)`` through the
     stable difference quotient, so small times lose no accuracy.
     """
-    dual_gamma = _dual(b, gamma)
-    mult = b.left_matrix(dual_gamma).T
-    out = []
-    for t in times:
-        if t == 0:
-            out.append(0.0)
-            continue
-        out.append(float(t) * functional_norm(_exp_quotient(b, mult, dual_gamma, t)))
-    return out
+    flow = AssociatedSemigroup(b, gamma)
+    return [0.0 if t == 0 else float(t) * functional_norm(flow.quotient_at(t)) for t in times]
 
 
 @dataclass(frozen=True)
@@ -298,10 +334,9 @@ def norm_continuity_bound(
     if not grid or any(t <= 0 for t in grid):
         raise PreconditionError("grid must consist of strictly positive times")
     p = discrete_type_decomposition(b).ideal_unit
-    dual_gamma = _dual(b, gamma)
-    mult = b.left_matrix(dual_gamma).T
+    flow = AssociatedSemigroup(b, gamma)
     # np.max so that a grid value lost to overflow (nan) fails the bound
-    best = float(np.max([_exp_quotient(b, mult, dual_gamma, t)(p).real for t in grid]))
+    best = float(np.max([flow.quotient_at(t)(p).real for t in grid]))
     c_hat = max(best, 1.0 / max(grid))
     norm = functional_norm(gamma)
     excess = norm - 2.0 * c_hat

@@ -147,11 +147,12 @@ def _check_guichardet_preconditions(group, values, tol):
         raise PreconditionError("; ".join(problems))
 
 
+#: How far the minimality probe lowers the Guichardet constant.
+MINIMALITY_DELTA = 1e-3
+
+
 def guichardet_constant(
-    group: SemigroupTable,
-    values,
-    tol: float = DEFAULT_TOL,
-    minimality_delta: float = 1e-3,
+    group: SemigroupTable, values, tol: float = DEFAULT_TOL
 ) -> GuichardetCertificate:
     """Smallest constant whose addition makes the function positive-definite.
 
@@ -174,12 +175,12 @@ def guichardet_constant(
     constant = float(-np.mean(values).real)
     shifted = values + constant
     kernel = kernel_matrix(group, shifted)
-    lowered = kernel_matrix(group, shifted - minimality_delta)
+    lowered = kernel_matrix(group, shifted - MINIMALITY_DELTA)
     min_eig, lowered_min = hermitian_spectrum(np.stack([kernel, lowered]))[1].tolist()
     # the ones vector is tested against the matrix whose spectrum is certified
     ones_residual = float(np.linalg.norm((kernel + kernel.conj().T) / 2 @ np.ones(m)))
     return GuichardetCertificate(
-        constant, shifted, min_eig, ones_residual, minimality_delta, lowered_min
+        constant, shifted, min_eig, ones_residual, MINIMALITY_DELTA, lowered_min
     )
 
 
@@ -244,11 +245,11 @@ def is_probability(weights, tol: float = DEFAULT_TOL) -> bool:
 
 #: Largest Poisson intensity summed as a series; larger ones are halved first.
 POISSON_PIECE_INTENSITY = 30.0
+#: Poisson tail mass left out of the series, summed over the squarings.
+POISSON_TAIL_TOL = 1e-12
 
 
-def compound_poisson(
-    monoid: SemigroupTable, jump_weights, rate: float, t: float, tol: float = 1e-12
-) -> np.ndarray:
+def compound_poisson(monoid: SemigroupTable, jump_weights, rate: float, t: float) -> np.ndarray:
     """Time-``t`` distribution of the compound Poisson flow on a monoid.
 
     The generator is ``rate * (jump - point mass at identity)``; the
@@ -256,8 +257,9 @@ def compound_poisson(
     ``exp(-rate t) sum_n (rate t)^n / n! jump^{*n}``.  The intensity
     ``rate * t`` is halved ``s`` times until it is at most
     :data:`POISSON_PIECE_INTENSITY`, the series of that piece is truncated
-    once its Poisson tail falls below ``tol / 2^s``, and the piece is
-    convolved with itself ``s`` times (scaling and squaring, Higham 2005).
+    once its Poisson tail falls below ``POISSON_TAIL_TOL / 2^s``, and the
+    piece is convolved with itself ``s`` times (scaling and squaring, Higham
+    2005).
     The start weight ``exp(-intensity)`` of a single series would be
     subnormal or zero past an intensity of about 708, and the mass would drift.
 
@@ -277,7 +279,7 @@ def compound_poisson(
     while intensity > POISSON_PIECE_INTENSITY:
         intensity /= 2.0
         squarings += 1
-    piece_tol = tol / 2.0**squarings
+    piece_tol = POISSON_TAIL_TOL / 2.0**squarings
     power = np.zeros(monoid.order)
     power[monoid.identity] = 1.0
     weight = np.exp(-intensity)

@@ -100,7 +100,7 @@ class IrrepTable:
                 return i
         return None
 
-    def validate(self, group: SemigroupTable, tol: float = _IRREP_TOL) -> None:
+    def validate(self, group: SemigroupTable) -> None:
         """Check unitarity, the homomorphism law, completeness and orthogonality.
 
         Raises
@@ -121,15 +121,15 @@ class IrrepTable:
             if mats.shape[0] != m:
                 raise ConstructionError(f"irrep {p} has {mats.shape[0]} matrices, expected {m}")
             d = mats.shape[1]
-            if np.abs(mats[group.identity] - np.eye(d)).max() > tol:
+            if np.abs(mats[group.identity] - np.eye(d)).max() > _IRREP_TOL:
                 raise ConstructionError(f"irrep {p} does not map the identity to 1")
             gram = mats @ mats.conj().transpose(0, 2, 1)
-            bad = np.flatnonzero(np.abs(gram - np.eye(d)).max(axis=(1, 2)) > tol)
+            bad = np.flatnonzero(np.abs(gram - np.eye(d)).max(axis=(1, 2)) > _IRREP_TOL)
             if bad.size:
                 raise ConstructionError(f"irrep {p} is not unitary at element {bad[0]}")
             for g in range(m):
                 deviation = np.abs(mats[g] @ mats - mats[group.table[g]]).max(axis=(1, 2))
-                bad = np.flatnonzero(deviation > tol)
+                bad = np.flatnonzero(deviation > _IRREP_TOL)
                 if bad.size:
                     raise ConstructionError(
                         f"irrep {p} violates the homomorphism law at ({g}, {bad[0]})"
@@ -138,7 +138,7 @@ class IrrepTable:
         rows = self.coefficient_rows()
         gram = rows.conj() @ rows.T
         expected = np.diag(np.repeat([m / d for d in self.dims], [d * d for d in self.dims]))
-        if np.abs(gram - expected).max() > tol * m:
+        if np.abs(gram - expected).max() > _IRREP_TOL * m:
             raise ConstructionError("matrix coefficients violate Schur orthogonality")
 
     def coefficient_rows(self) -> np.ndarray:

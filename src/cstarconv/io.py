@@ -43,6 +43,13 @@ def _as_complex(value, path: str) -> complex:
     return complex(_as_finite(value[0], path), _as_finite(value[1], path))
 
 
+def _as_int(value, path: str) -> int:
+    # int() would truncate 0.7 and parse "0", and a JSON true is a Python int
+    if isinstance(value, bool) or not isinstance(value, int):
+        _fail(path, f"expected an integer, got {value!r}")
+    return value
+
+
 def _as_finite(value: int | float, path: str) -> float:
     # the JSON parser accepts NaN, Infinity and integers beyond float range;
     # no schema allows them
@@ -118,9 +125,10 @@ def load_semigroup(source) -> SemigroupTable:
     for key in ("order", "identity", "table"):
         if key not in data:
             _fail("$", f"semigroup file missing key {key!r}")
-    order = data["order"]
+    order = _as_int(data["order"], "$.order")
+    identity = _as_int(data["identity"], "$.identity")
     table = data["table"]
-    if not isinstance(order, int) or order < 1:
+    if order < 1:
         _fail("$.order", f"expected a positive integer, got {order!r}")
     if not isinstance(table, list) or len(table) != order:
         _fail("$.table", f"expected {order} rows")
@@ -128,11 +136,10 @@ def load_semigroup(source) -> SemigroupTable:
         if not isinstance(row, list) or len(row) != order:
             _fail(f"$.table[{r}]", f"expected {order} entries")
         for c, v in enumerate(row):
-            if not isinstance(v, int):
-                _fail(f"$.table[{r}][{c}]", f"expected an integer index, got {v!r}")
+            _as_int(v, f"$.table[{r}][{c}]")
     try:
-        return SemigroupTable(np.array(table), data["identity"])
-    except ValueError as exc:
+        return SemigroupTable(np.array(table), identity)
+    except (ValueError, OverflowError) as exc:  # an entry past the index range
         raise SchemaError(f"at $.table: {exc}") from exc
 
 
@@ -145,7 +152,7 @@ def load_irreps(source) -> IrrepTable:
         prefix = f"$.irreps[{i}]"
         if not isinstance(entry, dict) or "dim" not in entry or "matrices" not in entry:
             _fail(prefix, "each irrep needs 'dim' and 'matrices'")
-        d = entry["dim"]
+        d = _as_int(entry["dim"], f"{prefix}.dim")
         matrices = entry["matrices"]
         # a non-empty string or object fails entry by entry below
         if not matrices or isinstance(matrices, (int, float)):
@@ -176,10 +183,11 @@ def load_bialgebra(source) -> Bialgebra:
         if key not in data:
             _fail("$", f"bialgebra file missing key {key!r}")
     blocks = data["blocks"]
-    if not isinstance(blocks, list) or not all(isinstance(n, int) for n in blocks):
+    if not isinstance(blocks, list):
         _fail("$.blocks", "expected a list of integers")
+    blocks = tuple(_as_int(n, f"$.blocks[{i}]") for i, n in enumerate(blocks))
     try:
-        algebra = Algebra(tuple(blocks))
+        algebra = Algebra(blocks)
     except ValueError as exc:
         raise SchemaError(f"at $.blocks: {exc}") from exc
     delta = _as_complex_matrix(data["delta"], "$.delta")

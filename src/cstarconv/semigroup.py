@@ -12,7 +12,6 @@ discharge a "for all functionals" quantifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -25,52 +24,9 @@ from .algebra import (
     psd_within,
 )
 from .bialgebra import Bialgebra
-from .convolution import _exp, expm, right_convolution_operator
+# the flow is defined beside the exponentials and re-exported here
+from .convolution import AssociatedSemigroup, associated_semigroup, right_convolution_operator
 from .maps import LinearMap
-
-
-@dataclass(frozen=True, eq=False)
-class AssociatedSemigroup:
-    """The operator semigroup of a norm-continuous convolution semigroup.
-
-    Attributes
-    ----------
-    bialgebra : Bialgebra
-    gamma : Functional
-        Generating functional of the convolution semigroup.
-    generator : LinearMap
-        Right-convolution operator of ``gamma``; the semigroup is its
-        exponential.
-    """
-
-    bialgebra: Bialgebra
-    gamma: Functional
-    generator: LinearMap
-
-    def operator_at(self, t: float) -> LinearMap:
-        """``P_t = exp(t Z)`` on the algebra."""
-        alg = self.bialgebra.algebra
-        return LinearMap(alg, alg, expm(t * self.generator.matrix))
-
-    def functional_at(self, t: float) -> Functional:
-        """The convolution exponential at time ``t`` (the state of the flow)."""
-        return _exp(self.bialgebra, self._convolution_matrix, t)
-
-    @cached_property
-    def _convolution_matrix(self) -> np.ndarray:
-        """Left convolution by ``gamma`` on dual coordinates, built once per flow."""
-        return self.bialgebra.left_matrix(self.gamma.dual).T
-
-
-def associated_semigroup(b: Bialgebra, gamma: Functional) -> AssociatedSemigroup:
-    """Build the semigroup associated with the generator ``gamma``.
-
-    Because the right-convolution map is an algebra morphism from the
-    convolution algebra, ``exp(t Z)`` agrees with the right-convolution
-    operator of ``exp(t gamma)``; the two routes are computed independently
-    and their agreement is part of the test suite.
-    """
-    return AssociatedSemigroup(b, gamma, right_convolution_operator(b, gamma))
 
 
 def recover_functional(b: Bialgebra, p_t: LinearMap) -> Functional:

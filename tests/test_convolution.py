@@ -290,9 +290,10 @@ def test_difference_quotient_recovers_generator(s3_dual, rng):
     b = s3_dual
     gamma = random_generating_functional(b, rng)
     norm = cc.functional_norm(gamma)
-    assert cc.functional_norm(cc.convolution_exp_quotient(b, gamma, 0.0) - gamma) < 1e-12
+    flow = cc.associated_semigroup(b, gamma)
+    assert cc.functional_norm(flow.quotient_at(0.0) - gamma) < 1e-12
     for h in (0.5, 0.1, 0.01, 1e-4, 1e-8):
-        quotient = cc.convolution_exp_quotient(b, gamma, h)
+        quotient = flow.quotient_at(h)
         lam = cc.convolution_exp(b, gamma, h)
         # the direct evaluation cancels catastrophically as h -> 0, so the
         # agreement tolerance scales like machine epsilon over h

@@ -150,9 +150,36 @@ def _irrep_doc(matrices):
     return {"irreps": [{"dim": 1, "matrices": matrices}]}
 
 
-# (command, file, path in the message); each was a traceback with exit 1
+def _semigroup_doc(order, identity, table):
+    return {"order": order, "identity": identity, "table": table}
+
+
+def _s3_irrep_doc(first_dim):
+    irreps = [
+        {"dim": m.shape[1], "matrices": [schemas.complex_matrix_to_json(g) for g in m]}
+        for m in cc.s3_irreps().matrices
+    ]
+    irreps[0]["dim"] = first_dim
+    return {"irreps": irreps}
+
+
+Z2_TABLE = [[0, 1], [1, 0]]
+# a one-point bialgebra, whose block size each case sets
+ONE_POINT = {"mode": "hom", "delta": [[[1, 0]]], "epsilon": [[[[1, 0]]]]}
+
+# (command, file, path in the message); each was a traceback with exit 1, was
+# accepted (a bool, float or string count or index), or named a coarser path
 BROKEN_STRUCTURE_FILES = {
     "negative-block": ("validate", _bialgebra_doc([1, -1]), "$.blocks"),
+    "bool-block": ("validate", {"blocks": [True]} | ONE_POINT, "$.blocks[0]"),
+    "float-block": ("validate", {"blocks": [1.0]} | ONE_POINT, "$.blocks[0]"),
+    "bool-order": ("validate", _semigroup_doc(True, 0, [[0]]), "$.order"),
+    "float-identity": ("validate", _semigroup_doc(2, 0.7, Z2_TABLE), "$.identity"),
+    "string-identity": ("validate", _semigroup_doc(2, "0", Z2_TABLE), "$.identity"),
+    "bool-table-entry": ("validate", _semigroup_doc(2, 0, [[0, True], [1, 0]]), "$.table[0][1]"),
+    "huge-table-entry": ("validate", _semigroup_doc(2, 0, [[0, 2**64], [1, 0]]), "$.table"),
+    "float-irrep-dim": ("irreps", _s3_irrep_doc(1.0), "$.irreps[0].dim"),
+    "bool-irrep-dim": ("irreps", _s3_irrep_doc(True), "$.irreps[0].dim"),
     "no-blocks": ("validate", _bialgebra_doc([]), "$.blocks"),
     "no-irrep-matrices": ("irreps", _irrep_doc([]), "$.irreps[0].matrices"),
     "scalar-irrep-matrices": ("irreps", _irrep_doc(5), "$.irreps[0].matrices"),
@@ -437,6 +464,8 @@ MALFORMED_INPUTS = {
     "grid-nan": ["evolve", "zn:2", "{gamma}", "--grid-max", "nan"],
     "tol-neg": ["--tol=-1e-9", "validate", "zn:2"],
     "tol-inf": ["--tol", "inf", "validate", "zn:2"],
+    "seed-neg": ["--seed", "-1", "validate", "zn:2"],
+    "seed-float": ["--seed", "1.5", "evolve", "zn:2", "{gamma}"],
 }
 
 

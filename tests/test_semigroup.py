@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cstarconv as cc
+from cstarconv.convolution import expm
 from cstarconv.sampling import (
     random_functional,
     random_generating_functional,
@@ -76,11 +77,29 @@ def test_flow_builds_its_convolution_matrix_once(s3_functions, s3_dual, rng, mon
         sg = cc.associated_semigroup(b, gamma)
         monkeypatch.setattr(cc.Bialgebra, "left_matrix", counted)
         states = [sg.functional_at(t) for t in GRID]
+        quotients = [sg.quotient_at(t) for t in GRID]
         monkeypatch.setattr(cc.Bialgebra, "left_matrix", left_matrix)
         assert len(calls) == 1
         calls.clear()
-        for t, lam in zip(GRID, states):
+        dim = b.algebra.dim
+        mult = b.left_matrix(gamma.dual).T
+        for t, lam, quotient in zip(GRID, states, quotients):
             assert np.array_equal(lam.dual, cc.convolution_exp(b, gamma, t).dual)
+            # the phi_1 formula through the augmented exponential, on its own matrix
+            aug = np.zeros((dim + 1, dim + 1), dtype=np.complex128)
+            aug[:dim, :dim] = t * mult
+            aug[:dim, dim] = gamma.dual
+            assert np.array_equal(quotient.dual, expm(aug)[:dim, dim])
+
+
+def test_flow_refuses_negative_times_and_foreign_functionals(s3_functions, s3_dual, rng):
+    sg = cc.associated_semigroup(s3_dual, random_generating_functional(s3_dual, rng))
+    for stage in (sg.functional_at, sg.quotient_at, sg.operator_at):
+        with pytest.raises(cc.PreconditionError):
+            stage(-1.0)
+    foreign = random_generating_functional(s3_functions, rng)
+    with pytest.raises(cc.ShapeError):
+        cc.associated_semigroup(s3_dual, foreign)
 
 
 def test_associated_maps_pass_all_characterisations(s3_dual, rng):
