@@ -29,6 +29,8 @@ from .errors import PreconditionError, ShapeError
 #: Default absolute tolerance for every numerical predicate in the package.
 DEFAULT_TOL = 1e-9
 
+GNS_RANK_TOL = 1e-12  # relative eigenvalue threshold of the GNS Gram null space
+
 # largest block size that Algebra.multiply forms without a batched matmul
 _SMALL_BLOCK = 2
 
@@ -600,18 +602,18 @@ def gns(algebra: Algebra, omega: Functional, tol: float = DEFAULT_TOL) -> GNSDat
 
     Builds the Gram matrix ``G[x, y] = omega(x* y)`` over the canonical
     basis, quotients by its numerical null space (eigenvalues below
-    ``tol * max_eigenvalue``), and represents left multiplication on an
-    orthonormal basis of the quotient.  Both come from one tensor of basis
-    products: ``e_x* = e_{star_perm[x]}``, and the left-multiplication
+    ``GNS_RANK_TOL * max_eigenvalue``), and represents left multiplication
+    on an orthonormal basis of the quotient.  Both come from one tensor of
+    basis products: ``e_x* = e_{star_perm[x]}``, and the left-multiplication
     matrix of ``e_k`` is ``products[k].T``.
 
     Parameters
     ----------
     algebra : Algebra
     omega : Functional
-        Must be positive within ``tol``.
     tol : float
-        Relative threshold for the null-space (rank) decision.
+        Absolute tolerance of the positivity gate on ``omega``, its only
+        role: the rank decision uses the fixed ``GNS_RANK_TOL``.
 
     Returns
     -------
@@ -632,7 +634,7 @@ def gns(algebra: Algebra, omega: Functional, tol: float = DEFAULT_TOL) -> GNSDat
 
     eigvals, eigvecs = np.linalg.eigh(gram)
     top = float(eigvals.max(initial=0.0))
-    keep = eigvals > tol * max(top, 0.0)
+    keep = eigvals > GNS_RANK_TOL * max(top, 0.0)
     if top <= 0.0:
         keep = np.zeros_like(keep)
     svals = eigvals[keep]

@@ -40,7 +40,7 @@ from .convolution import (
     norm_continuity_bound,
 )
 from .errors import ConstructionError, PreconditionError, SchemaError
-from .groups import builtin_group
+from .groups import builtin_group, is_builtin_group
 from . import io as io_schemas
 from .groupfun import guichardet_constant, guichardet_via_gns
 from .sampling import random_functional
@@ -60,6 +60,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _scalar(obj) -> str | None:
+    """Report text of a bool, null, integer or float leaf; ``None`` for anything else."""
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt(obj)
+    return None
+
+
 def render_json(obj) -> str:
     """Deterministic JSON with 17-significant-digit floats."""
     if isinstance(obj, dict):
@@ -67,14 +78,9 @@ def render_json(obj) -> str:
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(render_json(v) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
+    text = _scalar(obj)
+    if text is not None:
+        return text
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -92,13 +98,8 @@ def render_text(obj, prefix: str = "") -> list[str]:
         for i, v in enumerate(obj):
             lines.extend(render_text(v, f"{prefix}[{i}]"))
         return lines
-    if isinstance(obj, bool):
-        return [f"{prefix} = {'true' if obj else 'false'}"]
-    if obj is None:
-        return [f"{prefix} = null"]
-    if isinstance(obj, (float, np.floating)):
-        return [f"{prefix} = {_fmt(obj)}"]
-    return [f"{prefix} = {obj}"]
+    text = _scalar(obj)
+    return [f"{prefix} = {obj if text is None else text}"]
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -114,10 +115,7 @@ def _digest(source: str) -> dict:
 
 
 def _is_builtin(name: str) -> bool:
-    key = name.strip().lower()
-    if key.startswith("dual:"):
-        key = key[5:]
-    return key.startswith("zn:") or key in ("s3", "d4", "q8")
+    return is_builtin_group(name.strip().lower().removeprefix("dual:"))
 
 
 def _check(name: str, residual: float, tol: float, verdict: bool | None = None) -> dict:
@@ -133,6 +131,18 @@ def _check(name: str, residual: float, tol: float, verdict: bool | None = None) 
         "tolerance": float(tol),
         "pass": bool(ok),
     }
+
+
+def _report(args, sources: list, body: dict, checks: list, valid: bool = True) -> tuple[dict, int]:
+    """Header, body, checks and verdict of every report, with its exit code.
+
+    ``pass`` holds when every check passes and ``valid`` does; the code is 0
+    exactly then.  Non-finite body numbers (their checks fail) print as null.
+    """
+    ok = all(c["pass"] for c in checks) and valid
+    report = {"command": args.subcommand, "seed": args.seed, "tolerance": args.tol}
+    report["inputs"] = [_digest(source) for source in sources]
+    return report | _nonfinite_to_null(body) | {"checks": checks, "pass": ok}, 0 if ok else 1
 
 
 def _nonfinite_to_null(obj):
@@ -212,12 +222,6 @@ def _resolve_validate_targets(paths: list[str]) -> list[tuple[str, Bialgebra]]:
 def cmd_validate(args) -> tuple[dict, int]:
     tol = args.tol
     rng = np.random.default_rng(args.seed)
-    report = {
-        "command": "validate",
-        "seed": args.seed,
-        "tolerance": tol,
-        "inputs": [_digest(p) for p in args.specs],
-    }
     checks = []
     for label, b in _resolve_validate_targets(args.specs):
         checks.extend(
@@ -225,9 +229,7 @@ def cmd_validate(args) -> tuple[dict, int]:
             for name, residual, ok in validate_bialgebra(b, tol).checks(tol)
         )
         checks.extend(_smoke_checks(label, b, rng, tol))
-    report["checks"] = checks
-    report["pass"] = all(c["pass"] for c in checks)
-    return report, 0 if report["pass"] else 1
+    return _report(args, args.specs, {}, checks)
 
 
 def _resolve_bialgebra(ref: str) -> Bialgebra:
@@ -270,31 +272,25 @@ def cmd_evolve(args) -> tuple[dict, int]:
     moduli = continuity_moduli(b, gamma, times)
     gamma_norm = functional_norm(gamma)
 
-    report = {
-        "command": "evolve",
-        "seed": args.seed,
-        "tolerance": tol,
-        "inputs": [_digest(args.bialgebra), _digest(args.gamma)],
+    body = {
         "generating_functional": {
             "hermitian": diag.hermitian,
             "vanishes_at_unit": diag.vanishes_at_unit,
             "conditionally_positive": diag.conditionally_positive,
             "norm": gamma_norm,
         },
+        "norm_bound": None,
     }
     checks = []
     if diag.valid:
         grid = _norm_bound_grid(args.grid_max, gamma_norm, tol)
         bound = norm_continuity_bound(b, gamma, grid, tol)
-        report["norm_bound"] = {
+        body["norm_bound"] = {
             "c_hat": bound.c_hat,
             "generator_norm": bound.generator_norm,
             "satisfied": bound.satisfied,
         }
-        excess = bound.generator_norm - 2.0 * bound.c_hat
-        checks.append(_check("generator_norm_bound", excess, tol, bound.satisfied))
-    else:
-        report["norm_bound"] = None
+        checks.append(_check("generator_norm_bound", bound.residual, tol, bound.satisfied))
     entries = []
     for t, modulus in zip(times, moduli):
         lam = sg.functional_at(t)
@@ -331,12 +327,8 @@ def cmd_evolve(args) -> tuple[dict, int]:
         checks.append(_check(f"commutation[{tag}]", invariance, tol))
         checks.append(_check(f"strong_invariance[{tag}]", invariance, tol))
         checks.append(_check(f"weak_invariance[{tag}]", weak, tol))
-    report["times"] = entries
-    report["checks"] = checks
-    report["pass"] = all(c["pass"] for c in checks) and diag.valid
-    # an overflowing exponential leaves nan/inf in the diagnostics; the
-    # checks built from them have failed above
-    return _nonfinite_to_null(report), 0 if report["pass"] else 1
+    body["times"] = entries
+    return _report(args, [args.bialgebra, args.gamma], body, checks, diag.valid)
 
 
 def cmd_guichardet(args) -> tuple[dict, int]:
@@ -359,40 +351,31 @@ def cmd_guichardet(args) -> tuple[dict, int]:
         raise SchemaError(
             f"at $.values: expected {table.order} values, got {values.shape[0]}"
         )
-    inputs = [_digest(args.group), _digest(args.psi)]
+    sources = [args.group, args.psi]
     if not _is_builtin(args.group) and args.irreps:
-        inputs.append(_digest(args.irreps))
-    report = {
-        "command": "guichardet",
-        "seed": args.seed,
-        "tolerance": tol,
-        "inputs": inputs,
-    }
+        sources.append(args.irreps)
     try:
         cert = guichardet_constant(table, values, tol)
         via_gns = (
             guichardet_via_gns(table, irreps, values, tol) if irreps is not None else None
         )
     except PreconditionError as exc:
-        report["precondition_failures"] = str(exc).split("; ")
-        report["checks"] = [
-            {"name": "preconditions", "residual": None, "tolerance": tol, "pass": False}
-        ]
-        report["pass"] = False
-        return report, 1
-    report["constant"] = cert.constant
-    report["shifted_values"] = [_complex_pair(v) for v in cert.shifted_values]
-    report["certificate"] = {
-        "min_eigenvalue": cert.min_eigenvalue,
-        "ones_residual": cert.ones_residual,
-        "minimality_delta": cert.minimality_delta,
-        "minimality_min_eigenvalue": cert.minimality_min_eigenvalue,
+        body = {"precondition_failures": str(exc).split("; ")}
+        return _report(args, sources, body, [_check("preconditions", np.nan, tol)])
+    body = {
+        "constant": cert.constant,
+        "shifted_values": [_complex_pair(v) for v in cert.shifted_values],
+        "certificate": {
+            "min_eigenvalue": cert.min_eigenvalue,
+            "ones_residual": cert.ones_residual,
+            "minimality_delta": cert.minimality_delta,
+            "minimality_min_eigenvalue": cert.minimality_min_eigenvalue,
+        },
+        "gns": None,
     }
     checks = [_check(name, residual, tol, ok) for name, residual, ok in cert.checks(tol)]
-    if via_gns is None:
-        report["gns"] = None
-    else:
-        report["gns"] = {
+    if via_gns is not None:
+        body["gns"] = {
             "dimension": via_gns.gns_data.dimension,
             "constant": via_gns.constant,
             "function_deviation": via_gns.function_deviation,
@@ -401,9 +384,7 @@ def cmd_guichardet(args) -> tuple[dict, int]:
             _check("gns_constant_agreement", abs(cert.constant - via_gns.constant), tol)
         )
         checks.append(_check("gns_function_agreement", via_gns.function_deviation, tol))
-    report["checks"] = checks
-    report["pass"] = all(c["pass"] for c in checks)
-    return report, 0 if report["pass"] else 1
+    return _report(args, sources, body, checks)
 
 
 def _times_list(text: str) -> list[float]:

@@ -296,12 +296,13 @@ class NormContinuityBound:
     ``c_hat`` estimates ``sup_{t > 0} exp(t gamma)(p) / t`` (p the unit of
     the counit kernel) from grid values, capped below by ``1/T`` which
     dominates all ``t > T`` since the state mass of ``p`` is at most 1.
-    ``satisfied`` records the bound ``norm(gamma) - 2 * c_hat <= tol``; a
-    non-finite ``c_hat`` (an exponential lost to overflow) never satisfies it.
+    ``residual`` is ``norm(gamma) - 2 * c_hat``, and ``satisfied`` records
+    ``residual <= tol``; a residual lost to overflow never satisfies it.
     """
 
     c_hat: float
     generator_norm: float
+    residual: float
     satisfied: bool
 
 
@@ -340,4 +341,4 @@ def norm_continuity_bound(
     c_hat = max(best, 1.0 / max(grid))
     norm = functional_norm(gamma)
     excess = norm - 2.0 * c_hat
-    return NormContinuityBound(c_hat, norm, bool(np.isfinite(excess) and excess <= tol))
+    return NormContinuityBound(c_hat, norm, excess, bool(np.isfinite(excess) and excess <= tol))

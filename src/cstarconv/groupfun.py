@@ -349,7 +349,7 @@ def guichardet_via_gns(
     omega = alg.functional_from_dual_coords(dual)
     constant = omega(alg.unit()).real
 
-    data = gns(alg, omega, tol=1e-12)
+    data = gns(alg, omega, tol)
     lam, _ = fourier_matrices(group, irreps)
     shifted = np.array(
         [data.vector_value(alg, alg.from_coords(lam[:, g])) for g in range(group.order)]

@@ -287,6 +287,19 @@ def q8_irreps() -> IrrepTable:
     return IrrepTable((*chars, two))
 
 
+_NAMED_GROUPS = {
+    "s3": (s3_group, s3_irreps),
+    "d4": (d4_group, d4_irreps),
+    "q8": (q8_group, q8_irreps),
+}
+
+
+def is_builtin_group(name: str) -> bool:
+    """Whether ``name`` is ``zn:<anything>`` or a key of ``_NAMED_GROUPS``."""
+    key = name.strip().lower()
+    return key.startswith("zn:") or key in _NAMED_GROUPS
+
+
 def builtin_group(name: str) -> tuple[SemigroupTable, IrrepTable]:
     """Resolve a fixture name: ``zn:<n>``, ``s3``, ``d4`` or ``q8``."""
     key = name.strip().lower()
@@ -300,10 +313,7 @@ def builtin_group(name: str) -> tuple[SemigroupTable, IrrepTable]:
         if n < 1:
             raise ConstructionError(f"cyclic order must be positive, got {n}")
         return cyclic_group(n), cyclic_irreps(n)
-    if key == "s3":
-        return s3_group(), s3_irreps()
-    if key == "d4":
-        return d4_group(), d4_irreps()
-    if key == "q8":
-        return q8_group(), q8_irreps()
+    if key in _NAMED_GROUPS:
+        group, irreps = _NAMED_GROUPS[key]
+        return group(), irreps()
     raise ConstructionError(f"unknown built-in group {name!r}")

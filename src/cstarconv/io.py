@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -33,19 +34,20 @@ def _fail(path: str, message: str):
     raise SchemaError(f"at {path}: {message}")
 
 
+def _is_number(value) -> bool:
+    # the one rule for a JSON number; a JSON true is a Python int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_complex(value, path: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
-    ):
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_number, value)):
         _fail(path, f"expected a [re, im] pair, got {value!r}")
     return complex(_as_finite(value[0], path), _as_finite(value[1], path))
 
 
 def _as_int(value, path: str) -> int:
-    # int() would truncate 0.7 and parse "0", and a JSON true is a Python int
-    if isinstance(value, bool) or not isinstance(value, int):
+    # int() would truncate 0.7 and parse "0"
+    if not (_is_number(value) and isinstance(value, int)):
         _fail(path, f"expected an integer, got {value!r}")
     return value
 
@@ -84,15 +86,18 @@ def _as_complex_matrix(value, path: str) -> np.ndarray:
 def _decode_pairs(value: list) -> np.ndarray | None:
     """A well-formed matrix of ``[re, im]`` pairs in one ``np.array`` call.
 
-    ``None`` when the value is anything else (ragged, non-numeric, a wrong
-    pair length, non-finite, past float range), so that the per-entry walk
-    in :func:`_as_complex_matrix` reports it.
+    ``None`` when the value is anything else (ragged, non-numeric, a
+    boolean, a wrong pair length, non-finite, past float range), so that
+    the per-entry walk in :func:`_as_complex_matrix` reports it.
     """
     try:
         array = np.array(value)
     except (ValueError, OverflowError):
         return None
-    if array.dtype.kind not in "biuf" or array.ndim != 3 or array.shape[2] != 2:
+    if array.dtype.kind not in "iuf" or array.ndim != 3 or array.shape[2] != 2:
+        return None
+    # numpy reads a boolean beside numbers as 0 or 1; the type scan runs in C
+    if bool in set(map(type, chain.from_iterable(chain.from_iterable(value)))):
         return None
     pairs = np.ascontiguousarray(array, dtype=np.float64)
     if not np.isfinite(pairs).all():

@@ -248,6 +248,17 @@ def test_gns_rank_matches_gram_rank():
     assert cc.gns(m2, faithful).dimension == 4 == _gram_rank(m2, faithful)
 
 
+def test_gns_tolerance_gates_positivity_only():
+    """``tol`` decides positivity; the rank threshold stays fixed."""
+    m2 = cc.Algebra((2,))
+    faint = m2.functional([np.diag([1.0, 1e-6])])
+    assert cc.gns(m2, faint, tol=1e-3).dimension == 4 == cc.gns(m2, faint).dimension
+    slightly_negative = m2.functional([np.diag([1.0, -1e-11])])
+    assert cc.gns(m2, slightly_negative, tol=1e-9).dimension == 2
+    with pytest.raises(cc.PreconditionError):
+        cc.gns(m2, slightly_negative, tol=1e-12)
+
+
 def test_gns_character_is_one_dimensional():
     alg = cc.Algebra((1, 1))
     omega = alg.functional([[[1.0]], [[0.0]]])

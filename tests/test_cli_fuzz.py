@@ -1,9 +1,10 @@
 """Fuzz the CLI contract: every input ends in exit 0, 1 or 2, never an exception.
 
 The commands run in-process through ``cli.main`` on extreme or malformed
-``--times``, ``--tol``, ``--grid-max``, ``zn:`` names and generator files.
-``zn:`` orders are kept at most 8 so that each example stays small; one
-subprocess run checks that the interpreter prints no traceback.
+``--times``, ``--tol``, ``--grid-max``, group names, generator files and
+group-function files.  Group orders are kept at most 8 so that each example
+stays small; one subprocess run checks that the interpreter prints no
+traceback.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cstarconv as cc
 from cstarconv import cli
 
 # overflowing exponentials are part of the input space; they warn and fail checks
@@ -108,6 +110,51 @@ def evolve_input(draw):
     return name, text
 
 
+GROUP_NAME = st.one_of(
+    st.sampled_from(["s3", "d4", "q8", " S3"]),
+    st.integers(1, MAX_ORDER).map(lambda n: f"zn:{n}"),
+    st.sampled_from(["s4", "dual:s3", "zn:abc", "zn:0"]),
+)
+
+
+@st.composite
+def guichardet_input(draw):
+    """A group name and a group-function file for it.
+
+    Most files have one value per element of the named group: a
+    conditionally positive-definite ``rate * (delta_e - 1)`` of extreme
+    rate, perturbed at one element half of the time, or extreme values.
+    Otherwise they have the wrong count, a non-finite or boolean token, a
+    group reference of the wrong type or name, or no JSON at all.
+    """
+    name = draw(GROUP_NAME)
+    kind = draw(st.sampled_from(["kernel", "kernel", "kernel", "values", "tokens", "text"]))
+    if kind == "text":
+        return name, draw(st.text(max_size=40))
+    try:
+        group, _ = cc.builtin_group(name)
+        order, identity = group.order, group.identity
+    except cc.ConstructionError:
+        order, identity = draw(st.integers(0, 3)), 0
+    if kind == "values" or not order:
+        count = order if draw(st.booleans()) else draw(st.integers(0, 3))
+        values = [[draw(EXTREME_VALUE), draw(EXTREME_VALUE)] for _ in range(count)]
+    else:
+        rate = draw(EXTREME_VALUE.map(abs))
+        values = [[0.0 if g == identity else -rate, 0.0] for g in range(order)]
+        if draw(st.booleans()):
+            values[draw(st.integers(0, order - 1))][draw(st.integers(0, 1))] += draw(EXTREME_VALUE)
+    doc = {"values": values}
+    ref = draw(st.sampled_from([None, None, None, name, "s3", 5]))
+    if ref is not None:
+        doc["group"] = ref
+    text = json.dumps(doc)
+    if kind == "tokens":
+        token = draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "1" + "0" * 400, "true"]))
+        text = text.replace("0.0", token, 1)
+    return name, text
+
+
 def run_main(argv) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -155,6 +202,16 @@ def test_evolve_contract(case, times, tol, grid_max):
 @given(names=st.lists(ZN_NAME, min_size=1, max_size=2), tol=NUMBER_TEXT)
 def test_validate_contract(names, tol):
     assert_contract(*run_main([f"--tol={tol}", "validate", *names]))
+
+
+@FUZZ
+@given(case=guichardet_input(), tol=st.one_of(st.just("1e-9"), NUMBER_TEXT))
+def test_guichardet_contract(case, tol):
+    name, psi = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "psi.json"
+        path.write_text(psi)
+        assert_contract(*run_main([f"--tol={tol}", "guichardet", name, str(path)]))
 
 
 def test_extreme_evolve_prints_no_traceback(tmp_path):

@@ -384,6 +384,7 @@ def test_norm_bound_z2_closed_form(z2_functions, z2_rate_functional):
     bound = cc.norm_continuity_bound(z2_functions, z2_rate_functional, REFINED_GRID)
     assert abs(bound.c_hat - 1.0) < 1e-9
     assert bound.generator_norm == pytest.approx(2.0, abs=1e-12)
+    assert bound.residual == bound.generator_norm - 2.0 * bound.c_hat
     assert bound.satisfied
 
 

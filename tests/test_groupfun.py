@@ -323,6 +323,22 @@ def test_guichardet_via_gns_s3_sign(s3, s3_irreps):
     assert cc.is_positive_definite(s3, result.shifted_values, tol=1e-9)
 
 
+def test_guichardet_via_gns_gates_positivity_at_the_callers_tolerance(s3, s3_irreps):
+    """Both routes accept a function whose kernel certificate holds within ``tol``.
+
+    The compressed functional handed to GNS has a negative eigenvalue of
+    order 1e-11, inside the caller's tolerance.
+    """
+    tol = 1e-9
+    odd = cc.s3_sign() < 0
+    psi = np.where(np.arange(6) == s3.identity, 0.0, -1.0) + (1 / 3 + 1e-11) * odd
+    kernel_route = cc.guichardet_constant(s3, psi, tol)
+    assert kernel_route.passes(tol)
+    gns_route = cc.guichardet_via_gns(s3, s3_irreps, psi, tol)
+    assert abs(gns_route.constant - kernel_route.constant) <= tol
+    assert gns_route.function_deviation <= tol
+
+
 def test_guichardet_via_gns_zero(s3, s3_irreps):
     result = cc.guichardet_via_gns(s3, s3_irreps, np.zeros(6))
     assert result.constant == 0.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cstarconv as cc
+from cstarconv.groups import is_builtin_group
 
 
 @pytest.mark.parametrize("name", ["zn:1", "zn:2", "zn:5", "zn:12", "s3", "d4", "q8"])
@@ -12,6 +13,17 @@ def test_builtin_tables_are_groups(name):
     assert table.is_group
     irreps.validate(table)
     assert sum(d * d for d in irreps.dims) == table.order
+
+
+def test_fixture_names_are_the_resolvers_names():
+    """``is_builtin_group`` holds exactly where ``builtin_group`` knows the name
+    (a malformed ``zn:`` order is a fixture name with a bad order)."""
+    for name in ("s3", " D4 ", "Q8", "zn:5", "ZN:3", "zn:abc", "zn:0"):
+        assert is_builtin_group(name)
+    for name in ("s4", "dual:s3", "psi.json", "", "zn"):
+        assert not is_builtin_group(name)
+        with pytest.raises(cc.ConstructionError, match="unknown built-in group"):
+            cc.builtin_group(name)
 
 
 def test_s3_structure(s3):

@@ -100,7 +100,9 @@ def test_group_function_schema(tmp_path):
 # JSON matrix texts: (text, decoded in one np.array call)
 MATRIX_TEXTS = {
     "ints": ("[[[1, 2], [3, -4]], [[0, 0], [5, 6]]]", True),
-    "bools": ("[[[true, false], [1, 0.5]]]", True),
+    "bools": ("[[[true, false], [1, 0.5]]]", False),
+    "only-bools": ("[[[true, false]]]", False),
+    "bool-among-ints": ("[[[1, 2], [3, false]]]", False),
     "floats": ("[[[1.5, -0.0], [-0.0, 2.25e-300]], [[1e300, -1e-320], [0.1, 0.2]]]", True),
     "int-past-2^53": ("[[[9007199254740993, -9007199254740993]]]", True),
     "int-past-int64": ("[[[1180591620717411303424, 0]]]", False),
@@ -180,6 +182,17 @@ BROKEN_STRUCTURE_FILES = {
     "huge-table-entry": ("validate", _semigroup_doc(2, 0, [[0, 2**64], [1, 0]]), "$.table"),
     "float-irrep-dim": ("irreps", _s3_irrep_doc(1.0), "$.irreps[0].dim"),
     "bool-irrep-dim": ("irreps", _s3_irrep_doc(True), "$.irreps[0].dim"),
+    "bool-irrep-entry": (
+        "irreps", _irrep_doc([[[[1, 0]]]] * 5 + [[[[True, 0]]]]), "$.irreps[0].matrices[5][0][0]"
+    ),
+    "bool-delta-entry": (
+        "validate", {"blocks": [1]} | ONE_POINT | {"delta": [[[1, False]]]}, "$.delta[0][0]"
+    ),
+    "bool-epsilon-entry": (
+        "validate",
+        {"blocks": [1]} | ONE_POINT | {"epsilon": [[[[True, 0]]]]},
+        "$.epsilon[0][0][0]",
+    ),
     "no-blocks": ("validate", _bialgebra_doc([]), "$.blocks"),
     "no-irrep-matrices": ("irreps", _irrep_doc([]), "$.irreps[0].matrices"),
     "scalar-irrep-matrices": ("irreps", _irrep_doc(5), "$.irreps[0].matrices"),
@@ -210,6 +223,39 @@ def test_cli_rejects_broken_structure_files(tmp_path, capsys, kind, doc, where):
         psi = tmp_path / "psi.json"
         psi.write_text(json.dumps({"values": [[0.0, 0.0]] + [[-1.0, 0.0]] * 5}))
         argv = ["guichardet", str(group), str(psi), "--irreps", str(path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"error: at {where}:" in captured.err
+
+
+# (command, file, path in the message): a JSON boolean in a [re, im] pair was
+# read as 0 or 1 and ran with exit 0 or 1
+BOOLEAN_NUMBERS = {
+    "gamma-pair": (
+        "evolve", {"dual_blocks": [[[[True, False]]], [[[False, 0]]]]}, "$.dual_blocks[0][0][0]"
+    ),
+    "gamma-mixed": (
+        "evolve", {"dual_blocks": [[[[True, 0.5]]], [[[-1, 0]]]]}, "$.dual_blocks[0][0][0]"
+    ),
+    "psi-value": (
+        "guichardet", {"values": [[0, 0], [True, 0]] + [[-1, 0]] * 4}, "$.values[1]"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc, where", BOOLEAN_NUMBERS.values(), ids=BOOLEAN_NUMBERS.keys()
+)
+def test_cli_rejects_boolean_numbers(tmp_path, capsys, command, doc, where):
+    from cstarconv import cli
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    argv = {
+        "evolve": ["evolve", "zn:2", str(path)],
+        "guichardet": ["guichardet", "s3", str(path)],
+    }[command]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
@@ -377,6 +423,20 @@ def test_cli_guichardet_s3_sign(tmp_path):
     assert report["constant"] == 1.0
     assert report["gns"]["constant"] == 1.0
     assert report["pass"] is True
+
+
+def test_cli_guichardet_gns_route_uses_the_tolerance(tmp_path):
+    """The GNS positivity gate is the command's ``--tol``, as on the kernel route."""
+    psi_path = tmp_path / "psi.json"
+    odd = cc.s3_sign() < 0
+    psi = np.where(np.arange(6) == cc.s3_group().identity, 0.0, -1.0) + (1 / 3 + 1e-11) * odd
+    psi_path.write_text(json.dumps({"group": "s3", "values": [[v, 0.0] for v in psi]}))
+    result = run_cli("guichardet", "s3", str(psi_path))
+    assert result.returncode == 0, result.stdout
+    report = json.loads(result.stdout)
+    assert "precondition_failures" not in report
+    agreement = next(c for c in report["checks"] if c["name"] == "gns_constant_agreement")
+    assert agreement["pass"] is True
 
 
 def test_cli_guichardet_rejects_nonvanishing(tmp_path):

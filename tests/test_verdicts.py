@@ -7,6 +7,7 @@ Choi matrices are not Hermitian although their smallest Choi eigenvalue is
 nonnegative.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -147,3 +148,37 @@ def test_evolve_choi_check_fails_on_a_hermitian_defect(repro_dir, monkeypatch):
     assert choi["residual"] > 0.3 and choi["pass"] is False
     assert min(out["times"][0]["choi_min_eigenvalues"]) == choi["residual"]
     assert code == 1
+
+
+def _report_key_writers() -> dict[str, set[str | None]]:
+    """Innermost enclosing function (``None`` at module level) of every write
+    of each key in ``cli.py``: dict literal, keyword or subscript assignment."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    writers: dict[str, set[str | None]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys = [k.value for k in node.keys if isinstance(k, ast.Constant)]
+        elif isinstance(node, ast.keyword):
+            keys = [node.arg]
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            keys = [node.slice.value] if isinstance(node.slice, ast.Constant) else []
+        else:
+            continue
+        scope = node
+        while scope in parents and not isinstance(scope, ast.FunctionDef):
+            scope = parents[scope]
+        for key in keys:
+            writers.setdefault(key, set()).add(getattr(scope, "name", None))
+    return writers
+
+
+def test_report_frame_and_check_entries_have_one_builder_each():
+    """``_report`` alone writes a report's header and verdict; ``_check`` alone
+    builds a check entry."""
+    writers = _report_key_writers()
+    assert writers["command"] == {"_report"}
+    assert writers["seed"] == {"_report"}
+    assert writers["pass"] == {"_report", "_check"}
+    assert writers["tolerance"] == {"_report", "_check"}
+    assert writers["residual"] == {"_check"}
