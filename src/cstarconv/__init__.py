@@ -25,6 +25,7 @@ from .algebra import (
     element_norm,
     functional_norm,
     functional_norm_witness,
+    functional_norms,
     gns,
     hermitian_spectrum,
     is_positive,

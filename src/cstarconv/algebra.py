@@ -368,26 +368,42 @@ def functional_norm(mu: Functional) -> float:
     ``sup { |mu(a)| : element_norm(a) <= 1 }``; the supremum is attained by
     :func:`functional_norm_witness`.  ``nan`` if a coordinate is not finite.
     """
-    if not np.isfinite(mu.dual).all():
-        return float("nan")
-    traces = np.empty(len(mu.algebra.blocks))
-    for pos, rho in _block_stacks(mu.algebra, mu.dual, dual=True):
-        traces[pos] = np.linalg.svd(rho, compute_uv=False).sum(axis=-1)
-    # summed in block order, so the value does not depend on the batching
-    return float(sum(traces.tolist()))
+    return float(functional_norms(mu.algebra, mu.dual))
+
+
+def functional_norms(algebra: Algebra, duals) -> np.ndarray:
+    """:func:`functional_norm` of each dual vector in a ``(..., dim)`` stack.
+
+    One batched SVD per block size above 1; the trace norm of a 1x1 block is
+    its modulus.  A vector with a non-finite coordinate gets ``nan``; it is
+    zeroed before the SVD, which would fail on it.
+    """
+    duals = np.asarray(duals)
+    finite = np.isfinite(duals).all(axis=-1)
+    duals = np.where(finite[..., None], duals, 0.0)
+    traces = np.empty(duals.shape[:-1] + (len(algebra.blocks),))
+    for pos, rho in _block_stacks(algebra, duals, dual=True):
+        if rho.shape[-1] == 1:
+            traces[..., pos] = np.abs(rho[..., 0, 0])
+        else:
+            traces[..., pos] = np.linalg.svd(rho, compute_uv=False).sum(axis=-1)
+    # summed in block order (cumsum adds in sequence), so that a norm does
+    # not depend on the batching
+    return np.where(finite, np.cumsum(traces, axis=-1)[..., -1], np.nan)
 
 
 def _block_stacks(algebra: Algebra, vector: np.ndarray, dual: bool = False):
-    """The blocks of a coordinate vector, one stack per distinct block size.
+    """The blocks of coordinate vectors, one stack per distinct block size.
 
-    Yields ``(positions, mats)`` for each block size ``n``: ``positions``
-    index ``algebra.blocks`` and ``mats`` has shape ``(len(positions), n, n)``.
-    With ``dual`` the blocks are read as the dual matrices ``rho_i``, the
-    transposes of the row-major slices.
+    ``vector`` has shape ``(..., dim)``.  Yields ``(positions, mats)`` for
+    each block size ``n``: ``positions`` index ``algebra.blocks`` and
+    ``mats`` has shape ``(..., len(positions), n, n)``.  With ``dual`` the
+    blocks are read as the dual matrices ``rho_i``, the transposes of the
+    row-major slices.
     """
     for n, pos, idx in algebra.blocks_by_size:
-        mats = vector[idx].reshape(-1, n, n)
-        yield pos, (mats.transpose(0, 2, 1) if dual else mats)
+        mats = vector[..., idx].reshape(vector.shape[:-1] + (len(pos), n, n))
+        yield pos, (mats.swapaxes(-1, -2) if dual else mats)
 
 
 def functional_norm_witness(algebra: Algebra, mu: Functional) -> Element:

@@ -164,10 +164,35 @@ class Bialgebra:
         return out
 
     def convolve(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Dual vector of the convolution of the functionals with dual vectors ``x``, ``y``."""
-        if self._table is None:
-            return np.einsum("k,j,kjl->l", x, y, self.structure_tensor)
-        return x @ self.right_matrix(y)
+        """Dual vectors of the convolutions of functionals with dual vectors ``x``, ``y``.
+
+        ``x`` and ``y`` are stacks of shape ``(..., dim)`` with broadcastable
+        leading axes; entry ``l`` of a result is ``sum_kj x[k] y[j] T[k, j, l]``.
+        The stacks run in chunks of vectors whose temporaries hold about
+        ``_CHUNK`` entries.  On the dense kernel a chunk is one GEMM
+        ``x @ T.reshape(dim, dim**2)`` and one batched contraction with ``y``;
+        on the table kernel it is one ``bincount`` that scatters
+        ``x[s, k] y[s, j]`` of vector ``s`` to ``s * dim + f[k, j]``.
+        """
+        dim = self.algebra.dim
+        x, y = np.asarray(x), np.asarray(y)
+        batch = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+        x = np.broadcast_to(x, batch + (dim,)).reshape(-1, dim)
+        y = np.broadcast_to(y, batch + (dim,)).reshape(-1, dim)
+        out = np.empty(x.shape, dtype=np.complex128)
+        f = self._table
+        for rows in _chunks(len(out), dim * dim):
+            if f is None:
+                left = x[rows] @ self.structure_tensor.reshape(dim, dim * dim)
+                out[rows] = np.einsum("sj,sjl->sl", y[rows], left.reshape(-1, dim, dim))
+            else:
+                count = rows.stop - rows.start
+                index = (np.arange(count)[:, None, None] * dim + f).ravel()
+                weights = (x[rows, :, None] * y[rows, None, :]).ravel()
+                part = out[rows]
+                part.real = np.bincount(index, weights.real, count * dim).reshape(count, dim)
+                part.imag = np.bincount(index, weights.imag, count * dim).reshape(count, dim)
+        return out.reshape(batch + (dim,))
 
     def invariance_residual(self, matrix: np.ndarray) -> float:
         """``max |T[k] @ matrix - matrix @ T[k]|`` over all ``k``.

@@ -22,11 +22,12 @@ import hashlib
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .algebra import functional_norm, state_check
+from .algebra import functional_norm, functional_norms, state_check
 from .bialgebra import (
     Bialgebra,
     function_bialgebra,
@@ -35,15 +36,14 @@ from .bialgebra import (
 )
 from .convolution import (
     continuity_moduli,
-    convolve,
     generating_functional,
     norm_continuity_bound,
 )
 from .errors import ConstructionError, PreconditionError, SchemaError
-from .groups import builtin_group, is_builtin_group
+from .groups import builtin_group, builtin_name
 from . import io as io_schemas
 from .groupfun import guichardet_constant, guichardet_via_gns
-from .sampling import random_functional
+from .sampling import random_duals
 from .semigroup import (
     associated_semigroup,
     commutation_residual,
@@ -107,15 +107,11 @@ def _complex_pair(z: complex) -> list[float]:
 
 
 def _digest(source: str) -> dict:
-    if _is_builtin(source):
+    if builtin_name(source) is not None:
         payload = f"builtin:{source}".encode()
     else:
         payload = Path(source).read_bytes()
     return {"source": source, "sha256": hashlib.sha256(payload).hexdigest()}
-
-
-def _is_builtin(name: str) -> bool:
-    return is_builtin_group(name.strip().lower().removeprefix("dual:"))
 
 
 def _check(name: str, residual: float, tol: float, verdict: bool | None = None) -> dict:
@@ -160,28 +156,20 @@ SMOKE_SAMPLES = 20  # random functional triples per bialgebra
 
 
 def _smoke_checks(label: str, b: Bialgebra, rng, tol: float) -> list[dict]:
-    # np.max at the end, so that a nan sample fails its check
-    assoc = [0.0]
-    unital = [0.0]
-    submult = [0.0]
-    eps = b.epsilon
-    for _ in range(SMOKE_SAMPLES):
-        lam = random_functional(b.algebra, rng)
-        mu = random_functional(b.algebra, rng)
-        nu = random_functional(b.algebra, rng)
-        left = convolve(b, convolve(b, lam, mu), nu)
-        right = convolve(b, lam, convolve(b, mu, nu))
-        assoc.append(functional_norm(left - right))
-        unital.append(functional_norm(convolve(b, eps, mu) - mu))
-        unital.append(functional_norm(convolve(b, mu, eps) - mu))
-        submult.append(
-            functional_norm(convolve(b, lam, mu))
-            - functional_norm(lam) * functional_norm(mu)
-        )
+    # sample s is the triple (lam[s], mu[s], nu[s]), drawn in that order; a
+    # check's residual is the max over the samples and 0, nan if a sample's is
+    draws = random_duals(b.algebra, rng, 3 * SMOKE_SAMPLES)
+    lam, mu, nu = draws.reshape(SMOKE_SAMPLES, 3, -1).swapaxes(0, 1)
+    conv, eps, norm = b.convolve, b.counit_coords, partial(functional_norms, b.algebra)
+    lam_mu = conv(lam, mu)
+    residuals = {
+        "associativity": norm(conv(lam_mu, nu) - conv(lam, conv(mu, nu))),
+        "unit": [norm(conv(eps, mu) - mu), norm(conv(mu, eps) - mu)],
+        "submultiplicative": norm(lam_mu) - norm(lam) * norm(mu),
+    }
     return [
-        _check(f"{label}:convolution_associativity[sample]", np.max(assoc), tol),
-        _check(f"{label}:convolution_unit[sample]", np.max(unital), tol),
-        _check(f"{label}:convolution_submultiplicative[sample]", np.max(submult), tol),
+        _check(f"{label}:convolution_{name}[sample]", np.max(r, initial=0.0), tol)
+        for name, r in residuals.items()
     ]
 
 
@@ -189,8 +177,8 @@ def _resolve_validate_targets(paths: list[str]) -> list[tuple[str, Bialgebra]]:
     targets = []
     last_group = None
     for path in paths:
-        if _is_builtin(path):
-            table, irreps = builtin_group(path)
+        if builtin_name(path) is not None:
+            table, irreps = builtin_group(path)  # refuses the dual: prefix
             targets.append((f"functions[{path}]", function_bialgebra(table)))
             targets.append((f"group_cstar[{path}]", group_cstar_bialgebra(table, irreps)))
             last_group = (path, table)
@@ -233,9 +221,9 @@ def cmd_validate(args) -> tuple[dict, int]:
 
 
 def _resolve_bialgebra(ref: str) -> Bialgebra:
-    dual = ref.startswith("dual:")
-    name = ref[5:] if dual else ref
-    if _is_builtin(name):
+    builtin = builtin_name(ref)
+    if builtin is not None:
+        name, dual = builtin
         table, irreps = builtin_group(name)
         return group_cstar_bialgebra(table, irreps) if dual else function_bialgebra(table)
     data = io_schemas.load_document(ref)
@@ -333,17 +321,19 @@ def cmd_evolve(args) -> tuple[dict, int]:
 
 def cmd_guichardet(args) -> tuple[dict, int]:
     tol = args.tol
-    if _is_builtin(args.group):
-        table, irreps = builtin_group(args.group)
+    builtin = builtin_name(args.group) is not None
+    if builtin:
+        if args.irreps:
+            raise SchemaError(
+                f"--irreps applies to a group file; built-in group {args.group!r} "
+                "carries its irreps"
+            )
+        table, irreps = builtin_group(args.group)  # refuses the dual: prefix
     else:
         table = io_schemas.load_semigroup(args.group)
         irreps = io_schemas.load_irreps(args.irreps) if args.irreps else None
     ref, values = io_schemas.load_group_function(args.psi)
-    if (
-        ref is not None
-        and _is_builtin(args.group)
-        and ref.strip().lower() != args.group.strip().lower()
-    ):
+    if ref is not None and builtin and ref.strip().lower() != args.group.strip().lower():
         raise SchemaError(
             f"at $.group: function file names group {ref!r}, command got {args.group!r}"
         )
@@ -351,9 +341,7 @@ def cmd_guichardet(args) -> tuple[dict, int]:
         raise SchemaError(
             f"at $.values: expected {table.order} values, got {values.shape[0]}"
         )
-    sources = [args.group, args.psi]
-    if not _is_builtin(args.group) and args.irreps:
-        sources.append(args.irreps)
+    sources = [args.group, args.psi] + ([args.irreps] if args.irreps else [])
     try:
         cert = guichardet_constant(table, values, tol)
         via_gns = (

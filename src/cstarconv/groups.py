@@ -300,6 +300,26 @@ def is_builtin_group(name: str) -> bool:
     return key.startswith("zn:") or key in _NAMED_GROUPS
 
 
+def builtin_name(name: str) -> tuple[str, bool] | None:
+    """``(fixture name, dual)`` for a built-in name, ``None`` for a file path.
+
+    A built-in name is a fixture name, optionally after the prefix ``dual:``
+    (the group C*-algebra rather than the functions); the prefix is read
+    with the fixture name's stripping and case folding.
+
+    Raises
+    ------
+    ConstructionError
+        If ``name`` is blank, which names neither a fixture nor a file.
+    """
+    key = name.strip().lower()
+    if not key:
+        raise ConstructionError(f"empty group name {name!r}")
+    dual = key.startswith("dual:")
+    key = key.removeprefix("dual:").strip()
+    return (key, dual) if is_builtin_group(key) else None
+
+
 def builtin_group(name: str) -> tuple[SemigroupTable, IrrepTable]:
     """Resolve a fixture name: ``zn:<n>``, ``s3``, ``d4`` or ``q8``."""
     key = name.strip().lower()

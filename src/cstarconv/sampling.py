@@ -12,21 +12,46 @@ from .algebra import Algebra, Element, Functional, functional_norm
 from .bialgebra import Bialgebra, discrete_type_decomposition
 
 
-def _gaussian_blocks(algebra: Algebra, rng: np.random.Generator) -> list[np.ndarray]:
-    return [
-        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        for n in algebra.blocks
-    ]
+def _gaussian_coords(
+    algebra: Algebra, rng: np.random.Generator, count: int, dual: bool
+) -> np.ndarray:
+    """``(count, dim)`` standard complex Gaussian coordinates from one draw.
+
+    Each row takes ``2 * dim`` values in turn, per block the ``n * n`` real
+    parts and then the ``n * n`` imaginary parts of its matrix, row-major.
+    One draw of ``count`` rows thus gives the same numbers, and leaves the
+    generator in the same state, as ``count`` draws of one row.  With
+    ``dual`` the matrices are read as dual blocks ``rho_i``, whose transposes
+    fill the dual vector.
+    """
+    draw = rng.standard_normal((count, 2 * algebra.dim))
+    out = np.empty((count, algebra.dim), dtype=np.complex128)
+    for n, _, idx in algebra.blocks_by_size:
+        # block i fills coordinates off_i + r and takes draws 2 off_i + r (real)
+        # and 2 off_i + n * n + r (imaginary)
+        real = idx + idx[:, :1]
+        mats = (draw[:, real] + 1j * draw[:, real + n * n]).reshape(count, -1, n, n)
+        out[:, idx] = (mats.swapaxes(-1, -2) if dual else mats).reshape(count, -1, n * n)
+    return out
 
 
 def random_element(algebra: Algebra, rng: np.random.Generator) -> Element:
     """Element with independent standard complex Gaussian entries."""
-    return algebra.element(_gaussian_blocks(algebra, rng))
+    return algebra.from_coords(_gaussian_coords(algebra, rng, 1, dual=False))
+
+
+def random_duals(algebra: Algebra, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Dual vectors, shape ``(count, dim)``, of ``count`` random functionals.
+
+    They are the functionals that ``count`` calls of :func:`random_functional`
+    would return, in order, drawn in one call of the generator.
+    """
+    return _gaussian_coords(algebra, rng, count, dual=True)
 
 
 def random_functional(algebra: Algebra, rng: np.random.Generator) -> Functional:
     """Functional with independent standard complex Gaussian dual entries."""
-    return algebra.functional(_gaussian_blocks(algebra, rng))
+    return algebra.functional_from_dual_coords(random_duals(algebra, rng, 1))
 
 
 def random_state(algebra: Algebra, rng: np.random.Generator) -> Functional:

@@ -331,11 +331,14 @@ def test_batched_norms_equal_per_block_loop(rng):
         a = random_element(alg, rng)
         mu = random_functional(alg, rng)
         per_block_norm = max(float(np.linalg.svd(b, compute_uv=False)[0]) for b in a.blocks)
+        traces = [np.linalg.svd(r, compute_uv=False).sum() for r in mu.dual_blocks]
+        # the trace norm of a 1x1 block is taken as its modulus
         per_block_dual = float(
-            sum(np.linalg.svd(r, compute_uv=False).sum() for r in mu.dual_blocks)
+            sum(np.abs(r)[0, 0] if r.shape == (1, 1) else t for r, t in zip(mu.dual_blocks, traces))
         )
         assert np.array_equal(cc.element_norm(alg, a), per_block_norm)
         assert np.array_equal(cc.functional_norm(mu), per_block_dual)
+        assert cc.functional_norm(mu) == pytest.approx(float(sum(traces)), rel=1e-15)
 
 
 def _loop_mixing_permutation(blocks1, blocks2):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cstarconv as cc
-from cstarconv.groups import is_builtin_group
+from cstarconv.groups import builtin_name, is_builtin_group
 
 
 @pytest.mark.parametrize("name", ["zn:1", "zn:2", "zn:5", "zn:12", "s3", "d4", "q8"])
@@ -24,6 +24,20 @@ def test_fixture_names_are_the_resolvers_names():
         assert not is_builtin_group(name)
         with pytest.raises(cc.ConstructionError, match="unknown built-in group"):
             cc.builtin_group(name)
+
+
+def test_builtin_names_read_the_dual_prefix_like_fixture_names():
+    """One rule for every command: ``(fixture name, dual)``, or None for a path."""
+    for name in ("s3", " S3", "zn:4", "ZN:4 "):
+        assert builtin_name(name) == (name.strip().lower(), False)
+    for name in ("dual:s3", "DUAL:s3", " dual:s3", "Dual:S3", "dual: s3"):
+        assert builtin_name(name) == ("s3", True)
+    assert builtin_name("dual:zn:abc") == ("zn:abc", True)  # a fixture name with a bad order
+    for name in ("psi.json", "dual:psi.json", "dual:", "s4", "dual:dual:s3"):
+        assert builtin_name(name) is None
+    for name in ("", "  "):
+        with pytest.raises(cc.ConstructionError, match="empty group name"):
+            builtin_name(name)
 
 
 def test_s3_structure(s3):

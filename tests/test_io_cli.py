@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -487,6 +488,54 @@ def test_cli_guichardet_value_count_mismatch(tmp_path):
     psi_path.write_text(json.dumps({"group": "s3", "values": [[0.0, 0.0]] * 4}))
     result = run_cli("guichardet", "s3", str(psi_path))
     assert result.returncode == 2
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["DUAL:s3", " dual:s3", "Dual:S3", "dual: s3 "])
+def test_cli_reads_the_dual_prefix_like_a_fixture_name(name, capsys):
+    """The dual: prefix is stripped and case-folded as fixture names are."""
+    from cstarconv import cli
+
+    gamma = str(GOLDEN / "gamma_dual_s3.json")
+    assert cli.main(["evolve", "dual:s3", gamma]) == 0
+    want = json.loads(capsys.readouterr().out)
+    assert cli.main(["evolve", name, gamma]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["inputs"][0]["source"] == name
+    got["inputs"], want["inputs"] = got["inputs"][1:], want["inputs"][1:]
+    assert got == want
+
+
+def test_cli_guichardet_refuses_irreps_for_a_builtin_group(tmp_path, capsys):
+    """A built-in group carries its irreps: --irreps is refused, not ignored."""
+    from cstarconv import cli
+
+    missing = tmp_path / "nonexistent.json"
+    argv = ["guichardet", "s3", str(GOLDEN / "psi_s3.json"), "--irreps", str(missing)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--irreps" in captured.err and "'s3'" in captured.err
+
+
+EMPTY_NAMES = {
+    "guichardet": ["guichardet", "", "{psi}"],
+    "evolve": ["evolve", " ", "{gamma}"],
+    "validate": ["validate", "zn:2", ""],
+}
+
+
+@pytest.mark.parametrize("argv", EMPTY_NAMES.values(), ids=EMPTY_NAMES.keys())
+def test_cli_names_an_empty_group_name(argv, capsys):
+    """A blank name is refused as such, not read as the directory '.'."""
+    from cstarconv import cli
+
+    inputs = {"psi": GOLDEN / "psi_s3.json", "gamma": GOLDEN / "gamma_zn2.json"}
+    assert cli.main([arg.format(**inputs) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "empty group name" in err and "Errno" not in err
 
 
 def test_cli_text_format(tmp_path):
