@@ -24,20 +24,14 @@ from .algebra import (
     StateCheck,
     element_norm,
     functional_norm,
-    functional_norm_witness,
     functional_norms,
     gns,
     hermitian_spectrum,
-    is_positive,
     is_positive_functional,
-    is_state,
     left_multiplication_matrix,
     mixing_permutation,
-    right_multiplication_matrix,
     state_check,
     tensor_algebra,
-    tensor_element,
-    tensor_functional,
 )
 from .bialgebra import (
     Bialgebra,
@@ -48,11 +42,11 @@ from .bialgebra import (
     fourier_matrices,
     group_cstar_bialgebra,
     is_cocommutative,
-    is_commutative,
     validate_bialgebra,
 )
 from .convolution import (
     SCHOENBERG_GRID,
+    AssociatedSemigroup,
     GeneratingFunctional,
     NormContinuityBound,
     continuity_moduli,
@@ -92,13 +86,10 @@ from .groupfun import (
     is_positive_definite,
     is_probability,
     kernel_matrix,
-    measure_functional,
     schoenberg_exp,
-    translation_unitary,
 )
-from .maps import LinearMap, tensor_flip, tensor_map
+from .maps import LinearMap
 from .semigroup import (
-    AssociatedSemigroup,
     CompletePositivityReport,
     associated_semigroup,
     commutation_residual,

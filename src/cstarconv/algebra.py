@@ -365,8 +365,8 @@ def functional_norm(mu: Functional) -> float:
     """Dual norm of a functional: the sum of per-block trace norms.
 
     This is the norm dual to the block operator norm, and agrees with
-    ``sup { |mu(a)| : element_norm(a) <= 1 }``; the supremum is attained by
-    :func:`functional_norm_witness`.  ``nan`` if a coordinate is not finite.
+    ``sup { |mu(a)| : element_norm(a) <= 1 }``.  ``nan`` if a coordinate is
+    not finite.
     """
     return float(functional_norms(mu.algebra, mu.dual))
 
@@ -404,39 +404,6 @@ def _block_stacks(algebra: Algebra, vector: np.ndarray, dual: bool = False):
     for n, pos, idx in algebra.blocks_by_size:
         mats = vector[..., idx].reshape(vector.shape[:-1] + (len(pos), n, n))
         yield pos, (mats.swapaxes(-1, -2) if dual else mats)
-
-
-def functional_norm_witness(algebra: Algebra, mu: Functional) -> Element:
-    """A norm-one element ``a`` with ``mu(a) == functional_norm(mu)``.
-
-    Per block the witness is the adjoint of the polar unitary of the dual
-    matrix: with ``rho = U S Vh`` it is ``(V @ Uh)``, so that
-    ``trace(rho @ a) = trace(S)``.
-    """
-    algebra._require(mu)
-    mats = []
-    for rho in mu.dual_blocks:
-        u, _, vh = np.linalg.svd(rho)
-        mats.append(vh.conj().T @ u.conj().T)
-    return algebra.element(mats)
-
-
-def is_positive(algebra: Algebra, a: Element, tol: float = DEFAULT_TOL) -> bool:
-    """Whether a Hermitian element is positive semidefinite within tol.
-
-    Raises
-    ------
-    PreconditionError
-        If some block of ``a`` is not Hermitian within ``tol``.
-    """
-    algebra._require(a)
-    spectra = [hermitian_spectrum(mats) for _, mats in _block_stacks(algebra, a.coords)]
-    defect = max(float(defects.max()) for defects, _ in spectra)
-    if defect > tol:
-        raise PreconditionError(
-            f"element is not Hermitian within {tol} (defect {defect:.3e})"
-        )
-    return all(bool(np.all(psd_within(*spectrum, tol))) for spectrum in spectra)
 
 
 def is_positive_functional(mu: Functional, tol: float = DEFAULT_TOL) -> bool:
@@ -505,10 +472,6 @@ def _dual_block_spectra(mu: Functional) -> tuple[np.ndarray, np.ndarray, np.ndar
     return defects, min_eigs, traces
 
 
-def is_state(mu: Functional, tol: float = DEFAULT_TOL) -> bool:
-    return state_check(mu).is_state(tol)
-
-
 # ---------------------------------------------------------------------------
 # Tensor products (finite-dimensional minimal tensor product)
 # ---------------------------------------------------------------------------
@@ -547,22 +510,6 @@ def mixing_permutation(a1: Algebra, a2: Algebra) -> np.ndarray:
     the canonical matrix-unit coordinates of :func:`tensor_algebra`.
     """
     return _mixing_permutation(a1.blocks, a2.blocks)
-
-
-def tensor_element(a: Element, b: Element) -> Element:
-    """Elementary tensor of two elements, block-pairwise Kronecker products.
-
-    The convention is ``(X (x) Y)[(r1, r2), (s1, s2)] = X[r1, s1] * Y[r2, s2]``,
-    i.e. exactly ``numpy.kron`` per block pair.
-    """
-    perm = mixing_permutation(a.algebra, b.algebra)
-    return Element(tensor_algebra(a.algebra, b.algebra), np.kron(a.coords, b.coords)[perm])
-
-
-def tensor_functional(mu: Functional, nu: Functional) -> Functional:
-    """Product functional with ``(mu (x) nu)(a (x) b) = mu(a) * nu(b)``."""
-    perm = mixing_permutation(mu.algebra, nu.algebra)
-    return Functional(tensor_algebra(mu.algebra, nu.algebra), np.kron(mu.dual, nu.dual)[perm])
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +552,6 @@ def left_multiplication_matrix(algebra: Algebra, a: Element) -> np.ndarray:
     """Coordinate matrix of ``b -> a * b``."""
     algebra._require(a)
     return algebra.multiply(a.coords, np.eye(algebra.dim)).T
-
-
-def right_multiplication_matrix(algebra: Algebra, a: Element) -> np.ndarray:
-    """Coordinate matrix of ``b -> b * a``."""
-    algebra._require(a)
-    return algebra.multiply(np.eye(algebra.dim), a.coords).T
 
 
 def gns(algebra: Algebra, omega: Functional, tol: float = DEFAULT_TOL) -> GNSData:

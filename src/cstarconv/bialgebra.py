@@ -35,7 +35,15 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import Algebra, Element, Functional, mixing_permutation, psd_within, tensor_algebra
+from .algebra import (
+    DEFAULT_TOL,
+    Algebra,
+    Element,
+    Functional,
+    mixing_permutation,
+    psd_within,
+    tensor_algebra,
+)
 from .errors import ConstructionError, ShapeError
 from .groups import IrrepTable, SemigroupTable
 from .maps import LinearMap
@@ -318,7 +326,7 @@ class ValidationReport:
         return float(np.max(vals))
 
 
-def validate_bialgebra(b: Bialgebra, tol: float = 1e-10) -> ValidationReport:
+def validate_bialgebra(b: Bialgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Measure all bialgebra axioms and return their residuals.
 
     Coassociativity and the counit laws are identities on the structure
@@ -483,11 +491,6 @@ def discrete_type_decomposition(b: Bialgebra) -> DiscreteDecomposition:
     return DiscreteDecomposition(carrier, omega, alg.unit() - omega)
 
 
-def is_commutative(b: Bialgebra) -> bool:
-    """True when the algebra is commutative, i.e. all blocks are 1x1."""
-    return all(n == 1 for n in b.algebra.blocks)
-
-
-def is_cocommutative(b: Bialgebra, tol: float = 1e-10) -> bool:
+def is_cocommutative(b: Bialgebra, tol: float = DEFAULT_TOL) -> bool:
     """Whether the coproduct is invariant under the tensor flip."""
     return b.cocommutativity_residual() <= tol

@@ -106,8 +106,8 @@ def _complex_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _digest(source: str) -> dict:
-    if builtin_name(source) is not None:
+def _digest(source: str, may_be_builtin: bool) -> dict:
+    if may_be_builtin and builtin_name(source) is not None:
         payload = f"builtin:{source}".encode()
     else:
         payload = Path(source).read_bytes()
@@ -129,15 +129,19 @@ def _check(name: str, residual: float, tol: float, verdict: bool | None = None) 
     }
 
 
-def _report(args, sources: list, body: dict, checks: list, valid: bool = True) -> tuple[dict, int]:
+def _report(
+    args, refs: list, files: list, body: dict, checks: list, valid: bool = True
+) -> tuple[dict, int]:
     """Header, body, checks and verdict of every report, with its exit code.
 
-    ``pass`` holds when every check passes and ``valid`` does; the code is 0
-    exactly then.  Non-finite body numbers (their checks fail) print as null.
+    ``inputs`` digests the group or bialgebra arguments ``refs`` (built-in
+    names among them by name), then the ``files``.  ``pass`` holds when every
+    check passes and ``valid`` does; the code is 0 exactly then.  Non-finite
+    body numbers (their checks fail) print as null.
     """
     ok = all(c["pass"] for c in checks) and valid
     report = {"command": args.subcommand, "seed": args.seed, "tolerance": args.tol}
-    report["inputs"] = [_digest(source) for source in sources]
+    report["inputs"] = [_digest(s, True) for s in refs] + [_digest(s, False) for s in files]
     return report | _nonfinite_to_null(body) | {"checks": checks, "pass": ok}, 0 if ok else 1
 
 
@@ -217,7 +221,7 @@ def cmd_validate(args) -> tuple[dict, int]:
             for name, residual, ok in validate_bialgebra(b, tol).checks(tol)
         )
         checks.extend(_smoke_checks(label, b, rng, tol))
-    return _report(args, args.specs, {}, checks)
+    return _report(args, args.specs, [], {}, checks)
 
 
 def _resolve_bialgebra(ref: str) -> Bialgebra:
@@ -316,14 +320,14 @@ def cmd_evolve(args) -> tuple[dict, int]:
         checks.append(_check(f"strong_invariance[{tag}]", invariance, tol))
         checks.append(_check(f"weak_invariance[{tag}]", weak, tol))
     body["times"] = entries
-    return _report(args, [args.bialgebra, args.gamma], body, checks, diag.valid)
+    return _report(args, [args.bialgebra], [args.gamma], body, checks, diag.valid)
 
 
 def cmd_guichardet(args) -> tuple[dict, int]:
     tol = args.tol
     builtin = builtin_name(args.group) is not None
     if builtin:
-        if args.irreps:
+        if args.irreps is not None:
             raise SchemaError(
                 f"--irreps applies to a group file; built-in group {args.group!r} "
                 "carries its irreps"
@@ -331,7 +335,7 @@ def cmd_guichardet(args) -> tuple[dict, int]:
         table, irreps = builtin_group(args.group)  # refuses the dual: prefix
     else:
         table = io_schemas.load_semigroup(args.group)
-        irreps = io_schemas.load_irreps(args.irreps) if args.irreps else None
+        irreps = io_schemas.load_irreps(args.irreps) if args.irreps is not None else None
     ref, values = io_schemas.load_group_function(args.psi)
     if ref is not None and builtin and ref.strip().lower() != args.group.strip().lower():
         raise SchemaError(
@@ -341,7 +345,7 @@ def cmd_guichardet(args) -> tuple[dict, int]:
         raise SchemaError(
             f"at $.values: expected {table.order} values, got {values.shape[0]}"
         )
-    sources = [args.group, args.psi] + ([args.irreps] if args.irreps else [])
+    files = [args.psi] + ([args.irreps] if args.irreps is not None else [])
     try:
         cert = guichardet_constant(table, values, tol)
         via_gns = (
@@ -349,7 +353,7 @@ def cmd_guichardet(args) -> tuple[dict, int]:
         )
     except PreconditionError as exc:
         body = {"precondition_failures": str(exc).split("; ")}
-        return _report(args, sources, body, [_check("preconditions", np.nan, tol)])
+        return _report(args, [args.group], files, body, [_check("preconditions", np.nan, tol)])
     body = {
         "constant": cert.constant,
         "shifted_values": [_complex_pair(v) for v in cert.shifted_values],
@@ -372,7 +376,7 @@ def cmd_guichardet(args) -> tuple[dict, int]:
             _check("gns_constant_agreement", abs(cert.constant - via_gns.constant), tol)
         )
         checks.append(_check("gns_function_agreement", via_gns.function_deviation, tol))
-    return _report(args, sources, body, checks)
+    return _report(args, [args.group], files, body, checks)
 
 
 def _times_list(text: str) -> list[float]:

@@ -21,7 +21,6 @@ import numpy as np
 from .algebra import (
     DEFAULT_TOL,
     Algebra,
-    Element,
     Functional,
     GNSData,
     gns,
@@ -189,15 +188,6 @@ def guichardet_constant(
 # ---------------------------------------------------------------------------
 
 
-def translation_unitary(irreps: IrrepTable, g: int) -> Element:
-    """The element ``(+)_pi pi(g)`` of the group C*-algebra.
-
-    Its coordinates are column ``g`` of the ``lam`` matrix of
-    :func:`fourier_matrices`.
-    """
-    return Algebra(irreps.dims).from_coords(irreps.coefficient_rows()[:, g])
-
-
 def functional_from_function(
     group: SemigroupTable, irreps: IrrepTable, values
 ) -> Functional:
@@ -296,12 +286,6 @@ def compound_poisson(monoid: SemigroupTable, jump_weights, rate: float, t: float
     for _ in range(squarings):
         out = convolve_measures(monoid, out, out)
     return out
-
-
-def measure_functional(algebra: Algebra, weights) -> Functional:
-    """Identify a weight vector on points with a functional on functions."""
-    weights = np.asarray(weights, dtype=np.complex128)
-    return algebra.functional([w.reshape(1, 1) for w in weights])
 
 
 # ---------------------------------------------------------------------------

@@ -71,10 +71,6 @@ class SemigroupTable:
     def is_group(self) -> bool:
         return self.inverses is not None
 
-    @cached_property
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
-
 
 @dataclass(frozen=True, eq=False)
 class IrrepTable:

@@ -23,11 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import Algebra, Functional
+from .algebra import Algebra, Functional, tensor_algebra
 from .bialgebra import Bialgebra
 from .errors import SchemaError
 from .groups import IrrepTable, SemigroupTable
-from .maps import LinearMap, tensor_algebra
+from .maps import LinearMap
 
 
 def _fail(path: str, message: str):
@@ -114,6 +114,8 @@ def complex_matrix_to_json(matrix: np.ndarray) -> list:
 def load_document(source) -> dict:
     if isinstance(source, dict):
         return source
+    if not str(source).strip():  # Path("") is the working directory
+        raise SchemaError(f"blank path {source!r} names no file")
     try:
         data = json.loads(Path(source).read_text())
     except (ValueError, RecursionError) as exc:
@@ -223,10 +225,6 @@ def load_functional(algebra: Algebra, source, key: str = "dual_blocks") -> Funct
         return algebra.functional(mats)
     except ValueError as exc:
         raise SchemaError(f"at $.{key}: {exc}") from exc
-
-
-def functional_to_json(mu: Functional) -> dict:
-    return {"dual_blocks": [complex_matrix_to_json(b) for b in mu.dual_blocks]}
 
 
 def load_group_function(source) -> tuple[str | None, np.ndarray]:

@@ -24,8 +24,8 @@ from .algebra import (
     psd_within,
 )
 from .bialgebra import Bialgebra
-# the flow is defined beside the exponentials and re-exported here
-from .convolution import AssociatedSemigroup, associated_semigroup, right_convolution_operator
+# perfbench/replay.py imports associated_semigroup from this module
+from .convolution import associated_semigroup, right_convolution_operator
 from .maps import LinearMap
 
 

@@ -28,6 +28,49 @@ def min_hermitian_eigenvalue(matrix: np.ndarray) -> float:
     return float(np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0).min())
 
 
+def tensor_element(a, b):
+    """Elementary tensor ``a (x) b``: per block pair exactly ``numpy.kron``."""
+    perm = cc.mixing_permutation(a.algebra, b.algebra)
+    return cc.Element(cc.tensor_algebra(a.algebra, b.algebra), np.kron(a.coords, b.coords)[perm])
+
+
+def tensor_functional(mu, nu):
+    """Product functional with ``(mu (x) nu)(a (x) b) = mu(a) * nu(b)``."""
+    perm = cc.mixing_permutation(mu.algebra, nu.algebra)
+    return cc.Functional(cc.tensor_algebra(mu.algebra, nu.algebra), np.kron(mu.dual, nu.dual)[perm])
+
+
+def tensor_flip(algebra) -> np.ndarray:
+    """Coordinate matrix of the flip ``a (x) b -> b (x) a`` on the tensor square."""
+    dim = algebra.dim
+    perm = cc.mixing_permutation(algebra, algebra)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    mat = np.zeros((dim * dim, dim * dim))
+    for r in range(dim * dim):
+        k1, k2 = divmod(perm[r], dim)
+        mat[r, inv[k2 * dim + k1]] = 1.0
+    return mat
+
+
+def functional_norm_witness(algebra, mu):
+    """A norm-one element ``a`` with ``mu(a)`` the dual norm of ``mu``.
+
+    Per block the adjoint of the polar unitary of the dual matrix: with
+    ``rho = U S Vh`` it is ``V @ Uh``, so that ``trace(rho @ a) = trace(S)``.
+    """
+    mats = []
+    for rho in mu.dual_blocks:
+        u, _, vh = np.linalg.svd(rho)
+        mats.append(vh.conj().T @ u.conj().T)
+    return algebra.element(mats)
+
+
+def translation_unitary(irreps, g: int):
+    """The element ``(+)_pi pi(g)`` of the group C*-algebra."""
+    return cc.Algebra(irreps.dims).element([pi[g] for pi in irreps.matrices])
+
+
 def smoke_residuals_reference(b, rng, samples: int) -> tuple[float, float, float]:
     """Associativity, unit and submultiplicativity residuals of the sampled
     convolution checks, one functional triple at a time (max over the samples

@@ -282,7 +282,7 @@ def test_criterion_10_commutative_oracle():
         for rate in (0.0, 0.5, 2.0):
             weights = rng.random(m)
             weights /= weights.sum()
-            gamma = cc.measure_functional(b.algebra, rate * (weights - point_mass))
+            gamma = b.algebra.functional_from_dual_coords(rate * (weights - point_mass))
             for t in GRID:
                 series = cc.compound_poisson(monoid, weights, rate, t)
                 dual = np.array(

@@ -6,6 +6,8 @@ import pytest
 import cstarconv as cc
 from cstarconv.sampling import random_state
 
+from conftest import translation_unitary
+
 
 def gram_built_function(group, rng, dim=3):
     """Positive-definite function phi(g) = sum_h <v_h, v_{gh}> from random vectors."""
@@ -234,14 +236,14 @@ def test_positivity_transfers_both_ways(s3, s3_irreps, rng):
 
 def test_translation_unitaries(s3, s3_irreps, s3_dual):
     alg = s3_dual.algebra
-    assert cc.element_norm(alg, cc.translation_unitary(s3_irreps, 0) - alg.unit()) < 1e-15
+    assert cc.element_norm(alg, translation_unitary(s3_irreps, 0) - alg.unit()) < 1e-15
     for g in range(6):
-        lam_g = cc.translation_unitary(s3_irreps, g)
+        lam_g = translation_unitary(s3_irreps, g)
         for blk in lam_g.blocks:
             assert np.abs(blk @ blk.conj().T - np.eye(blk.shape[0])).max() < 1e-12
         for h in range(6):
-            prod = lam_g * cc.translation_unitary(s3_irreps, h)
-            target = cc.translation_unitary(s3_irreps, s3.table[g, h])
+            prod = lam_g * translation_unitary(s3_irreps, h)
+            target = translation_unitary(s3_irreps, s3.table[g, h])
             assert cc.element_norm(alg, prod - target) < 1e-12
 
 
@@ -273,7 +275,7 @@ def test_compound_poisson_matches_convolution_exponential(rng):
             weights /= weights.sum()
             point_mass = np.zeros(m)
             point_mass[monoid.identity] = 1.0
-            gamma = cc.measure_functional(b.algebra, rate * (weights - point_mass))
+            gamma = b.algebra.functional_from_dual_coords(rate * (weights - point_mass))
             for t in (0.0, 0.25, 1.0, 4.0):
                 series = cc.compound_poisson(monoid, weights, rate, t)
                 exponential = cc.convolution_exp(b, gamma, t)

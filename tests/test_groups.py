@@ -42,8 +42,6 @@ def test_builtin_names_read_the_dual_prefix_like_fixture_names():
 
 def test_s3_structure(s3):
     assert s3.order == 6
-    assert not s3.is_abelian
-    assert cc.cyclic_group(4).is_abelian
     # parity is multiplicative
     sign = cc.s3_sign()
     for g in range(6):

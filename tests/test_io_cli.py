@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -409,7 +410,8 @@ def test_cli_evolve_dual_group(tmp_path):
 
     gamma = random_generating_functional(b, rng)
     gamma_path = tmp_path / "gamma_s3.json"
-    gamma_path.write_text(json.dumps(schemas.functional_to_json(gamma)))
+    blocks = [schemas.complex_matrix_to_json(rho) for rho in gamma.dual_blocks]
+    gamma_path.write_text(json.dumps({"dual_blocks": blocks}))
     result = run_cli("evolve", "dual:s3", str(gamma_path), "--times", "0.5,2")
     assert result.returncode == 0
 
@@ -536,6 +538,50 @@ def test_cli_names_an_empty_group_name(argv, capsys):
     assert cli.main([arg.format(**inputs) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert "empty group name" in err and "Errno" not in err
+
+
+def _s3_group_file(tmp_path) -> str:
+    path = tmp_path / "s3_group.json"
+    table = cc.s3_group().table.tolist()
+    path.write_text(json.dumps({"order": 6, "identity": 0, "table": table}))
+    return str(path)
+
+
+BLANK_PATHS = {
+    "evolve-gamma": (["evolve", "zn:2", ""], "blank path"),
+    "guichardet-psi": (["guichardet", "s3", ""], "blank path"),
+    "guichardet-file-irreps": (["guichardet", "{group}", "{psi}", "--irreps", ""], "blank path"),
+    "guichardet-builtin-irreps": (["guichardet", "s3", "{psi}", "--irreps", ""], "--irreps"),
+}
+
+
+@pytest.mark.parametrize("argv, message", BLANK_PATHS.values(), ids=BLANK_PATHS.keys())
+def test_cli_refuses_a_blank_path_by_name(argv, message, tmp_path, capsys):
+    """A blank path is malformed input; --irreps "" neither drops the GNS route
+    nor passes for a built-in group."""
+    from cstarconv import cli
+
+    inputs = {"psi": GOLDEN / "psi_s3.json", "group": _s3_group_file(tmp_path)}
+    assert cli.main([arg.format(**inputs) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Errno" not in captured.err and "directory" not in captured.err
+    assert message in captured.err
+
+
+def test_cli_digests_a_file_named_like_a_builtin_group(tmp_path, monkeypatch, capsys):
+    """Only the group argument may be a built-in name; the function file is hashed."""
+    from cstarconv import cli
+
+    psi = (GOLDEN / "psi_s3.json").read_bytes()
+    (tmp_path / "s3").write_bytes(psi)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["guichardet", "s3", "s3"]) == 0
+    inputs = json.loads(capsys.readouterr().out)["inputs"]
+    assert inputs == [
+        {"source": "s3", "sha256": hashlib.sha256(b"builtin:s3").hexdigest()},
+        {"source": "s3", "sha256": hashlib.sha256(psi).hexdigest()},
+    ]
 
 
 def test_cli_text_format(tmp_path):
