@@ -144,6 +144,17 @@ class Algebra:
             for n, pos in groups.items()
         )
 
+    @cached_property
+    def product_table(self) -> np.ndarray:
+        """Int table ``z`` with ``e_x e_y = e_{z[x, y]}``, or 0 where ``z[x, y] = -1``
+        (so a vector padded with one 0 gathers the coordinate of each product)."""
+        table = np.full((self.dim, self.dim), -1, dtype=np.intp)
+        for n, _, idx in self.blocks_by_size:
+            r, s, u = np.indices((n, n, n)).reshape(3, -1)
+            table[idx[:, r * n + s], idx[:, s * n + u]] = idx[:, r * n + u]
+        table.setflags(write=False)
+        return table
+
     # -- constructors -----------------------------------------------------
 
     def element(self, blocks) -> "Element":
@@ -157,9 +168,6 @@ class Algebra:
         mats = [np.asarray(b, dtype=np.complex128) for b in dual_blocks]
         self._check_shapes(mats)
         return Functional(self, np.concatenate([m.T.ravel() for m in mats]))
-
-    def zero(self) -> "Element":
-        return Element(self, np.zeros(self.dim))
 
     def unit(self) -> "Element":
         return Element(self, self.unit_coords)
@@ -477,6 +485,7 @@ def _dual_block_spectra(mu: Functional) -> tuple[np.ndarray, np.ndarray, np.ndar
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)  # all callers share one square and the layout data it caches
 def tensor_algebra(a1: Algebra, a2: Algebra) -> Algebra:
     """Tensor product algebra: Kronecker blocks in lexicographic order."""
     return Algebra(tuple(n * m for n in a1.blocks for m in a2.blocks))

@@ -11,27 +11,27 @@ irreps (cocommutative).  ``mode="hyper"`` relaxes the coproduct from a
 Most computations are contractions of the *structure tensor*
 ``T[k, j, l]``: the coefficient of ``e_k (x) e_j`` (Kronecker coordinates)
 in ``delta(e_l)``.  Convolution of functionals, translation operators, the
-invariance residual and the coassociativity, counit and cocommutativity
-tests all go through a few :class:`Bialgebra` methods, backed by one of two
-kernels chosen once per bialgebra from ``delta`` itself:
+invariance residual and the coproduct laws all go through a few
+:class:`Bialgebra` methods, backed by one of two kernels chosen once per
+bialgebra:
 
-* the *table* kernel, when every row of the coproduct matrix holds exactly
-  one nonzero entry, that entry is exactly ``1.0``, and every left
-  translation ``f(k, .)`` of the table it defines is a bijection.  Then
-  ``T[k, j, l] = [f(k, j) = l]`` (functions on a finite group), and the
-  contractions are exact index gathers and scatters on the int table ``f``;
+* the *table* kernel, when ``T[k, j, l] = [f(k, j) = l]`` for an int table
+  ``f`` whose every left translation ``f(k, .)`` is a bijection (functions
+  on a finite group); the contractions are exact gathers and scatters on ``f``;
 * the *dense* kernel otherwise: einsums and matrix products over ``T``.
 
-The selection never rounds: a coproduct with rounding fill (such as the
-Fourier-built group C*-coproducts) or with one entry off ``1.0`` stays dense,
-so ``validate`` sees every defect.
+Functions on a monoid are built from its table, and the dense coproduct
+matrix is formed only when a dense path reads ``delta``.  A coproduct given
+as a matrix has its table read off when each row holds one nonzero entry,
+exactly ``1.0``.  The selection never rounds: rounding fill (as in the
+Fourier-built group C*-coproducts) or one entry off ``1.0`` stays dense, so
+``validate`` sees every defect.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -65,7 +65,6 @@ def _max_abs(parts) -> float:
     return float(np.max([np.max(np.abs(p)) for p in parts]))
 
 
-@dataclass(frozen=True, eq=False)
 class Bialgebra:
     """An algebra with coproduct and counit.
 
@@ -73,7 +72,8 @@ class Bialgebra:
     ----------
     algebra : Algebra
     delta : LinearMap
-        Coproduct, a map from ``algebra`` to its tensor square.
+        Coproduct, a map from ``algebra`` to its tensor square.  A bialgebra
+        built by :meth:`from_table` forms this matrix on first access.
     epsilon : Functional
         Counit; must be a character.
     mode : str
@@ -81,21 +81,34 @@ class Bialgebra:
         ``"hyper"`` when it is merely completely positive and unital.
     """
 
-    algebra: Algebra
-    delta: LinearMap
-    epsilon: Functional
-    mode: str = "hom"
-
-    def __post_init__(self):
-        if self.mode not in ("hom", "hyper"):
-            raise ConstructionError(f"mode must be 'hom' or 'hyper', got {self.mode!r}")
-        square = tensor_algebra(self.algebra, self.algebra)
-        if (
-            self.delta.source.blocks != self.algebra.blocks
-            or self.delta.target.blocks != square.blocks
-        ):
+    def __init__(self, algebra: Algebra, delta: LinearMap, epsilon: Functional, mode: str = "hom"):
+        if mode not in ("hom", "hyper"):
+            raise ConstructionError(f"mode must be 'hom' or 'hyper', got {mode!r}")
+        self.__dict__.update(algebra=algebra, delta=delta, epsilon=epsilon, mode=mode)
+        if delta.source != algebra or delta.target != self.tensor_square:
             raise ShapeError("coproduct must map the algebra into its tensor square")
-        self.algebra._require(self.epsilon)
+        algebra._require(epsilon)
+
+    @classmethod
+    def from_table(cls, algebra: Algebra, table: np.ndarray, epsilon: Functional) -> Bialgebra:
+        """The ``hom``-mode bialgebra with ``delta(e_l) = sum_{f[k, j] = l} e_k (x) e_j``,
+        for a read-only int table ``f`` of shape ``(dim, dim)``; ``delta`` is
+        formed from it only when a dense path reads it."""
+        algebra._require(epsilon)
+        b = cls.__new__(cls)
+        b.__dict__.update(algebra=algebra, epsilon=epsilon, mode="hom", _coproduct_table=table)
+        return b
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a Bialgebra is immutable")
+
+    @cached_property
+    def delta(self) -> LinearMap:
+        dim = self.algebra.dim  # only a bialgebra built from a table gets here
+        cols = self._coproduct_table.ravel()[mixing_permutation(self.algebra, self.algebra)]
+        matrix = np.zeros((dim * dim, dim), dtype=np.complex128)
+        matrix[np.arange(dim * dim), cols] = 1.0
+        return LinearMap(self.algebra, self.tensor_square, matrix)
 
     @cached_property
     def tensor_square(self) -> Algebra:
@@ -119,13 +132,9 @@ class Bialgebra:
     # -- the contraction kernel --------------------------------------------
 
     @cached_property
-    def _table(self) -> np.ndarray | None:
-        """The int table ``f`` with ``T[k, j, l] = [f[k, j] = l]``, or ``None``.
-
-        ``None`` selects the dense kernel.  The table is read off ``delta``
-        exactly: each row of the coproduct matrix must hold one nonzero
-        entry, equal to ``1.0``, and each row ``f[k]`` must be a permutation.
-        """
+    def _coproduct_table(self) -> np.ndarray | None:
+        """The int table ``f`` with ``T[k, j, l] = [f[k, j] = l]``, or ``None``: set by
+        :meth:`from_table`, or read off ``delta`` when each row holds one entry ``1.0``."""
         dim = self.algebra.dim
         delta = self.delta.matrix
         nonzero = delta != 0
@@ -136,10 +145,14 @@ class Bialgebra:
             return None
         table = np.empty(dim * dim, dtype=np.intp)
         table[mixing_permutation(self.algebra, self.algebra)] = cols
-        table = table.reshape(dim, dim)
-        if not (np.sort(table, axis=1) == np.arange(dim)).all():
-            return None
-        return table
+        return table.reshape(dim, dim)
+
+    @cached_property
+    def _table(self) -> np.ndarray | None:
+        """``_coproduct_table`` if its rows are permutations; ``None`` selects the dense kernel."""
+        f = self._coproduct_table
+        bijective = f is not None and (np.sort(f, axis=1) == np.arange(len(f))).all()
+        return f if bijective else None
 
     def left_matrix(self, dual: np.ndarray) -> np.ndarray:
         """``sum_k dual[k] T[k]``, the matrix of ``a -> (mu (x) id)(delta a)``.
@@ -273,6 +286,55 @@ class Bialgebra:
         t3 = self.structure_tensor
         return float(np.max(np.abs(t3 - t3.transpose(1, 0, 2))))
 
+    def unit_residual(self) -> float:
+        """Max-abs deviation of ``delta(1)`` from the unit of the tensor square."""
+        u = self.algebra.unit_coords
+        f = self._table
+        if f is None:
+            return _max_abs([self.delta.matrix @ u - self.tensor_square.unit_coords])
+        return _max_abs([u[f] - np.outer(u, u)])  # Kronecker entries of both
+
+    def star_residual(self) -> float:
+        """Max-abs deviation of ``delta(e_x)*`` from ``delta(e_x*)`` over all ``x``.
+
+        On the table kernel, with ``e_x* = e_{s[x]}``, their ones sit where
+        ``f[s[k], s[j]] = x`` and where ``s[f[k, j]] = x``."""
+        s = self.algebra.star_perm
+        f = self._table
+        if f is None:
+            delta = self.delta.matrix
+            return _max_abs([delta[self.tensor_square.star_perm].conj() - delta[:, s]])
+        return float((f[s[:, None], s] != s[f]).any())
+
+    def homomorphism_residual(self) -> float:
+        """Max-abs deviation of ``delta(e_x) delta(e_y)`` from ``delta(e_x e_y)``.
+
+        ``e_x e_y`` is read from the ``product_table`` ``z``.  The dense kernel
+        runs one ``x`` at a time (peak about ``dim**3`` entries).  On the table
+        kernel both sides are exact counts of basis pairs: ``e_a e_c`` and
+        ``e_a' e_c'`` give ``e_z[a, c] (x) e_z[a', c']`` for ``x = f[a, a']``,
+        ``y = f[c, c']``, and ``delta(e_w)`` holds one pair ``(p, q)`` per ``p``.
+        """
+        dim, z = self.algebra.dim, self.algebra.product_table
+        f = self._table
+        if f is None:
+            images = self.delta.matrix.T  # images[x] = coords(delta(e_x))
+
+            def defects(x):
+                expected = images[z[x]]
+                expected[z[x] < 0] = 0.0
+                return self.tensor_square.multiply(images[x], images) - expected
+
+            return _max_abs(defects(x) for x in range(dim))
+        a, c = np.nonzero(z >= 0)  # e_a e_c = e_w
+        w, p = z[a, c], np.arange(dim)
+        # both sides as entries (x, y, p, q), numbered ((x * dim + y) * dim + p) * dim + q
+        lhs = ((f[a[:, None], a] * dim + f[c[:, None], c]) * dim + w[:, None]) * dim + w
+        rhs = ((a * dim + c)[:, None] * dim + p) * dim + np.argsort(f, axis=1)[p, w[:, None]]
+        _, entry = np.unique(np.concatenate([lhs.ravel(), rhs.ravel()]), return_inverse=True)
+        counts = np.bincount(entry, np.repeat([1.0, -1.0], [lhs.size, rhs.size]))
+        return float(np.abs(counts).max())
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -329,47 +391,29 @@ class ValidationReport:
 def validate_bialgebra(b: Bialgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Measure all bialgebra axioms and return their residuals.
 
-    Coassociativity and the counit laws are identities on the structure
-    tensor, measured by :meth:`Bialgebra.coassociativity_residual` and
-    :meth:`Bialgebra.counit_residual` on the bialgebra's kernel.  The
-    character law and (in ``hom`` mode) the homomorphism law are checked
-    exhaustively over all pairs of canonical basis elements, from one
-    tensor of basis products.  In ``hyper`` mode the homomorphism residual
-    is replaced by the Choi diagnostics of the coproduct; ``tol`` is passed
-    to :func:`~cstarconv.semigroup.is_completely_positive` and affects no
-    reported number.
+    The coproduct laws (coassociativity, the counit laws, unitality and, in
+    ``hom`` mode, the *-homomorphism law) are :class:`Bialgebra` methods
+    run on the bialgebra's kernel.  The character law of the counit is
+    checked exhaustively over all pairs of matrix units, gathered through
+    the algebra's ``product_table``.  In ``hyper`` mode the homomorphism
+    residual is replaced by the Choi diagnostics of the coproduct; ``tol``
+    is passed to :func:`~cstarconv.semigroup.is_completely_positive` and
+    affects no reported number.
     """
     alg = b.algebra
-    dim = alg.dim
-    eye = np.eye(dim)
     coassoc = b.coassociativity_residual()
     counit = b.counit_residual()
     eps = b.counit_coords
-
-    # products[x, y] = coords(e_x e_y); the basis is real, so e_x* = e_{star_perm[x]}
-    products = alg.multiply(eye[:, None, :], eye)
     character = _max_abs(
         [
-            products @ eps - np.outer(eps, eps),
+            np.append(eps, 0.0)[alg.product_table] - np.outer(eps, eps),
             eps @ alg.unit_coords - 1.0,
             eps[alg.star_perm] - eps.conj(),
         ]
     )
-
-    square = b.tensor_square
-    delta = b.delta.matrix
-    unit_res = float(np.max(np.abs(delta @ alg.unit_coords - square.unit_coords)))
-
+    unit_res = b.unit_residual()
     if b.mode == "hom":
-        images = delta.T  # images[x] = coords(delta(e_x))
-        # delta(e_x)* against delta(e_x*) for all x at once, then
-        # delta(e_x) delta(e_y) against delta(e_x e_y) one x at a time
-        hom = _max_abs(
-            chain(
-                [delta[square.star_perm].conj() - delta[:, alg.star_perm]],
-                (square.multiply(images[x], images) - products[x] @ images for x in range(dim)),
-            )
-        )
+        hom = _max_abs([b.star_residual(), b.homomorphism_residual()])
         return ValidationReport(coassoc, counit, character, unit_res, hom, None, None)
     from .semigroup import is_completely_positive
 
@@ -393,11 +437,8 @@ def function_bialgebra(monoid: SemigroupTable) -> Bialgebra:
     """
     m = monoid.order
     alg = Algebra((1,) * m)
-    square = tensor_algebra(alg, alg)
-    delta = np.zeros((m * m, m), dtype=np.complex128)
-    delta[np.arange(m * m), monoid.table.ravel()] = 1.0
     eps = alg.functional_from_dual_coords(np.eye(m)[monoid.identity])
-    return Bialgebra(alg, LinearMap(alg, square, delta), eps)
+    return Bialgebra.from_table(alg, monoid.table, eps)
 
 
 # ---------------------------------------------------------------------------

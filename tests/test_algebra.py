@@ -172,6 +172,26 @@ def test_tensor_algebra_shapes():
     assert mixed.blocks == (3, 6)
 
 
+@pytest.mark.parametrize("blocks", [(1,), (3,), (1, 2), (2, 1, 3), (1, 1, 1, 1), (2, 2)])
+def test_product_table_multiplies_matrix_units_in_the_representation(blocks):
+    alg = cc.Algebra(blocks)
+    # each matrix unit as a rep_dim x rep_dim matrix of the block-diagonal representation
+    units = np.zeros((alg.dim, alg.rep_dim, alg.rep_dim))
+    x, start = 0, 0
+    for n in blocks:
+        for r in range(n):
+            for s in range(n):
+                units[x, start + r, start + s] = 1.0
+                x += 1
+        start += n
+    products = (units[:, None] @ units[None]).reshape(alg.dim, alg.dim, 1, -1)
+    match = (products == units.reshape(1, 1, alg.dim, -1)).all(axis=-1)
+    zero = ~products.any(axis=(-2, -1))
+    expected = np.where(zero, -1, match.argmax(axis=-1))
+    assert (match.sum(axis=-1) == ~zero).all()
+    assert np.array_equal(alg.product_table, expected)
+
+
 def test_tensor_unit_and_pairing(rng):
     a1, a2 = cc.Algebra((2, 1)), cc.Algebra((2,))
     prod = cc.tensor_algebra(a1, a2)

@@ -85,8 +85,9 @@ def test_coassociativity_of_perturbed_coproduct_matches_einsum_reference(s3_dual
 
 
 def test_validation_runs_in_bounded_memory():
-    # coassociativity must not materialise dim^4 arrays (2 x 85 MB at dim 48)
-    b = cc.function_bialgebra(cc.cyclic_group(48))
+    # at dim 128 the dense coproduct is 32 MB, and so was the dim^3 tensor of
+    # basis products and each step of the dense homomorphism loop
+    b = cc.function_bialgebra(cc.cyclic_group(128))
     tracemalloc.start()
     try:
         report = cc.validate_bialgebra(b)
@@ -94,7 +95,8 @@ def test_validation_runs_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert report.max_residual() == 0.0
-    assert peak < 64 * 2**20
+    assert peak < 32 * 2**20
+    assert "delta" not in b.__dict__ and "tensor_square" not in b.__dict__
 
 
 def test_delta_of_translation_unitaries(s3, s3_irreps, s3_dual):
@@ -269,6 +271,134 @@ def test_table_kernel_matches_dense_oracle(spec, tmp_path):
     assert "structure_tensor" not in b.__dict__
 
 
+def _latin_square_bialgebra():
+    """``x * y = x - y (mod 3)``: every left translation is a bijection, so the
+    table kernel is selected, but ``(x - y) - z != x - (y - z)``."""
+    idx = np.arange(3)
+    return _table_coproduct((1, 1, 1), (idx[:, None] - idx[None, :]) % 3)
+
+
+@pytest.mark.parametrize(
+    "spec", ["zn:1", "zn:2", "zn:7", "zn:64", "s3", "d4", "q8", "json:s3", "latin"]
+)
+def test_validation_report_matches_dense_oracle(spec, tmp_path):
+    if spec == "json:s3":
+        b = _function_bialgebra_file(tmp_path, cc.s3_group().table, 0)
+    elif spec == "latin":
+        b = _latin_square_bialgebra()
+    else:
+        b = _builtin_bialgebra(spec)
+    assert b._table is not None
+    report = cc.validate_bialgebra(b)
+    if spec.startswith("zn:") or spec in ("s3", "d4", "q8"):
+        # built from the group table: validation forms neither the dense
+        # coproduct nor the tensor square
+        assert "delta" not in b.__dict__ and "tensor_square" not in b.__dict__
+    assert report == cc.validate_bialgebra(_dense(b))
+    assert report.max_residual() == (1.0 if spec == "latin" else 0.0)
+
+
+def _table_coproduct(blocks, table):
+    """The coproduct ``delta(e_l) = sum_{f[k, j] = l} e_k (x) e_j`` as a dense
+    matrix, with the counit on the first coordinate."""
+    alg = cc.Algebra(blocks)
+    square = cc.tensor_algebra(alg, alg)
+    delta = np.zeros((square.dim, alg.dim), dtype=np.complex128)
+    delta[np.arange(square.dim), table.ravel()[cc.mixing_permutation(alg, alg)]] = 1.0
+    eps = alg.functional_from_dual_coords(np.eye(alg.dim)[0])
+    return cc.Bialgebra(alg, cc.LinearMap(alg, square, delta), eps)
+
+
+_LAWS = ("unit_residual", "star_residual", "homomorphism_residual")
+
+
+@pytest.mark.parametrize(
+    "name, broken",
+    [
+        # (k + j) mod 5 breaks all three laws
+        ("sum", {"unit_residual", "star_residual", "homomorphism_residual"}),
+        # f[k, j] = j: delta(e_l) = (sum_k e_k) (x) e_l keeps the adjoint only
+        ("right", {"unit_residual", "homomorphism_residual"}),
+    ],
+)
+def test_crafted_table_coproducts_on_a_matrix_block_fail_equally_on_both_kernels(name, broken):
+    idx = np.arange(5)
+    table = {"sum": (idx[:, None] + idx) % 5, "right": np.tile(idx, (5, 1))}[name]
+    b = _table_coproduct((1, 2), table)
+    assert b._table is not None
+    dense = _dense(b)
+    for law in _LAWS:
+        residual = getattr(b, law)()
+        assert residual == getattr(dense, law)()
+        assert (residual >= 1.0) == (law in broken)
+    report = cc.validate_bialgebra(b)
+    assert report == cc.validate_bialgebra(dense)
+    assert not report.passes(1e-9)
+
+
+@pytest.mark.parametrize("blocks", [(1, 2), (2, 1), (1, 1, 2), (2, 2), (3,)])
+def test_random_table_coproducts_validate_equally_on_both_kernels(blocks):
+    rng = np.random.default_rng(SEED)
+    dim = sum(n * n for n in blocks)
+    for _ in range(4):
+        table = np.array([rng.permutation(dim) for _ in range(dim)])
+        b = _table_coproduct(blocks, table)
+        assert b._table is not None
+        dense = _dense(b)
+        assert [getattr(b, law)() for law in _LAWS] == [getattr(dense, law)() for law in _LAWS]
+        assert cc.validate_bialgebra(b) == cc.validate_bialgebra(dense)
+
+
+@pytest.mark.parametrize("blocks", [(1, 2), (2, 1, 3), (1, 1, 1)])
+def test_character_residual_matches_the_basis_product_tensor(blocks):
+    """A counit that is not a character, against ``coords(e_x e_y)`` from ``multiply``."""
+    rng = np.random.default_rng(SEED)
+    alg = cc.Algebra(blocks)
+    b = _table_coproduct(blocks, np.array([rng.permutation(alg.dim) for _ in range(alg.dim)]))
+    eps = _random_complex(rng, alg.dim)
+    eye = np.eye(alg.dim)
+    products = alg.multiply(eye[:, None, :], eye)
+    expected = max(
+        np.abs(products @ eps - np.outer(eps, eps)).max(),
+        abs(eps @ alg.unit_coords - 1.0),
+        np.abs(eps[alg.star_perm] - eps.conj()).max(),
+    )
+    report = cc.validate_bialgebra(cc.Bialgebra(alg, b.delta, alg.functional_from_dual_coords(eps)))
+    assert report.character_residual == expected
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        cc.cyclic_group(1).table,
+        cc.cyclic_group(7).table,
+        cc.s3_group().table,
+        cc.builtin_group("d4")[0].table,
+        cc.builtin_group("q8")[0].table,
+        np.array([[0, 1, 2], [1, 2, 2], [2, 2, 2]]),  # a monoid that is not a group
+    ],
+)
+def test_coproduct_formed_from_the_table_is_the_dense_construction(table):
+    b = cc.function_bialgebra(cc.SemigroupTable(table, 0))
+    assert "delta" not in b.__dict__
+    m = len(table)
+    expected = np.zeros((m * m, m), dtype=np.complex128)
+    expected[np.arange(m * m), table.ravel()] = 1.0
+    assert b.delta.matrix.dtype == expected.dtype
+    assert np.array_equal(b.delta.matrix, expected)
+    assert b.delta.target is b.tensor_square
+    group = (np.sort(table, axis=1) == np.arange(m)).all()
+    assert (b._table is not None) == group
+
+
+def test_one_tensor_square_per_bialgebra(s3_dual, tmp_path):
+    loaded = _function_bialgebra_file(tmp_path, cc.s3_group().table, 0)
+    for b in (s3_dual, loaded):
+        assert b.delta.target is b.tensor_square
+    alg = s3_dual.algebra
+    assert cc.tensor_algebra(alg, cc.Algebra(alg.blocks)) is s3_dual.tensor_square
+
+
 @pytest.mark.parametrize("spec", ["zn:5", "s3", "d4", "q8"])
 def test_group_functions_select_table_kernel(spec):
     b = _builtin_bialgebra(spec)
@@ -304,16 +434,7 @@ def test_coproduct_entry_off_one_selects_dense_kernel_and_fails_validation(s3_fu
 
 
 def test_non_associative_latin_square_fails_coassociativity_on_both_kernels():
-    """``x * y = x - y (mod 3)``: every left translation is a bijection, so the
-    table kernel is selected, but ``(x - y) - z != x - (y - z)``."""
-    idx = np.arange(3)
-    table = (idx[:, None] - idx[None, :]) % 3
-    alg = cc.Algebra((1, 1, 1))
-    square = cc.tensor_algebra(alg, alg)
-    delta = np.zeros((9, 3), dtype=np.complex128)
-    delta[np.arange(9), table.ravel()] = 1.0
-    eps = alg.functional_from_dual_coords([1.0, 0.0, 0.0])
-    b = cc.Bialgebra(alg, cc.LinearMap(alg, square, delta), eps)
+    b = _latin_square_bialgebra()
     assert b._table is not None
     assert cc.validate_bialgebra(b).coassoc_residual == 1.0
     assert cc.validate_bialgebra(_dense(b)).coassoc_residual == 1.0
@@ -337,6 +458,54 @@ def test_invariance_residual_runs_in_bounded_memory():
     assert "structure_tensor" not in b.__dict__
 
 
+@pytest.fixture(scope="module")
+def z512_functions():
+    # the dense coproduct would be 512**3 complex entries, 2 GB
+    return cc.function_bialgebra(cc.cyclic_group(512))
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        out = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_flow_on_functions_on_z512_runs_without_the_dense_coproduct(z512_functions):
+    b = z512_functions
+    gamma = np.zeros(512)
+    gamma[[1, 5, 100]] = [0.5, 0.3, 0.2]
+    gamma[0] = -1.0
+    flow = cc.associated_semigroup(b, b.algebra.functional_from_dual_coords(gamma))
+
+    def run():
+        state = flow.functional_at(0.5)
+        quotient = flow.quotient_at(0.5)
+        return state, quotient, flow.operator_at(0.5)
+
+    (state, quotient, p_t), peak = _traced_peak(run)
+    # 4 MB per 512 x 512 complex matrix, a few of them inside expm
+    assert peak < 48 * 2**20
+    assert abs(state(b.algebra.unit()) - 1.0) < 1e-12
+    assert np.abs(quotient.dual - (state.dual - b.counit_coords) / 0.5).max() < 1e-12
+    assert np.abs(p_t.matrix.sum(axis=1) - 1.0).max() < 1e-12
+    assert "delta" not in b.__dict__ and "tensor_square" not in b.__dict__
+
+
+def test_invariance_on_functions_on_z512_runs_without_the_dense_coproduct(z512_functions):
+    b = z512_functions
+    jump = np.zeros(512)
+    jump[3] = 1.0
+    shift = b.right_matrix(jump)
+    residual, peak = _traced_peak(lambda: b.invariance_residual(shift))
+    assert residual == 0.0
+    assert peak < 16 * 2**20
+    assert "delta" not in b.__dict__ and "structure_tensor" not in b.__dict__
+
+
 def test_nan_axiom_residual_is_not_read_as_exact():
     """A nan counit value makes max_residual nan, not the 0.0 of an exact bialgebra."""
     b = cc.function_bialgebra(cc.cyclic_group(3))
@@ -344,4 +513,21 @@ def test_nan_axiom_residual_is_not_read_as_exact():
     report = cc.validate_bialgebra(cc.Bialgebra(b.algebra, b.delta, eps))
     assert np.isnan(report.counit_residual) and np.isnan(report.character_residual)
     assert np.isnan(report.max_residual())
+    assert not report.passes(1e-9)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("spec", ["zn:3", "dual:s3"])
+def test_non_finite_entry_gives_nan_character_and_homomorphism_residuals(spec, bad):
+    b = _builtin_bialgebra(spec)
+    dual = np.array(b.counit_coords)
+    dual[1] = bad
+    eps = b.algebra.functional_from_dual_coords(dual)
+    assert np.isnan(cc.validate_bialgebra(cc.Bialgebra(b.algebra, b.delta, eps)).character_residual)
+    delta = np.array(b.delta.matrix)
+    delta[4, 1] = bad
+    coproduct = cc.LinearMap(b.algebra, b.tensor_square, delta)
+    report = cc.validate_bialgebra(cc.Bialgebra(b.algebra, coproduct, b.epsilon))
+    assert np.isnan(report.hom_residual) and np.isnan(report.unit_residual)
     assert not report.passes(1e-9)
