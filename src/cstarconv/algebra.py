@@ -492,10 +492,15 @@ def tensor_algebra(a1: Algebra, a2: Algebra) -> Algebra:
 
 
 @lru_cache(maxsize=None)
-def _mixing_permutation(blocks1: tuple[int, ...], blocks2: tuple[int, ...]) -> np.ndarray:
-    a1, a2 = Algebra(blocks1), Algebra(blocks2)
+def mixing_permutation(a1: Algebra, a2: Algebra) -> np.ndarray:
+    """Index array with ``coords(x (x) y) = kron(coords(x), coords(y))[perm]``.
+
+    The Kronecker product of the factor coordinates interleaves row and
+    column indices; this permutation is the one place that reorders it into
+    the canonical matrix-unit coordinates of :func:`tensor_algebra`.
+    """
     square = tensor_algebra(a1, a2)
-    starts = np.array(square.coord_offsets).reshape(len(blocks1), len(blocks2))
+    starts = np.array(square.coord_offsets).reshape(len(a1.blocks), len(a2.blocks))
     perm = np.empty(square.dim, dtype=np.intp)
     # one broadcast per pair of block sizes (n, m), over all block pairs of
     # those sizes: tensor block (n*m) x (n*m), row (r1, r2), column (s1, s2),
@@ -509,16 +514,6 @@ def _mixing_permutation(blocks1: tuple[int, ...], blocks2: tuple[int, ...]) -> n
             perm[targets] = k1 * a2.dim + k2
     perm.setflags(write=False)
     return perm
-
-
-def mixing_permutation(a1: Algebra, a2: Algebra) -> np.ndarray:
-    """Index array with ``coords(x (x) y) = kron(coords(x), coords(y))[perm]``.
-
-    The Kronecker product of the factor coordinates interleaves row and
-    column indices; this permutation is the one place that reorders it into
-    the canonical matrix-unit coordinates of :func:`tensor_algebra`.
-    """
-    return _mixing_permutation(a1.blocks, a2.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +564,9 @@ def gns(algebra: Algebra, omega: Functional, tol: float = DEFAULT_TOL) -> GNSDat
     Builds the Gram matrix ``G[x, y] = omega(x* y)`` over the canonical
     basis, quotients by its numerical null space (eigenvalues below
     ``GNS_RANK_TOL * max_eigenvalue``), and represents left multiplication
-    on an orthonormal basis of the quotient.  Both come from one tensor of
-    basis products: ``e_x* = e_{star_perm[x]}``, and the left-multiplication
-    matrix of ``e_k`` is ``products[k].T``.
+    on an orthonormal basis of the quotient.  Both gather through the one
+    table of basis products, :attr:`Algebra.product_table` ``z``: ``e_x* e_y``
+    is ``e_{z[star_perm[x], y]}`` and ``e_k e_y`` is ``e_{z[k, y]}`` (or 0).
 
     Parameters
     ----------
@@ -593,9 +588,8 @@ def gns(algebra: Algebra, omega: Functional, tol: float = DEFAULT_TOL) -> GNSDat
     if not is_positive_functional(omega, tol):
         raise PreconditionError("GNS construction requires a positive functional")
 
-    eye = np.eye(algebra.dim)
-    products = algebra.multiply(eye[:, None, :], eye)  # [x, y] -> coords(e_x e_y)
-    gram = products[algebra.star_perm] @ algebra.dual_coords(omega)
+    z = algebra.product_table
+    gram = np.append(algebra.dual_coords(omega), 0.0)[z[algebra.star_perm]]
     gram = (gram + gram.conj().T) / 2.0
 
     eigvals, eigvecs = np.linalg.eigh(gram)
@@ -612,6 +606,7 @@ def gns(algebra: Algebra, omega: Functional, tol: float = DEFAULT_TOL) -> GNSDat
     to_space = (np.sqrt(svals)[:, None]) * vecs.conj().T
     from_space = vecs / np.sqrt(svals)[None, :] if d else vecs
 
-    reps = to_space @ products.transpose(0, 2, 1) @ from_space
+    padded = np.append(to_space, np.zeros((d, 1)), axis=1)  # column -1 reads 0
+    reps = np.moveaxis(padded[:, z], 0, 1) @ from_space
     eta = to_space @ algebra.unit_coords
     return GNSData(d, _frozen(reps), _frozen(eta))

@@ -325,7 +325,7 @@ def cmd_evolve(args) -> tuple[dict, int]:
 
 def cmd_guichardet(args) -> tuple[dict, int]:
     tol = args.tol
-    builtin = builtin_name(args.group) is not None
+    builtin = builtin_name(args.group)
     if builtin:
         if args.irreps is not None:
             raise SchemaError(
@@ -337,7 +337,7 @@ def cmd_guichardet(args) -> tuple[dict, int]:
         table = io_schemas.load_semigroup(args.group)
         irreps = io_schemas.load_irreps(args.irreps) if args.irreps is not None else None
     ref, values = io_schemas.load_group_function(args.psi)
-    if ref is not None and builtin and ref.strip().lower() != args.group.strip().lower():
+    if ref is not None and builtin and (not ref.strip() or builtin_name(ref) != builtin):
         raise SchemaError(
             f"at $.group: function file names group {ref!r}, command got {args.group!r}"
         )

@@ -54,16 +54,11 @@ class SemigroupTable:
     @cached_property
     def inverses(self) -> np.ndarray | None:
         """Two-sided inverses of all elements, or None if some are missing."""
-        m, e = self.order, self.identity
-        inv = np.full(m, -1, dtype=np.intp)
-        for g in range(m):
-            hits = np.where(self.table[g] == e)[0]
-            for h in hits:
-                if self.table[h, g] == e:
-                    inv[g] = h
-                    break
-        if (inv < 0).any():
+        unit = self.table == self.identity
+        both = unit & unit.T  # both[g, h]: g h = h g = e
+        if not both.any(axis=1).all():
             return None
+        inv = both.argmax(axis=1)
         inv.setflags(write=False)
         return inv
 
@@ -301,7 +296,8 @@ def builtin_name(name: str) -> tuple[str, bool] | None:
 
     A built-in name is a fixture name, optionally after the prefix ``dual:``
     (the group C*-algebra rather than the functions); the prefix is read
-    with the fixture name's stripping and case folding.
+    with the fixture name's stripping and case folding.  An integer ``zn:``
+    order is read as a number, so ``zn:6``, ``zn:06`` and ``zn: 6`` all give ``zn:6``.
 
     Raises
     ------
@@ -313,19 +309,26 @@ def builtin_name(name: str) -> tuple[str, bool] | None:
         raise ConstructionError(f"empty group name {name!r}")
     dual = key.startswith("dual:")
     key = key.removeprefix("dual:").strip()
+    order = _cyclic_order(key)
+    key = key if order is None else f"zn:{order}"
     return (key, dual) if is_builtin_group(key) else None
+
+
+def _cyclic_order(key: str) -> int | None:
+    """The integer ``n`` of a folded ``zn:<n>`` name, else ``None``."""
+    try:
+        return int(key.split(":", 1)[1]) if key.startswith("zn:") else None
+    except ValueError:
+        return None
 
 
 def builtin_group(name: str) -> tuple[SemigroupTable, IrrepTable]:
     """Resolve a fixture name: ``zn:<n>``, ``s3``, ``d4`` or ``q8``."""
     key = name.strip().lower()
     if key.startswith("zn:"):
-        try:
-            n = int(key.split(":", 1)[1])
-        except ValueError:
-            raise ConstructionError(
-                f"cyclic group order must be an integer in {name!r}"
-            ) from None
+        n = _cyclic_order(key)
+        if n is None:
+            raise ConstructionError(f"cyclic group order must be an integer in {name!r}")
         if n < 1:
             raise ConstructionError(f"cyclic order must be positive, got {n}")
         return cyclic_group(n), cyclic_irreps(n)

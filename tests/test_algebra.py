@@ -1,4 +1,6 @@
 import ast
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cstarconv as cc
+from cstarconv.algebra import GNS_RANK_TOL
 from cstarconv.sampling import (
     random_element,
     random_functional,
@@ -287,6 +290,79 @@ def test_gns_requires_positive_functional(rng):
     alg = cc.Algebra((2,))
     with pytest.raises(cc.PreconditionError):
         cc.gns(alg, alg.functional([np.diag([1.0, -1.0])]))
+
+
+def _tensor_gns(alg, omega):
+    """Reference: the GNS data from the dense tensor of basis products."""
+    eye = np.eye(alg.dim)
+    products = alg.multiply(eye[:, None, :], eye)  # [x, y] -> coords(e_x e_y)
+    gram = products[alg.star_perm] @ alg.dual_coords(omega)
+    gram = (gram + gram.conj().T) / 2.0
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    top = float(eigvals.max(initial=0.0))
+    keep = eigvals > GNS_RANK_TOL * max(top, 0.0)
+    if top <= 0.0:
+        keep = np.zeros_like(keep)
+    svals = eigvals[keep]
+    vecs = eigvecs[:, keep]
+    d = int(keep.sum())
+    to_space = (np.sqrt(svals)[:, None]) * vecs.conj().T
+    from_space = vecs / np.sqrt(svals)[None, :] if d else vecs
+    reps = to_space @ products.transpose(0, 2, 1) @ from_space
+    return d, reps, to_space @ alg.unit_coords
+
+
+def _gns_functionals(alg, rng):
+    """A full-rank state, a rank-deficient positive functional and zero."""
+    full, thin = [], []
+    for i, n in enumerate(alg.blocks):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        v = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+        full.append(a @ a.conj().T)
+        thin.append(v @ v.conj().T if i % 2 == 0 else np.zeros((n, n)))
+    zero = alg.functional_from_dual_coords(np.zeros(alg.dim))
+    return [alg.functional(full), alg.functional(thin), zero]
+
+
+GNS_LAYOUTS = [(1, 2), (2, 1, 3), (3,), (1, 1, 2, 2), (2, 2, 2, 1), (4, 3)]
+
+
+@pytest.mark.parametrize("source", GNS_LAYOUTS + ["s3", "d4", "q8", "zn:6"], ids=str)
+def test_gns_equals_the_basis_product_tensor_bit_for_bit(source, rng):
+    if isinstance(source, str):
+        alg = cc.group_cstar_bialgebra(*cc.builtin_group(source)).algebra
+    else:
+        alg = cc.Algebra(source)
+    for omega in _gns_functionals(alg, rng):
+        data = cc.gns(alg, omega)
+        dimension, reps, eta = _tensor_gns(alg, omega)
+        assert data.dimension == dimension
+        assert np.array_equal(data.rep_matrices, reps)
+        assert np.array_equal(data.cyclic_vector, eta)
+
+
+def test_gns_of_a_faithful_state_stays_small_on_many_blocks():
+    """dim 128 of 1x1 blocks: no dim^3 tensor of basis products is formed.
+
+    The time is the best of three calls on fresh algebras, so that a first
+    touch of fresh memory pages is not counted.
+    """
+
+    def run():
+        alg = cc.Algebra((1,) * 128)
+        start = time.perf_counter()
+        data = cc.gns(alg, alg.functional_from_dual_coords(np.full(alg.dim, 1.0 / alg.dim)))
+        assert data.dimension == alg.dim
+        return time.perf_counter() - start
+
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**20
+    assert min(run() for _ in range(3)) < 1.0
 
 
 def test_multiplication_matrices(rng):

@@ -40,6 +40,21 @@ def test_builtin_names_read_the_dual_prefix_like_fixture_names():
             builtin_name(name)
 
 
+def test_builtin_names_of_one_cyclic_group_are_equal():
+    for name in ("zn:6", "zn:06", "zn: 6", " ZN:6", "zn:+6"):
+        assert builtin_name(name) == ("zn:6", False)
+    assert builtin_name("dual:zn:06") == ("zn:6", True)
+    for name in ("zn:7", "zn:60", "zn:-6", "zn:6.0"):
+        assert builtin_name(name) != ("zn:6", False)
+    tracemalloc.start()
+    try:
+        assert builtin_name("zn:1000000000") == ("zn:1000000000", False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16  # a name, not a table
+
+
 def test_s3_structure(s3):
     assert s3.order == 6
     # parity is multiplicative
@@ -72,6 +87,35 @@ def test_truncated_monoid_is_valid_non_group():
     monoid = cc.SemigroupTable(table, 0)
     assert not monoid.is_group
     assert monoid.inverses is None
+
+
+def _loop_inverses(table: cc.SemigroupTable):
+    """Reference: for each g the first h with g h = e, kept if also h g = e."""
+    m, e = table.order, table.identity
+    inv = np.full(m, -1, dtype=np.intp)
+    for g in range(m):
+        for h in np.where(table.table[g] == e)[0]:
+            if table.table[h, g] == e:
+                inv[g] = h
+                break
+    return None if (inv < 0).any() else inv
+
+
+MONOIDS = {
+    **{name: cc.builtin_group(name)[0] for name in ("zn:1", "zn:7", "s3", "d4", "q8")},
+    "truncated": cc.SemigroupTable(np.array([[0, 1, 2], [1, 2, 2], [2, 2, 2]]), 0),
+    "left-zero": cc.SemigroupTable(np.array([[0, 1, 2], [1, 1, 1], [2, 2, 2]]), 0),
+}
+
+
+@pytest.mark.parametrize("table", MONOIDS.values(), ids=MONOIDS.keys())
+def test_inverses_match_the_first_match_loop(table):
+    expected = _loop_inverses(table)
+    if expected is None:
+        assert table.inverses is None and not table.is_group
+    else:
+        assert np.array_equal(table.inverses, expected)
+        assert table.inverses.dtype == np.intp and not table.inverses.flags.writeable
 
 
 def test_incomplete_irreps_rejected(s3):

@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -520,6 +521,38 @@ def test_cli_guichardet_refuses_irreps_for_a_builtin_group(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--irreps" in captured.err and "'s3'" in captured.err
+
+
+def _zn6_kernel_file(tmp_path, ref) -> str:
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps({"group": ref, "values": [[0.0, 0.0]] + [[-1.0, 0.0]] * 5}))
+    return str(path)
+
+
+@pytest.mark.parametrize("ref", ["zn:6", "zn:06", "zn: 6", " ZN:6 "])
+def test_cli_guichardet_accepts_every_spelling_of_its_group(ref, tmp_path, capsys):
+    from cstarconv import cli
+
+    assert cli.main(["guichardet", "zn:6", _zn6_kernel_file(tmp_path, ref)]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+@pytest.mark.parametrize("ref", ["zn:7", "s3", "dual:zn:6", "s4", "", "zn:1000000000"])
+def test_cli_guichardet_refuses_a_function_of_another_group(ref, tmp_path, capsys):
+    """Names are compared as names: a huge order is refused without building it."""
+    from cstarconv import cli
+
+    psi = _zn6_kernel_file(tmp_path, ref)
+    tracemalloc.start()
+    try:
+        code = cli.main(["guichardet", "zn:6", psi])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 4 * 2**20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"function file names group {ref!r}" in captured.err
 
 
 EMPTY_NAMES = {
