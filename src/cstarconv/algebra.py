@@ -540,17 +540,6 @@ class GNSData:
     rep_matrices: np.ndarray
     cyclic_vector: np.ndarray
 
-    def represent(self, algebra: Algebra, a: Element) -> np.ndarray:
-        """The representing matrix of an arbitrary element."""
-        coords = algebra.to_coords(a)
-        return np.einsum("k,kij->ij", coords, self.rep_matrices)
-
-    def vector_value(self, algebra: Algebra, a: Element) -> complex:
-        """``<eta, pi(a) eta>``, which reproduces the source functional."""
-        return complex(
-            np.vdot(self.cyclic_vector, self.represent(algebra, a) @ self.cyclic_vector)
-        )
-
 
 def left_multiplication_matrix(algebra: Algebra, a: Element) -> np.ndarray:
     """Coordinate matrix of ``b -> a * b``."""

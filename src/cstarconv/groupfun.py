@@ -335,8 +335,8 @@ def guichardet_via_gns(
 
     data = gns(alg, omega, tol)
     lam, _ = fourier_matrices(group, irreps)
-    shifted = np.array(
-        [data.vector_value(alg, alg.from_coords(lam[:, g])) for g in range(group.order)]
-    )
+    # <eta, pi(a) eta> is linear in a: read it on the basis, then on every lam_g
+    eta = data.cyclic_vector
+    shifted = np.einsum("i,kij,j->k", eta.conj(), data.rep_matrices, eta) @ lam
     deviation = float(np.max(np.abs((shifted - shifted[group.identity]) - values)))
     return GuichardetViaGNS(float(constant), shifted, data, deviation)

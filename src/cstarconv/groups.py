@@ -118,13 +118,11 @@ class IrrepTable:
             bad = np.flatnonzero(np.abs(gram - np.eye(d)).max(axis=(1, 2)) > _IRREP_TOL)
             if bad.size:
                 raise ConstructionError(f"irrep {p} is not unitary at element {bad[0]}")
-            for g in range(m):
-                deviation = np.abs(mats[g] @ mats - mats[group.table[g]]).max(axis=(1, 2))
-                bad = np.flatnonzero(deviation > _IRREP_TOL)
-                if bad.size:
-                    raise ConstructionError(
-                        f"irrep {p} violates the homomorphism law at ({g}, {bad[0]})"
-                    )
+            deviation = np.abs(mats[:, None] @ mats - mats[group.table]).max(axis=(2, 3))
+            bad = np.argwhere(deviation > _IRREP_TOL)  # row-major: first g, then h
+            if bad.size:
+                g, h = bad[0]
+                raise ConstructionError(f"irrep {p} violates the homomorphism law at ({g}, {h})")
         # Schur orthogonality of matrix-coefficient rows
         rows = self.coefficient_rows()
         gram = rows.conj() @ rows.T
@@ -331,7 +329,10 @@ def builtin_group(name: str) -> tuple[SemigroupTable, IrrepTable]:
             raise ConstructionError(f"cyclic group order must be an integer in {name!r}")
         if n < 1:
             raise ConstructionError(f"cyclic order must be positive, got {n}")
-        return cyclic_group(n), cyclic_irreps(n)
+        try:
+            return cyclic_group(n), cyclic_irreps(n)
+        except (MemoryError, ValueError) as exc:  # numpy refuses the allocation
+            raise ConstructionError(f"cyclic group of order {n} is too large to build: {exc}")
     if key in _NAMED_GROUPS:
         group, irreps = _NAMED_GROUPS[key]
         return group(), irreps()

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,10 @@ import cstarconv as cc
 from cstarconv.sampling import random_functional
 
 SEED = 20260810
+
+# subprocesses (``python -m cstarconv``, the demos) import the package from this checkout
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def hermitian_defect(matrix: np.ndarray) -> float:

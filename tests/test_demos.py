@@ -1,6 +1,5 @@
 """Smoke test: every narrative script under demos/ runs to completion."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,10 +12,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs(script):
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     result = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=300
     )
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stderr

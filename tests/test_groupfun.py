@@ -357,3 +357,55 @@ def test_guichardet_routes_agree_on_z4(rng):
         assert abs(kernel_route.constant - gns_route.constant) < 1e-9
         assert gns_route.function_deviation < 1e-9
         assert cc.is_positive_definite(group, gns_route.shifted_values, tol=1e-8)
+
+
+def _vector_values_per_element(irreps, data):
+    """``<eta, pi(lam_g) eta>`` one group element at a time: one ``einsum`` over
+    all representing matrices per element, then ``vdot``."""
+    alg = cc.Algebra(irreps.dims)
+    eta = data.cyclic_vector
+    values = []
+    for g in range(irreps.matrices[0].shape[0]):
+        coords = alg.to_coords(translation_unitary(irreps, g))
+        rep = np.einsum("k,kij->ij", coords, data.rep_matrices)
+        values.append(complex(np.vdot(eta, rep @ eta)))
+    return np.array(values)
+
+
+def _s3_times_cyclic(n):
+    """S3 x Z_n with ``(a, b)`` at index ``a * n + b`` and product irreps ``pi (x) chi``."""
+    s3, z = cc.s3_group(), cc.cyclic_group(n)
+    table = s3.table[:, None, :, None] * n + z.table[None, :, None, :]
+    group = cc.SemigroupTable(table.reshape(6 * n, 6 * n), s3.identity * n + z.identity)
+    irreps = cc.IrrepTable(
+        tuple(
+            (pi[:, None] * chi[None, :]).reshape(6 * n, pi.shape[1], pi.shape[1])
+            for pi in cc.s3_irreps().matrices
+            for chi in cc.cyclic_irreps(n).matrices
+        )
+    )
+    irreps.validate(group)
+    return group, irreps
+
+
+GNS_GROUPS = {
+    "zn:8": lambda: cc.builtin_group("zn:8"),
+    "s3": lambda: cc.builtin_group("s3"),
+    "d4": lambda: cc.builtin_group("d4"),
+    "q8": lambda: cc.builtin_group("q8"),
+    "s3xz3": lambda: _s3_times_cyclic(3),
+}
+
+
+@pytest.mark.parametrize("build", GNS_GROUPS.values(), ids=GNS_GROUPS.keys())
+def test_gns_vector_state_matches_the_per_element_evaluation(build, rng):
+    """One contraction on the basis, then one product with every translation
+    unitary, gives the per-element vector state within 1e-12."""
+    group, irreps = build()
+    for psi in (random_valid_kernel_function(group, rng), np.zeros(group.order)):
+        result = cc.guichardet_via_gns(group, irreps, psi, tol=1e-8)
+        want = _vector_values_per_element(irreps, result.gns_data)
+        assert result.shifted_values.shape == (group.order,)
+        assert np.abs(result.shifted_values - want).max() <= 1e-12
+        assert result.function_deviation < 1e-9
+    assert result.gns_data.dimension == 0  # psi = 0 leaves an empty representation

@@ -162,6 +162,101 @@ def test_non_homomorphic_irrep_rejected_at_first_pair(s3):
         _with_standard_irrep(std).validate(s3)
 
 
+def _validate_per_element(irreps, group):
+    """The message of the first failed check, ``None`` if all pass; the
+    homomorphism law is checked one element ``g`` at a time, as the reference."""
+    m = group.order
+    if sum(d * d for d in irreps.dims) != m:
+        return f"irrep dimensions {irreps.dims} do not satisfy sum(d^2) == |G| == {m}"
+    if irreps.trivial_index is None:
+        return "irrep table must contain the trivial representation"
+    for p, mats in enumerate(irreps.matrices):
+        d = mats.shape[1]
+        if np.abs(mats[group.identity] - np.eye(d)).max() > 1e-10:
+            return f"irrep {p} does not map the identity to 1"
+        gram = mats @ mats.conj().transpose(0, 2, 1)
+        bad = np.flatnonzero(np.abs(gram - np.eye(d)).max(axis=(1, 2)) > 1e-10)
+        if bad.size:
+            return f"irrep {p} is not unitary at element {bad[0]}"
+        for g in range(m):
+            deviation = np.abs(mats[g] @ mats - mats[group.table[g]]).max(axis=(1, 2))
+            bad = np.flatnonzero(deviation > 1e-10)
+            if bad.size:
+                return f"irrep {p} violates the homomorphism law at ({g}, {bad[0]})"
+    rows = irreps.coefficient_rows()
+    gram = rows.conj() @ rows.T
+    expected = np.diag(np.repeat([m / d for d in irreps.dims], [d * d for d in irreps.dims]))
+    if np.abs(gram - expected).max() > 1e-10 * m:
+        return "matrix coefficients violate Schur orthogonality"
+    return None
+
+
+def _validation_message(irreps, group):
+    try:
+        irreps.validate(group)
+    except cc.ConstructionError as exc:
+        return str(exc)
+    return None
+
+
+def _perturbed(irreps, changes):
+    """The table with ``matrices[p][g]`` replaced by ``f(matrices[p])`` for each
+    ``(p, g, f)`` in ``changes``."""
+    mats = [np.array(m) for m in irreps.matrices]
+    for p, g, f in changes:
+        mats[p][g] = f(mats[p])
+    return cc.IrrepTable(tuple(mats))
+
+
+PERTURBATIONS = {
+    "phase": lambda g: lambda mats: np.exp(0.7j) * mats[g],  # unitary, not multiplicative
+    "other-element": lambda g: lambda mats: mats[(g + 1) % len(mats)],
+    "scaled": lambda g: lambda mats: 1.01 * mats[g],  # not unitary
+}
+
+
+@pytest.mark.parametrize("name", ["s3", "d4", "q8", "zn:6"])
+def test_validation_matches_the_per_element_loop(name):
+    """Every single-matrix perturbation of every irrep: same verdict, same message."""
+    group, irreps = cc.builtin_group(name)
+    assert _validation_message(irreps, group) is None
+    messages = []
+    for p, mats in enumerate(irreps.matrices):
+        for g in range(group.order):
+            for perturb in PERTURBATIONS.values():
+                broken = _perturbed(irreps, [(p, g, perturb(g))])
+                want = _validate_per_element(broken, group)
+                assert _validation_message(broken, group) == want
+                messages.append(want)
+    assert any(m and "homomorphism" in m for m in messages)
+    assert any(m and "unitary" in m for m in messages)
+    assert any(m and "identity" in m for m in messages)
+
+
+def test_validation_names_the_first_broken_irrep(s3):
+    """Irrep order decides before element order: irrep 1 broken at a later
+    element than irrep 2 is still the one named."""
+    phase = PERTURBATIONS["phase"]
+    broken = _perturbed(cc.s3_irreps(), [(2, 1, phase(1)), (1, 4, phase(4))])
+    message = _validation_message(broken, s3)
+    assert message == _validate_per_element(broken, s3)
+    assert message.startswith("irrep 1 violates the homomorphism law at (")
+
+
+def test_validation_of_a_broken_character(s3):
+    """A 1x1 sign character made even at one odd element (still unitary)."""
+    broken = _perturbed(cc.s3_irreps(), [(1, 3, lambda mats: -mats[3])])
+    chi = broken.matrices[1][:, 0, 0]
+    first = next(
+        (g, h)
+        for g in range(s3.order)
+        for h in range(s3.order)
+        if abs(chi[g] * chi[h] - chi[s3.table[g, h]]) > 1e-10
+    )
+    message = f"irrep 1 violates the homomorphism law at ({first[0]}, {first[1]})"
+    assert _validation_message(broken, s3) == message == _validate_per_element(broken, s3)
+
+
 def test_large_cyclic_table_builds_in_bounded_memory():
     # the associativity check must not materialise an m^3 index array
     tracemalloc.start()

@@ -555,6 +555,34 @@ def test_cli_guichardet_refuses_a_function_of_another_group(ref, tmp_path, capsy
     assert f"function file names group {ref!r}" in captured.err
 
 
+UNBUILDABLE_ORDERS = {
+    "beyond-address-space": 10**18,  # numpy's MemoryError for 8 EB of indices
+    "beyond-index-range": 10**19,  # numpy's ValueError: more than 2**63 entries
+}
+UNBUILDABLE_COMMANDS = {
+    "validate": ["validate", "zn:{n}"],
+    "evolve": ["evolve", "zn:{n}", "{gamma}"],
+    "evolve-dual": ["evolve", "dual:zn:{n}", "{gamma}"],
+    "guichardet": ["guichardet", "zn:{n}", "{psi}"],
+}
+
+
+@pytest.mark.parametrize("n", UNBUILDABLE_ORDERS.values(), ids=UNBUILDABLE_ORDERS.keys())
+@pytest.mark.parametrize(
+    "argv", UNBUILDABLE_COMMANDS.values(), ids=UNBUILDABLE_COMMANDS.keys()
+)
+def test_cli_refuses_a_cyclic_order_too_large_to_build(n, argv, capsys):
+    """numpy refuses the table before touching memory; the CLI exits 2 naming the order."""
+    from cstarconv import cli
+
+    inputs = {"gamma": GOLDEN / "gamma_zn2.json", "psi": GOLDEN / "psi_s3.json"}
+    assert cli.main([a.format(n=n, **inputs) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: cyclic group of order {n} is too large to build")
+
+
 EMPTY_NAMES = {
     "guichardet": ["guichardet", "", "{psi}"],
     "evolve": ["evolve", " ", "{gamma}"],
