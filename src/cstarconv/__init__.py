@@ -32,6 +32,7 @@ from .algebra import (
     mixing_permutation,
     state_check,
     tensor_algebra,
+    within,
 )
 from .bialgebra import (
     Bialgebra,

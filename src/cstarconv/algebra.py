@@ -45,8 +45,8 @@ def hermitian_spectrum(mats) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian defect and smallest Hermitian-part eigenvalue of each matrix.
 
     ``mats`` is a stack of shape ``(..., n, n)``; both results have shape
-    ``(...)``.  The defect of ``A`` is ``max|A - A^H|`` and the eigenvalue
-    the smallest of ``(A + A^H) / 2``, from one batched ``eigvalsh``.  A
+    ``(...)``.  The defect of ``A`` is ``max|A - A^H|``; the eigenvalue is the
+    smallest of ``A/2 + A^H/2`` (no overflow), by one batched ``eigvalsh``.  A
     matrix with a non-finite entry gets the eigenvalue ``nan``, where LAPACK
     would return zeros or fail to converge, so it fails every gate.
 
@@ -58,18 +58,26 @@ def hermitian_spectrum(mats) -> tuple[np.ndarray, np.ndarray]:
     mats_h = mats.conj().swapaxes(-1, -2)
     defects = np.abs(mats - mats_h).max(axis=(-2, -1))
     finite = np.isfinite(mats).all(axis=(-2, -1))
-    herm = np.where(finite[..., None, None], (mats + mats_h) / 2.0, 0.0)
+    herm = np.where(finite[..., None, None], mats / 2.0 + mats_h / 2.0, 0.0)
     return defects, np.where(finite, np.linalg.eigvalsh(herm)[..., 0], np.nan)
+
+
+def within(residual, tol: float) -> np.ndarray:
+    """Elementwise verdict ``residual <= tol``; a non-finite residual never passes.
+
+    Every pass/fail decision of the package is taken here.
+    """
+    residual = np.asarray(residual)
+    return np.isfinite(residual) & (residual <= tol)
 
 
 def psd_within(defects, min_eigs, tol: float) -> np.ndarray:
     """Elementwise PSD verdict on the output of :func:`hermitian_spectrum`.
 
     A matrix is positive semidefinite within ``tol`` when its Hermitian
-    defect is at most ``tol`` and its smallest eigenvalue at least ``-tol``;
-    a ``nan`` in either fails.
+    defect is at most ``tol`` and its smallest eigenvalue at least ``-tol``.
     """
-    return (np.asarray(defects) <= tol) & (np.asarray(min_eigs) >= -tol)
+    return within(defects, tol) & within(-np.asarray(min_eigs), tol)
 
 
 @dataclass(frozen=True)
@@ -428,27 +436,14 @@ class StateCheck:
     min_eigenvalue: float
     unit_value: complex
 
-    def is_state(self, tol: float = DEFAULT_TOL) -> bool:
-        return bool(
-            psd_within(self.hermitian_defect, self.min_eigenvalue, tol)
-            and np.abs(self.unit_value - 1.0) <= tol
-        )
-
     def violation(self) -> float:
         """Largest deviation from the state conditions (0 for exact states).
 
-        ``nan`` if any diagnostic is ``nan``, so that it fails every check.
+        The functional is a state within ``tol`` when ``within(violation(),
+        tol)``; ``nan`` if any diagnostic is ``nan``, so that it fails.
         """
-        return float(
-            np.max(
-                [
-                    self.hermitian_defect,
-                    0.0,
-                    -self.min_eigenvalue,
-                    np.abs(self.unit_value - 1.0),
-                ]
-            )
-        )
+        unit_defect = np.abs(self.unit_value - 1.0)
+        return float(np.max([self.hermitian_defect, 0.0, -self.min_eigenvalue, unit_defect]))
 
 
 def state_check(mu: Functional) -> StateCheck:

@@ -43,6 +43,7 @@ from .algebra import (
     mixing_permutation,
     psd_within,
     tensor_algebra,
+    within,
 )
 from .errors import ConstructionError, ShapeError
 from .groups import IrrepTable, SemigroupTable
@@ -353,7 +354,13 @@ class ValidationReport:
     cp_min_eig: float | None
     cp_hermitian_defect: float | None
 
-    def _residuals(self) -> list[tuple[str, float]]:
+    def checks(self, tol: float) -> list[tuple[str, float, bool]]:
+        """``(axiom, residual, verdict)`` for each measured axiom, in report order.
+
+        An axiom holds when ``within(residual, tol)``.  Complete positivity
+        is reported by the smallest Choi eigenvalue and holds when every Choi
+        piece is PSD within ``tol``, Hermitian defect included.
+        """
         named = (
             ("coassociativity", self.coassoc_residual),
             ("counit_laws", self.counit_residual),
@@ -361,31 +368,11 @@ class ValidationReport:
             ("coproduct_unital", self.unit_residual),
             ("coproduct_homomorphism", self.hom_residual),
         )
-        return [(name, r) for name, r in named if r is not None]
-
-    def checks(self, tol: float) -> list[tuple[str, float, bool]]:
-        """``(axiom, residual, verdict)`` for each measured axiom, in report order.
-
-        An axiom holds when its residual is at most ``tol`` (never for a
-        ``nan``).  Complete positivity is reported by the smallest Choi
-        eigenvalue and holds when every Choi piece is PSD within ``tol``,
-        Hermitian defect included.
-        """
-        out = [(name, r, bool(r <= tol)) for name, r in self._residuals()]
+        out = [(name, r, bool(within(r, tol))) for name, r in named if r is not None]
         if self.cp_min_eig is not None:
             cp = psd_within(self.cp_hermitian_defect, self.cp_min_eig, tol)
             out.append(("coproduct_choi_min_eig", self.cp_min_eig, bool(cp)))
         return out
-
-    def passes(self, tol: float) -> bool:
-        return all(ok for _, _, ok in self.checks(tol))
-
-    def max_residual(self) -> float:
-        """Largest deviation from the axioms, 0 when exact; ``nan`` if any is ``nan``."""
-        vals = [0.0] + [r for _, r in self._residuals()]
-        if self.cp_min_eig is not None:
-            vals += [-self.cp_min_eig, self.cp_hermitian_defect]
-        return float(np.max(vals))
 
 
 def validate_bialgebra(b: Bialgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -517,9 +504,9 @@ def discrete_type_decomposition(b: Bialgebra) -> DiscreteDecomposition:
     carrier = None
     for i, (n, rho) in enumerate(zip(alg.blocks, b.epsilon.dual_blocks)):
         weight = float(np.abs(rho).max())
-        if weight <= _STRUCT_TOL:
+        if within(weight, _STRUCT_TOL):
             continue
-        if n != 1 or abs(rho[0, 0] - 1.0) > _STRUCT_TOL or carrier is not None:
+        if n != 1 or not within(abs(rho[0, 0] - 1.0), _STRUCT_TOL) or carrier is not None:
             raise ConstructionError(
                 "counit is not a character supported on a single 1x1 block"
             )
@@ -534,4 +521,4 @@ def discrete_type_decomposition(b: Bialgebra) -> DiscreteDecomposition:
 
 def is_cocommutative(b: Bialgebra, tol: float = DEFAULT_TOL) -> bool:
     """Whether the coproduct is invariant under the tensor flip."""
-    return b.cocommutativity_residual() <= tol
+    return bool(within(b.cocommutativity_residual(), tol))

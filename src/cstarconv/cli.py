@@ -8,6 +8,11 @@ Three subcommands wrap the library:
 * ``guichardet`` -- shift a conditionally positive-definite group function,
   certificate included, with the GNS cross-check
 
+Every check passes when its residual is finite and at most ``--tol``, save
+the three PSD checks, whose residual is a signed smallest eigenvalue.  The
+sampled checks of ``validate`` are relative: each sample's residual is divided
+by ``max(1, scale)``, the product of the norms of the functionals it involves.
+
 Reports go to stdout as JSON (default) or flattened ``key = value`` text.
 All numbers are serialized with 17 significant digits and the output is
 byte-deterministic for fixed inputs and seed; wall-clock timing goes to
@@ -27,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import functional_norm, functional_norms, state_check
+from .algebra import functional_norm, functional_norms, state_check, within
 from .bialgebra import (
     Bialgebra,
     function_bialgebra,
@@ -115,12 +120,13 @@ def _digest(source: str, may_be_builtin: bool) -> dict:
 
 
 def _check(name: str, residual: float, tol: float, verdict: bool | None = None) -> dict:
-    """One report check: ``verdict`` is the library's, else ``residual <= tol``.
+    """One report check: ``verdict`` is the library's, else ``within(residual, tol)``.
 
-    A non-finite residual never passes and is reported as null.
+    The two agree except on the PSD checks, whose residual is a signed
+    eigenvalue.  A non-finite residual never passes and is reported as null.
     """
     finite = bool(np.isfinite(residual))
-    ok = finite and (residual <= tol if verdict is None else verdict)
+    ok = within(residual, tol) if verdict is None else finite and verdict
     return {
         "name": name,
         "residual": float(residual) if finite else None,
@@ -160,16 +166,20 @@ SMOKE_SAMPLES = 20  # random functional triples per bialgebra
 
 
 def _smoke_checks(label: str, b: Bialgebra, rng, tol: float) -> list[dict]:
-    # sample s is the triple (lam[s], mu[s], nu[s]), drawn in that order; a
-    # check's residual is the max over the samples and 0, nan if a sample's is
+    # sample s is the triple (lam[s], mu[s], nu[s]), drawn in that order; its
+    # residual is divided by max(1, product of its input norms).  A check's
+    # residual is the max over the samples and 0, nan if a sample's is
     draws = random_duals(b.algebra, rng, 3 * SMOKE_SAMPLES)
     lam, mu, nu = draws.reshape(SMOKE_SAMPLES, 3, -1).swapaxes(0, 1)
     conv, eps, norm = b.convolve, b.counit_coords, partial(functional_norms, b.algebra)
+    n_lam, n_mu, n_nu = norm(draws).reshape(SMOKE_SAMPLES, 3).T
     lam_mu = conv(lam, mu)
+    unit_scale = np.maximum(1.0, n_mu)
     residuals = {
-        "associativity": norm(conv(lam_mu, nu) - conv(lam, conv(mu, nu))),
-        "unit": [norm(conv(eps, mu) - mu), norm(conv(mu, eps) - mu)],
-        "submultiplicative": norm(lam_mu) - norm(lam) * norm(mu),
+        "associativity": norm(conv(lam_mu, nu) - conv(lam, conv(mu, nu)))
+        / np.maximum(1.0, n_lam * n_mu * n_nu),
+        "unit": [norm(conv(eps, mu) - mu) / unit_scale, norm(conv(mu, eps) - mu) / unit_scale],
+        "submultiplicative": (norm(lam_mu) - n_lam * n_mu) / np.maximum(1.0, n_lam * n_mu),
     }
     return [
         _check(f"{label}:convolution_{name}[sample]", np.max(r, initial=0.0), tol)
@@ -282,7 +292,7 @@ def cmd_evolve(args) -> tuple[dict, int]:
             "generator_norm": bound.generator_norm,
             "satisfied": bound.satisfied,
         }
-        checks.append(_check("generator_norm_bound", bound.residual, tol, bound.satisfied))
+        checks.append(_check("generator_norm_bound", bound.residual, tol))
     entries = []
     for t, modulus in zip(times, moduli):
         lam = sg.functional_at(t)
@@ -310,7 +320,7 @@ def cmd_evolve(args) -> tuple[dict, int]:
             }
         )
         tag = f"t={_fmt(t)}"
-        checks.append(_check(f"state[{tag}]", state.violation(), tol, state.is_state(tol)))
+        checks.append(_check(f"state[{tag}]", state.violation(), tol))
         checks.append(
             _check(f"choi_min_eig[{tag}]", float(np.min(cp.min_choi_eigenvalues)), tol, cp.cp)
         )
@@ -420,7 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Convolution semigroups of states on finite-dimensional C*-bialgebras.",
     )
     parser.add_argument(
-        "--tol", type=_finite_nonnegative, default=1e-9, help="absolute tolerance"
+        "--tol",
+        type=_finite_nonnegative,
+        default=1e-9,
+        help="a check passes when its residual is finite and at most this "
+        "(sampled checks are relative to their inputs)",
     )
     parser.add_argument("--seed", type=_nonnegative_int, default=0, help="seed for sampled checks")
     parser.add_argument(

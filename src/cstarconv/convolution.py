@@ -16,7 +16,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, Functional, _dual_block_spectra, functional_norm, psd_within
+from .algebra import (
+    DEFAULT_TOL, Functional, _dual_block_spectra, functional_norm, psd_within, within
+)
 from .bialgebra import Bialgebra, discrete_type_decomposition
 from .errors import PreconditionError, ShapeError
 from .maps import LinearMap
@@ -272,11 +274,11 @@ def generating_functional(
     """
     dec = discrete_type_decomposition(b)
     defects, min_eigs, _ = _dual_block_spectra(gamma)
-    hermitian = bool(np.all(defects <= tol))
+    hermitian = bool(np.all(within(defects, tol)))
     unit_val = gamma(b.algebra.unit())
     cond = bool(np.all(np.delete(psd_within(defects, min_eigs, tol), dec.omega_index)))
     # np.abs gives inf where the builtin abs of a complex raises OverflowError
-    return GeneratingFunctional(gamma, hermitian, bool(np.abs(unit_val) <= tol), cond)
+    return GeneratingFunctional(gamma, hermitian, bool(within(np.abs(unit_val), tol)), cond)
 
 
 def continuity_moduli(b: Bialgebra, gamma: Functional, times) -> list[float]:
@@ -297,7 +299,7 @@ class NormContinuityBound:
     the counit kernel) from grid values, capped below by ``1/T`` which
     dominates all ``t > T`` since the state mass of ``p`` is at most 1.
     ``residual`` is ``norm(gamma) - 2 * c_hat``, and ``satisfied`` records
-    ``residual <= tol``; a residual lost to overflow never satisfies it.
+    ``within(residual, tol)``, so a residual lost to overflow never satisfies it.
     """
 
     c_hat: float
@@ -341,4 +343,4 @@ def norm_continuity_bound(
     c_hat = max(best, 1.0 / max(grid))
     norm = functional_norm(gamma)
     excess = norm - 2.0 * c_hat
-    return NormContinuityBound(c_hat, norm, excess, bool(np.isfinite(excess) and excess <= tol))
+    return NormContinuityBound(c_hat, norm, excess, bool(within(excess, tol)))

@@ -26,6 +26,7 @@ from .algebra import (
     gns,
     hermitian_spectrum,
     psd_within,
+    within,
 )
 from .bialgebra import fourier_matrices
 from .errors import ConstructionError, PreconditionError
@@ -67,7 +68,7 @@ def is_hermitian_function(group: SemigroupTable, values, tol: float = DEFAULT_TO
     """Whether ``f(g^{-1}) == conj(f(g))`` for every group element."""
     inv = _require_group(group)
     values = np.asarray(values, dtype=np.complex128)
-    return bool(np.max(np.abs(values[inv] - values.conj())) <= tol)
+    return bool(within(np.max(np.abs(values[inv] - values.conj())), tol))
 
 
 def is_conditionally_positive_definite(
@@ -122,14 +123,12 @@ class GuichardetCertificate:
         """
         order = len(self.shifted_values)
         minimality = self.minimality_min_eigenvalue + self.minimality_delta * order
+        psd, ones, minimal = within([-self.min_eigenvalue, self.ones_residual, minimality], tol)
         return [
-            ("kernel_psd_after_shift", self.min_eigenvalue, bool(self.min_eigenvalue >= -tol)),
-            ("ones_vector_annihilated", self.ones_residual, bool(self.ones_residual <= tol)),
-            ("shift_minimality", minimality, bool(minimality <= tol)),
+            ("kernel_psd_after_shift", self.min_eigenvalue, bool(psd)),
+            ("ones_vector_annihilated", self.ones_residual, bool(ones)),
+            ("shift_minimality", minimality, bool(minimal)),
         ]
-
-    def passes(self, tol: float = DEFAULT_TOL) -> bool:
-        return all(ok for _, _, ok in self.checks(tol))
 
 
 def _check_guichardet_preconditions(group, values, tol):
@@ -138,7 +137,7 @@ def _check_guichardet_preconditions(group, values, tol):
         problems.append("function is not Hermitian")
     if not is_conditionally_positive_definite(group, values, tol):
         problems.append("function is not conditionally positive-definite")
-    if abs(values[group.identity]) > tol:
+    if not within(abs(values[group.identity]), tol):
         problems.append(
             f"function does not vanish at the identity (value {values[group.identity]})"
         )
@@ -230,7 +229,7 @@ def convolve_measures(monoid: SemigroupTable, first, second) -> np.ndarray:
 
 def is_probability(weights, tol: float = DEFAULT_TOL) -> bool:
     weights = np.asarray(weights, dtype=np.float64)
-    return bool(weights.min(initial=0.0) >= -tol and abs(weights.sum() - 1.0) <= tol)
+    return bool(within([-weights.min(initial=0.0), abs(weights.sum() - 1.0)], tol).all())
 
 
 #: Largest Poisson intensity summed as a series; larger ones are halved first.

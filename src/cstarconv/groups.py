@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import _frozen
+from .algebra import _frozen, within
 from .errors import ConstructionError
 
 _IRREP_TOL = 1e-10
@@ -87,7 +87,7 @@ class IrrepTable:
     @cached_property
     def trivial_index(self) -> int | None:
         for i, m in enumerate(self.matrices):
-            if m.shape[1] == 1 and np.allclose(m, 1.0, atol=_IRREP_TOL):
+            if m.shape[1] == 1 and within(np.abs(m - 1.0), _IRREP_TOL).all():
                 return i
         return None
 
@@ -112,14 +112,14 @@ class IrrepTable:
             if mats.shape[0] != m:
                 raise ConstructionError(f"irrep {p} has {mats.shape[0]} matrices, expected {m}")
             d = mats.shape[1]
-            if np.abs(mats[group.identity] - np.eye(d)).max() > _IRREP_TOL:
+            if not within(np.abs(mats[group.identity] - np.eye(d)).max(), _IRREP_TOL):
                 raise ConstructionError(f"irrep {p} does not map the identity to 1")
             gram = mats @ mats.conj().transpose(0, 2, 1)
-            bad = np.flatnonzero(np.abs(gram - np.eye(d)).max(axis=(1, 2)) > _IRREP_TOL)
+            bad = np.flatnonzero(~within(np.abs(gram - np.eye(d)).max(axis=(1, 2)), _IRREP_TOL))
             if bad.size:
                 raise ConstructionError(f"irrep {p} is not unitary at element {bad[0]}")
             deviation = np.abs(mats[:, None] @ mats - mats[group.table]).max(axis=(2, 3))
-            bad = np.argwhere(deviation > _IRREP_TOL)  # row-major: first g, then h
+            bad = np.argwhere(~within(deviation, _IRREP_TOL))  # row-major: first g, then h
             if bad.size:
                 g, h = bad[0]
                 raise ConstructionError(f"irrep {p} violates the homomorphism law at ({g}, {h})")
@@ -127,7 +127,7 @@ class IrrepTable:
         rows = self.coefficient_rows()
         gram = rows.conj() @ rows.T
         expected = np.diag(np.repeat([m / d for d in self.dims], [d * d for d in self.dims]))
-        if np.abs(gram - expected).max() > _IRREP_TOL * m:
+        if not within(np.abs(gram - expected).max(), _IRREP_TOL * m):
             raise ConstructionError("matrix coefficients violate Schur orthogonality")
 
     def coefficient_rows(self) -> np.ndarray:

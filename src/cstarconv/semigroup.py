@@ -22,6 +22,7 @@ from .algebra import (
     hermitian_spectrum,
     mixing_permutation,
     psd_within,
+    within,
 )
 from .bialgebra import Bialgebra
 # perfbench/replay.py imports associated_semigroup from this module
@@ -73,7 +74,7 @@ def is_right_convolution_operator(
     b: Bialgebra, t_map: LinearMap, tol: float = DEFAULT_TOL
 ) -> bool:
     """Whether ``t_map`` is the right-convolution operator of some functional."""
-    return weak_invariance_residual(b, t_map) <= tol
+    return bool(within(weak_invariance_residual(b, t_map), tol))
 
 
 # ---------------------------------------------------------------------------

@@ -78,27 +78,33 @@ def translation_unitary(irreps, g: int):
     return cc.Algebra(irreps.dims).element([pi[g] for pi in irreps.matrices])
 
 
+def axiom_residuals(report) -> np.ndarray:
+    """The residual of each check of a ``ValidationReport``, in report order."""
+    return np.array([r for _, r, _ in report.checks(cc.DEFAULT_TOL)])
+
+
 def smoke_residuals_reference(b, rng, samples: int) -> tuple[float, float, float]:
     """Associativity, unit and submultiplicativity residuals of the sampled
-    convolution checks, one functional triple at a time (max over the samples
-    and 0; ``nan`` if a sample's is)."""
+    convolution checks, one functional triple at a time.  Each sample's
+    residual is divided by ``max(1, scale)``: ``|lam| |mu| |nu|``, ``|mu|``
+    and ``|lam| |mu|`` respectively.  A check's is the max over the samples
+    and 0 (``nan`` if a sample's is)."""
     assoc = [0.0]
     unital = [0.0]
     submult = [0.0]
     eps = b.epsilon
+    norm = cc.functional_norm
     for _ in range(samples):
         lam = random_functional(b.algebra, rng)
         mu = random_functional(b.algebra, rng)
         nu = random_functional(b.algebra, rng)
         left = cc.convolve(b, cc.convolve(b, lam, mu), nu)
         right = cc.convolve(b, lam, cc.convolve(b, mu, nu))
-        assoc.append(cc.functional_norm(left - right))
-        unital.append(cc.functional_norm(cc.convolve(b, eps, mu) - mu))
-        unital.append(cc.functional_norm(cc.convolve(b, mu, eps) - mu))
-        submult.append(
-            cc.functional_norm(cc.convolve(b, lam, mu))
-            - cc.functional_norm(lam) * cc.functional_norm(mu)
-        )
+        assoc.append(norm(left - right) / max(1.0, norm(lam) * norm(mu) * norm(nu)))
+        unital.append(norm(cc.convolve(b, eps, mu) - mu) / max(1.0, norm(mu)))
+        unital.append(norm(cc.convolve(b, mu, eps) - mu) / max(1.0, norm(mu)))
+        scale = max(1.0, norm(lam) * norm(mu))
+        submult.append((norm(cc.convolve(b, lam, mu)) - norm(lam) * norm(mu)) / scale)
     return float(np.max(assoc)), float(np.max(unital)), float(np.max(submult))
 
 

@@ -349,7 +349,7 @@ def test_schoenberg_forward(s3_dual, q8_dual, rng):
             gamma = random_generating_functional(b, rng)
             assert cc.generating_functional(b, gamma).valid
             for t in cc.SCHOENBERG_GRID:
-                assert cc.state_check(cc.convolution_exp(b, gamma, t)).is_state(1e-9)
+                assert cc.within(cc.state_check(cc.convolution_exp(b, gamma, t)).violation(), 1e-9)
 
 
 def test_schoenberg_reverse(s3_dual, q8_dual, rng):

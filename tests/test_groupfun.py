@@ -151,7 +151,7 @@ def test_guichardet_z2_by_hand(z2):
     kernel = cc.kernel_matrix(z2, cert.shifted_values)
     assert np.allclose(kernel.real, [[1.0, -1.0], [-1.0, 1.0]])
     assert np.allclose(np.linalg.eigvalsh(kernel), [0.0, 2.0], atol=1e-12)
-    assert cert.passes(1e-9)
+    assert all(ok for *_, ok in cert.checks(1e-9))
 
 
 def test_guichardet_s3_sign(s3):
@@ -159,13 +159,13 @@ def test_guichardet_s3_sign(s3):
     cert = cc.guichardet_constant(s3, psi)
     assert abs(cert.constant - 1.0) <= 1e-12
     assert np.abs(cert.shifted_values - cc.s3_sign()).max() < 1e-12
-    assert cert.passes(1e-9)
+    assert all(ok for *_, ok in cert.checks(1e-9))
 
 
 def test_guichardet_zero_function(s3):
     cert = cc.guichardet_constant(s3, np.zeros(6))
     assert cert.constant == 0.0
-    assert cert.passes(1e-9)
+    assert all(ok for *_, ok in cert.checks(1e-9))
 
 
 def test_guichardet_minimality(s3, rng):
@@ -186,6 +186,13 @@ def test_guichardet_precondition_reporting(s3):
         bad = np.zeros(6)
         bad[3] = 5.0  # positive spike at a transposition is not cond-PSD
         cc.guichardet_constant(s3, bad)
+
+
+def test_guichardet_preconditions_name_a_nan_value_at_the_identity(s3):
+    psi = np.zeros(6)
+    psi[s3.identity] = np.nan
+    with pytest.raises(cc.PreconditionError, match=r"vanish at the identity \(value \(nan"):
+        cc.guichardet_constant(s3, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +342,7 @@ def test_guichardet_via_gns_gates_positivity_at_the_callers_tolerance(s3, s3_irr
     odd = cc.s3_sign() < 0
     psi = np.where(np.arange(6) == s3.identity, 0.0, -1.0) + (1 / 3 + 1e-11) * odd
     kernel_route = cc.guichardet_constant(s3, psi, tol)
-    assert kernel_route.passes(tol)
+    assert all(ok for *_, ok in kernel_route.checks(tol))
     gns_route = cc.guichardet_via_gns(s3, s3_irreps, psi, tol)
     assert abs(gns_route.constant - kernel_route.constant) <= tol
     assert gns_route.function_deviation <= tol

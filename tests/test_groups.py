@@ -146,6 +146,20 @@ def test_non_unitary_irrep_rejected_at_first_element(s3):
         _with_standard_irrep(std).validate(s3)
 
 
+def test_nan_irrep_entry_rejected_as_not_unitary(s3):
+    std = np.array(cc.s3_irreps().matrices[2])
+    std[3, 0, 1] = np.nan
+    with pytest.raises(cc.ConstructionError, match="irrep 2 is not unitary at element 3$"):
+        _with_standard_irrep(std).validate(s3)
+
+
+def test_trivial_irrep_is_one_within_the_absolute_irrep_tolerance():
+    """No relative slack: a character reading 1 + 1e-6 is not the trivial one."""
+    for value in (1.0 + 1e-6, np.nan):
+        assert cc.IrrepTable((np.full((2, 1, 1), value),)).trivial_index is None
+    assert cc.IrrepTable((np.full((2, 1, 1), 1.0 + 1e-11),)).trivial_index == 0
+
+
 def test_non_homomorphic_irrep_rejected_at_first_pair(s3):
     std = np.array(cc.s3_irreps().matrices[2])
     std[[3, 4]] = std[[4, 3]]  # still unitary, no longer multiplicative

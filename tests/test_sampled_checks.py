@@ -141,3 +141,40 @@ def test_validate_overflowing_coproduct_fails_with_null_sampled_residuals(tmp_pa
     submult = sampled["submultiplicative[sample]"]
     assert submult["pass"] is False and submult["residual"] > 1e299
     assert all(c["pass"] is False for c in sampled.values() if c["residual"] is None)
+
+
+@pytest.fixture(scope="module")
+def z64_dual():
+    return cc.group_cstar_bialgebra(*cc.builtin_group("zn:64"))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sampled_checks_pass_on_the_group_cstar_algebra_of_z64(z64_dual, seed):
+    """Relative residuals: the absolute associativity residual on C*(Z_64) reads
+    about 1e-9 at seeds 1-5, a relative error of about 1e-15."""
+    checks = cli._smoke_checks("group_cstar[zn:64]", z64_dual, np.random.default_rng(seed), 1e-9)
+    assert all(c["pass"] for c in checks)
+    assert max(c["residual"] for c in checks) <= 1e-12
+
+
+def test_validate_z64_at_seed_1_exits_zero():
+    result = subprocess.run(
+        [sys.executable, "-m", "cstarconv", "--seed", "1", "validate", "zn:64"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stdout
+    assert json.loads(result.stdout)["pass"] is True
+
+
+def test_relative_associativity_check_still_sees_a_relative_1e_6_perturbation():
+    """C*(S3) with its largest coproduct entry scaled by 1 + 1e-6: the relative
+    associativity residual is about 1e-7, far above the tolerance."""
+    b = BIALGEBRAS["group_cstar[s3]"]
+    delta = np.array(b.delta.matrix)
+    delta[np.unravel_index(np.argmax(np.abs(delta)), delta.shape)] *= 1 + 1e-6
+    perturbed = cc.Bialgebra(b.algebra, cc.LinearMap(b.algebra, b.tensor_square, delta), b.epsilon)
+    checks = cli._smoke_checks("s3", perturbed, np.random.default_rng(SEED), 1e-9)
+    assoc = checks[0]
+    assert assoc["name"] == "s3:convolution_associativity[sample]"
+    assert assoc["residual"] > 1e-8 and assoc["pass"] is False

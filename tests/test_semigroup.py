@@ -384,7 +384,7 @@ def test_flow_is_cp_and_unital_iff_state(s3_dual, rng):
         report = cc.is_completely_positive(p_t)
         assert report.cp
         assert cc.unitality_residual(p_t) < 1e-10
-        assert cc.state_check(sg.functional_at(t)).is_state(1e-9)
+        assert cc.within(cc.state_check(sg.functional_at(t)).violation(), 1e-9)
 
 
 def test_non_state_translation_fails_cp(s3_dual, rng):
@@ -395,7 +395,7 @@ def test_non_state_translation_fails_cp(s3_dual, rng):
     blocks[-1] = blocks[-1] - 0.2 * np.eye(blocks[-1].shape[0])
     blocks[0] = blocks[0] + 0.4
     bad = b.algebra.functional(blocks)
-    assert not cc.state_check(bad).is_state(1e-9)
+    assert not cc.within(cc.state_check(bad).violation(), 1e-9)
     report = cc.is_completely_positive(cc.right_convolution_operator(b, bad))
     assert not report.cp
 
