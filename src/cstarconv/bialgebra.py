@@ -16,16 +16,31 @@ invariance residual and the coproduct laws all go through a few
 bialgebra:
 
 * the *table* kernel, when ``T[k, j, l] = [f(k, j) = l]`` for an int table
-  ``f`` whose every left translation ``f(k, .)`` is a bijection (functions
-  on a finite group); the contractions are exact gathers and scatters on ``f``;
+  ``f`` whose every left translation ``f(k, .)`` is a bijection; the
+  contractions are exact gathers and scatters on ``f`` and the coproduct
+  laws are exact counts;
 * the *dense* kernel otherwise: einsums and matrix products over ``T``.
 
-Functions on a monoid are built from its table, and the dense coproduct
-matrix is formed only when a dense path reads ``delta``.  A coproduct given
-as a matrix has its table read off when each row holds one nonzero entry,
-exactly ``1.0``.  The selection never rounds: rounding fill (as in the
-Fourier-built group C*-coproducts) or one entry off ``1.0`` stays dense, so
-``validate`` sees every defect.
+Which family takes which kernel:
+
+* functions on a finite group: table, built from the group's table by
+  :meth:`Bialgebra.from_table`; the dense coproduct matrix is formed only
+  when a dense path reads ``delta``.  Functions on a monoid that is not a
+  group: dense, formed from the same table.
+* the group C*-algebra C*(``Z_n``) of the built-in ``zn:<n>`` (CLI
+  ``validate zn:<n>`` and ``evolve dual:zn:<n>``): table.  In the character
+  basis ``e_j`` of ``cyclic_irreps``, ``lam_g = sum_j omega^(j g) e_j`` and
+  ``lam_g (x) lam_g`` give ``delta(e_j) = sum_{a + b = j mod n} e_a (x) e_b``
+  and ``epsilon(e_j) = [j = 0]``: by Pontryagin duality C*(``Z_n``) is the
+  functions on the dual group, whose table is that of ``Z_n`` itself.  The
+  table is known by construction, so it is exact.
+* :func:`group_cstar_bialgebra` (``s3``, ``d4``, ``q8``, irrep files, and the
+  tests' oracle for C*(``Z_n``)): dense.  Its coproduct comes out of Fourier
+  inversion with rounding fill.
+* a coproduct given as a matrix (bialgebra files): its table is read off
+  when each row holds one nonzero entry, exactly ``1.0``.  The selection
+  never rounds: rounding fill or one entry off ``1.0`` stays dense, so
+  ``validate`` sees every defect.
 """
 
 from __future__ import annotations
@@ -269,7 +284,8 @@ class Bialgebra:
             left = pairs @ t3.transpose(1, 0, 2)[:, :, cols].reshape(dim, dim * c)
             right = pairs @ t3[:, :, cols].reshape(dim, dim * c)
             left = left.reshape(dim, dim, dim, c).transpose(2, 0, 1, 3)
-            return left - right.reshape(dim, dim, dim, c)
+            right = right.reshape(dim, dim, dim, c)
+            return np.subtract(left, right, out=right)
 
         return _max_abs(defects(cols) for cols in _chunks(dim, dim**3))
 

@@ -45,7 +45,7 @@ from .convolution import (
     norm_continuity_bound,
 )
 from .errors import ConstructionError, PreconditionError, SchemaError
-from .groups import builtin_group, builtin_name
+from .groups import IrrepTable, SemigroupTable, builtin_group, builtin_name
 from . import io as io_schemas
 from .groupfun import guichardet_constant, guichardet_via_gns
 from .sampling import random_duals
@@ -187,14 +187,31 @@ def _smoke_checks(label: str, b: Bialgebra, rng, tol: float) -> list[dict]:
     ]
 
 
+def _builtin_group_cstar(name: str, table: SemigroupTable, irreps: IrrepTable) -> Bialgebra:
+    """The group C*-bialgebra of the built-in group ``name`` (a folded fixture name).
+
+    C*(``Z_n``) is the functions on its dual group, and ``j -> chi_j``, the
+    character basis of ``cyclic_irreps``, maps ``Z_n`` onto that group: in it
+    ``delta(e_j) = sum_{a + b = j mod n} e_a (x) e_b`` and the counit is the
+    trivial character ``e_0``.  So it is built from the table of ``Z_n``,
+    exactly, and runs on the table kernel.  The other groups go through
+    Fourier inversion.
+    """
+    if name.startswith("zn:"):
+        return function_bialgebra(table)
+    return group_cstar_bialgebra(table, irreps)
+
+
 def _resolve_validate_targets(paths: list[str]) -> list[tuple[str, Bialgebra]]:
     targets = []
     last_group = None
     for path in paths:
-        if builtin_name(path) is not None:
+        builtin = builtin_name(path)
+        if builtin is not None:
             table, irreps = builtin_group(path)  # refuses the dual: prefix
             targets.append((f"functions[{path}]", function_bialgebra(table)))
-            targets.append((f"group_cstar[{path}]", group_cstar_bialgebra(table, irreps)))
+            cstar = _builtin_group_cstar(builtin[0], table, irreps)
+            targets.append((f"group_cstar[{path}]", cstar))
             last_group = (path, table)
             continue
         data = io_schemas.load_document(path)
@@ -239,7 +256,7 @@ def _resolve_bialgebra(ref: str) -> Bialgebra:
     if builtin is not None:
         name, dual = builtin
         table, irreps = builtin_group(name)
-        return group_cstar_bialgebra(table, irreps) if dual else function_bialgebra(table)
+        return _builtin_group_cstar(name, table, irreps) if dual else function_bialgebra(table)
     data = io_schemas.load_document(ref)
     if "table" in data:
         return function_bialgebra(io_schemas.load_semigroup(data))

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import cstarconv as cc
-from cstarconv.io import load_bialgebra
+from cstarconv import cli
+from cstarconv.io import complex_matrix_to_json, load_bialgebra
+from cstarconv.sampling import random_duals
 
 from conftest import SEED, axiom_residuals, tensor_element, tensor_flip, translation_unitary
 
@@ -417,6 +419,64 @@ def test_group_functions_select_table_kernel(spec):
 def test_group_cstar_bialgebras_select_dense_kernel(spec):
     # the Fourier-built coproduct carries rounding fill; it is never rounded away
     assert _builtin_bialgebra(spec)._table is None
+    # the CLI builds C*(Z_n) from its character-basis table; the other groups stay dense
+    assert (cli._resolve_bialgebra(spec)._table is not None) == spec.startswith("dual:zn:")
+
+
+def test_group_cstar_from_files_selects_dense_kernel(tmp_path):
+    table, irreps = cc.builtin_group("zn:3")
+    (tmp_path / "z3.json").write_text(
+        json.dumps({"order": 3, "identity": 0, "table": table.table.tolist()})
+    )
+    stacks = [[complex_matrix_to_json(m) for m in stack] for stack in irreps.matrices]
+    (tmp_path / "irr.json").write_text(
+        json.dumps({"irreps": [{"dim": 1, "matrices": mats} for mats in stacks]})
+    )
+    dense = cc.group_cstar_bialgebra(table, irreps)
+    payload = {
+        "blocks": list(dense.algebra.blocks),
+        "mode": "hom",
+        "delta": complex_matrix_to_json(dense.delta.matrix),
+        "epsilon": [complex_matrix_to_json(blk) for blk in dense.epsilon.dual_blocks],
+    }
+    (tmp_path / "cstar_z3.json").write_text(json.dumps(payload))
+    paths = [str(tmp_path / name) for name in ("z3.json", "irr.json", "cstar_z3.json")]
+    kernels = [b._table is not None for _, b in cli._resolve_validate_targets(paths)]
+    # functions on Z_3, then C*(Z_3) from the irrep file, then the bialgebra file
+    assert kernels == [True, False, False]
+    assert cli._resolve_bialgebra(paths[2])._table is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 24, 64])
+def test_table_built_cyclic_group_cstar_matches_dense_oracle(n):
+    """C*(Z_n) from its character-basis table against Fourier inversion.
+
+    The oracle's coproduct carries rounding fill (2.5e-13 at n = 64), which
+    a contraction sums over its inputs, so the inputs have unit norm: dual
+    vectors of dual norm one and a matrix whose row and column sums of
+    absolute values are at most one.
+    """
+    name = f"zn:{n}"
+    table, irreps = cc.builtin_group(name)
+    b = cli._builtin_group_cstar(name, table, irreps)
+    dense = cc.group_cstar_bialgebra(table, irreps)
+    assert b._table is not None and b.algebra == dense.algebra
+    assert axiom_residuals(cc.validate_bialgebra(b)).max() == 0.0
+    assert "delta" not in b.__dict__  # validation formed no dense coproduct
+    assert np.abs(b.delta.matrix - dense.delta.matrix).max() <= 1e-12
+    assert np.array_equal(b.counit_coords, dense.counit_coords)
+    rng = np.random.default_rng(SEED)
+    duals = random_duals(b.algebra, rng, 6)
+    duals /= cc.functional_norms(b.algebra, duals)[:, None]
+    x, y = duals[:3], duals[3:]
+    assert np.abs(b.convolve(x, y) - dense.convolve(x, y)).max() <= 1e-12
+    mat = _random_complex(rng, n, n)
+    mat /= max(np.abs(mat).sum(axis=0).max(), np.abs(mat).sum(axis=1).max())
+    for v in x:
+        assert np.abs(b.left_matrix(v) - dense.left_matrix(v)).max() <= 1e-12
+        assert np.abs(b.right_matrix(v) - dense.right_matrix(v)).max() <= 1e-12
+        for m in (mat, b.right_matrix(v)):
+            assert abs(b.invariance_residual(m) - dense.invariance_residual(m)) <= 1e-12
 
 
 def test_monoid_that_is_not_a_group_selects_dense_kernel():

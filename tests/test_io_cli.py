@@ -419,6 +419,33 @@ def test_cli_evolve_dual_group(tmp_path):
     assert result.returncode == 0
 
 
+def test_cli_evolve_dual_cyclic_group_matches_the_dense_route(tmp_path, monkeypatch, capsys):
+    """``evolve dual:zn:8`` on the table-built C*(Z_8) against the same run on
+    the Fourier-built coproduct: same keys, strings and verdicts, numbers
+    within 1e-12."""
+    from cstarconv import cli
+    from cstarconv.sampling import random_generating_functional
+    from test_golden import assert_matches
+
+    table, irreps = cc.builtin_group("zn:8")
+    dense = cc.group_cstar_bialgebra(table, irreps)
+    gamma = random_generating_functional(dense, np.random.default_rng(8))
+    gamma_path = tmp_path / "gamma_z8.json"
+    blocks = [schemas.complex_matrix_to_json(rho) for rho in gamma.dual_blocks]
+    gamma_path.write_text(json.dumps({"dual_blocks": blocks}))
+    argv = ["evolve", "dual:zn:8", str(gamma_path), "--times", "0,0.5,2"]
+
+    def report():
+        code = cli.main(argv)
+        return code, json.loads(capsys.readouterr().out)
+
+    code, table_route = report()
+    monkeypatch.setattr(cli, "_builtin_group_cstar", lambda *args: dense)
+    dense_code, dense_route = report()
+    assert code == dense_code == 0
+    assert_matches(table_route, dense_route)
+
+
 def test_cli_guichardet_s3_sign(tmp_path):
     psi_path = tmp_path / "psi.json"
     psi = [0.0, 0.0, 0.0, -2.0, -2.0, -2.0]

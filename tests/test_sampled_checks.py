@@ -23,15 +23,8 @@ from conftest import SEED, smoke_residuals_reference
 FIXTURES = ["zn:24", "s3", "q8"]
 
 
-def _bialgebras(name):
-    table, irreps = cc.builtin_group(name)
-    return {
-        f"functions[{name}]": cc.function_bialgebra(table),
-        f"group_cstar[{name}]": cc.group_cstar_bialgebra(table, irreps),
-    }
-
-
-BIALGEBRAS = {label: b for name in FIXTURES for label, b in _bialgebras(name).items()}
+# the bialgebras ``validate`` builds for these names, under its labels
+BIALGEBRAS = dict(cli._resolve_validate_targets(FIXTURES))
 
 
 @pytest.mark.parametrize("blocks", [(1,) * 24, (1, 1, 2), (3, 1, 2, 2, 1), (2, 2, 2, 1, 1)])
@@ -68,7 +61,8 @@ def test_stacked_convolve_matches_structure_tensor_contraction(label, rng):
 
 def test_both_kernels_are_exercised():
     kernels = {label: b._table is not None for label, b in BIALGEBRAS.items()}
-    assert kernels["functions[zn:24]"] and not kernels["group_cstar[zn:24]"]
+    assert kernels["functions[zn:24]"] and kernels["group_cstar[zn:24]"]
+    assert not kernels["group_cstar[s3]"] and not kernels["group_cstar[q8]"]
 
 
 def test_functional_norms_of_a_stack_equal_per_functional_norms(rng):
