@@ -23,10 +23,11 @@ bialgebra:
 
 Which family takes which kernel:
 
-* functions on a finite group: table, built from the group's table by
-  :meth:`Bialgebra.from_table`; the dense coproduct matrix is formed only
-  when a dense path reads ``delta``.  Functions on a monoid that is not a
-  group: dense, formed from the same table.
+* a table ``f`` on a finite set goes through :meth:`Bialgebra.from_table`,
+  the one way onto the table kernel: table when every row of ``f`` is a
+  permutation, with the dense coproduct matrix formed only when a dense path
+  reads ``delta``; dense, formed from ``f``, otherwise.  Functions on a
+  finite group are table, functions on a monoid that is not a group dense.
 * the group C*-algebra C*(``Z_n``) of the built-in ``zn:<n>`` (CLI
   ``validate zn:<n>`` and ``evolve dual:zn:<n>``): table.  In the character
   basis ``e_j`` of ``cyclic_irreps``, ``lam_g = sum_j omega^(j g) e_j`` and
@@ -34,13 +35,12 @@ Which family takes which kernel:
   and ``epsilon(e_j) = [j = 0]``: by Pontryagin duality C*(``Z_n``) is the
   functions on the dual group, whose table is that of ``Z_n`` itself.  The
   table is known by construction, so it is exact.
-* :func:`group_cstar_bialgebra` (``s3``, ``d4``, ``q8``, irrep files, and the
-  tests' oracle for C*(``Z_n``)): dense.  Its coproduct comes out of Fourier
-  inversion with rounding fill.
-* a coproduct given as a matrix (bialgebra files): its table is read off
-  when each row holds one nonzero entry, exactly ``1.0``.  The selection
-  never rounds: rounding fill or one entry off ``1.0`` stays dense, so
-  ``validate`` sees every defect.
+* every ``Bialgebra(algebra, delta, epsilon, mode)``: dense.  That covers
+  :func:`group_cstar_bialgebra` (``s3``, ``d4``, ``q8``, irrep files, and
+  the tests' oracle for C*(``Z_n``)), whose coproduct comes out of Fourier
+  inversion with rounding fill, and bialgebra files, 0/1 coproducts
+  included: no table is read off a matrix, so ``validate`` sees every
+  defect of a given coproduct.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ class Bialgebra:
     ----------
     algebra : Algebra
     delta : LinearMap
-        Coproduct, a map from ``algebra`` to its tensor square.  A bialgebra
-        built by :meth:`from_table` forms this matrix on first access.
+        Coproduct, a map from ``algebra`` to its tensor square.  On the table
+        kernel it is formed from the table on first access.
     epsilon : Functional
         Counit; must be a character.
     mode : str
@@ -100,30 +100,47 @@ class Bialgebra:
     def __init__(self, algebra: Algebra, delta: LinearMap, epsilon: Functional, mode: str = "hom"):
         if mode not in ("hom", "hyper"):
             raise ConstructionError(f"mode must be 'hom' or 'hyper', got {mode!r}")
-        self.__dict__.update(algebra=algebra, delta=delta, epsilon=epsilon, mode=mode)
+        self.__dict__.update(algebra=algebra, delta=delta, epsilon=epsilon, mode=mode, _table=None)
         if delta.source != algebra or delta.target != self.tensor_square:
             raise ShapeError("coproduct must map the algebra into its tensor square")
         algebra._require(epsilon)
 
     @classmethod
-    def from_table(cls, algebra: Algebra, table: np.ndarray, epsilon: Functional) -> Bialgebra:
-        """The ``hom``-mode bialgebra with ``delta(e_l) = sum_{f[k, j] = l} e_k (x) e_j``,
-        for a read-only int table ``f`` of shape ``(dim, dim)``; ``delta`` is
-        formed from it only when a dense path reads it."""
-        algebra._require(epsilon)
+    def from_table(cls, table: np.ndarray, identity: int) -> Bialgebra:
+        """The functions on ``m`` points with product table ``f``, a read-only
+        ``(m, m)`` array of indices in ``range(m)``: on ``Algebra((1,) * m)``,
+        ``delta(e_l) = sum_{f[k, j] = l} e_k (x) e_j`` and the counit is the
+        point mass at ``identity``.
+
+        ``delta`` pulls functions back along ``f``, ``delta(g)(k, j) = g(f[k, j])``,
+        so it is a unital *-homomorphism for every ``f``; only coassociativity
+        (``f`` associative) and the counit laws (``identity`` a unit of ``f``)
+        can fail.  When every row of ``f`` is a permutation the result runs on
+        the table kernel and forms ``delta`` only when a dense path reads it;
+        otherwise it is the dense bialgebra formed from ``f``.
+        """
+        m = len(table)
+        alg = Algebra((1,) * m)
+        eps = alg.functional_from_dual_coords(np.eye(m)[identity])
         b = cls.__new__(cls)
-        b.__dict__.update(algebra=algebra, epsilon=epsilon, mode="hom", _coproduct_table=table)
-        return b
+        b.__dict__.update(algebra=alg, epsilon=eps, mode="hom", _table=table)
+        # a row of m entries in range(m) is a permutation when it hits every value
+        hit = np.zeros((m, m), dtype=bool)
+        hit[np.arange(m)[:, None], table] = True
+        if hit.all():
+            return b
+        return cls(alg, b.delta, eps)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name!r}: a Bialgebra is immutable")
 
     @cached_property
     def delta(self) -> LinearMap:
-        dim = self.algebra.dim  # only a bialgebra built from a table gets here
-        cols = self._coproduct_table.ravel()[mixing_permutation(self.algebra, self.algebra)]
+        f = self._table  # only a bialgebra built from a table gets here
+        dim = len(f)
+        # on 1x1 blocks the coordinates of e_k (x) e_j are its Kronecker ones
         matrix = np.zeros((dim * dim, dim), dtype=np.complex128)
-        matrix[np.arange(dim * dim), cols] = 1.0
+        matrix[np.arange(dim * dim), f.ravel()] = 1.0
         return LinearMap(self.algebra, self.tensor_square, matrix)
 
     @cached_property
@@ -146,29 +163,6 @@ class Bialgebra:
         return self.epsilon.dual
 
     # -- the contraction kernel --------------------------------------------
-
-    @cached_property
-    def _coproduct_table(self) -> np.ndarray | None:
-        """The int table ``f`` with ``T[k, j, l] = [f[k, j] = l]``, or ``None``: set by
-        :meth:`from_table`, or read off ``delta`` when each row holds one entry ``1.0``."""
-        dim = self.algebra.dim
-        delta = self.delta.matrix
-        nonzero = delta != 0
-        if not (np.count_nonzero(nonzero, axis=1) == 1).all():
-            return None
-        cols = nonzero.argmax(axis=1)
-        if not (delta[np.arange(dim * dim), cols] == 1.0).all():
-            return None
-        table = np.empty(dim * dim, dtype=np.intp)
-        table[mixing_permutation(self.algebra, self.algebra)] = cols
-        return table.reshape(dim, dim)
-
-    @cached_property
-    def _table(self) -> np.ndarray | None:
-        """``_coproduct_table`` if its rows are permutations; ``None`` selects the dense kernel."""
-        f = self._coproduct_table
-        bijective = f is not None and (np.sort(f, axis=1) == np.arange(len(f))).all()
-        return f if bijective else None
 
     def left_matrix(self, dual: np.ndarray) -> np.ndarray:
         """``sum_k dual[k] T[k]``, the matrix of ``a -> (mu (x) id)(delta a)``.
@@ -304,53 +298,39 @@ class Bialgebra:
         return float(np.max(np.abs(t3 - t3.transpose(1, 0, 2))))
 
     def unit_residual(self) -> float:
-        """Max-abs deviation of ``delta(1)`` from the unit of the tensor square."""
+        """Max-abs deviation of ``delta(1)`` from the unit of the tensor square;
+        exactly 0 on the table kernel (see :meth:`from_table`)."""
+        if self._table is not None:
+            return 0.0
         u = self.algebra.unit_coords
-        f = self._table
-        if f is None:
-            return _max_abs([self.delta.matrix @ u - self.tensor_square.unit_coords])
-        return _max_abs([u[f] - np.outer(u, u)])  # Kronecker entries of both
+        return _max_abs([self.delta.matrix @ u - self.tensor_square.unit_coords])
 
     def star_residual(self) -> float:
-        """Max-abs deviation of ``delta(e_x)*`` from ``delta(e_x*)`` over all ``x``.
-
-        On the table kernel, with ``e_x* = e_{s[x]}``, their ones sit where
-        ``f[s[k], s[j]] = x`` and where ``s[f[k, j]] = x``."""
-        s = self.algebra.star_perm
-        f = self._table
-        if f is None:
-            delta = self.delta.matrix
-            return _max_abs([delta[self.tensor_square.star_perm].conj() - delta[:, s]])
-        return float((f[s[:, None], s] != s[f]).any())
+        """Max-abs deviation of ``delta(e_x)*`` from ``delta(e_x*)`` over all ``x``;
+        exactly 0 on the table kernel (see :meth:`from_table`)."""
+        if self._table is not None:
+            return 0.0
+        s, delta = self.algebra.star_perm, self.delta.matrix
+        return _max_abs([delta[self.tensor_square.star_perm].conj() - delta[:, s]])
 
     def homomorphism_residual(self) -> float:
-        """Max-abs deviation of ``delta(e_x) delta(e_y)`` from ``delta(e_x e_y)``.
+        """Max-abs deviation of ``delta(e_x) delta(e_y)`` from ``delta(e_x e_y)``;
+        exactly 0 on the table kernel (see :meth:`from_table`).
 
-        ``e_x e_y`` is read from the ``product_table`` ``z``.  The dense kernel
-        runs one ``x`` at a time (peak about ``dim**3`` entries).  On the table
-        kernel both sides are exact counts of basis pairs: ``e_a e_c`` and
-        ``e_a' e_c'`` give ``e_z[a, c] (x) e_z[a', c']`` for ``x = f[a, a']``,
-        ``y = f[c, c']``, and ``delta(e_w)`` holds one pair ``(p, q)`` per ``p``.
+        ``e_x e_y`` is read from the ``product_table`` ``z``, and the check
+        runs one ``x`` at a time (peak about ``dim**3`` entries).
         """
-        dim, z = self.algebra.dim, self.algebra.product_table
-        f = self._table
-        if f is None:
-            images = self.delta.matrix.T  # images[x] = coords(delta(e_x))
+        if self._table is not None:
+            return 0.0
+        z = self.algebra.product_table
+        images = self.delta.matrix.T  # images[x] = coords(delta(e_x))
 
-            def defects(x):
-                expected = images[z[x]]
-                expected[z[x] < 0] = 0.0
-                return self.tensor_square.multiply(images[x], images) - expected
+        def defects(x):
+            expected = images[z[x]]
+            expected[z[x] < 0] = 0.0
+            return self.tensor_square.multiply(images[x], images) - expected
 
-            return _max_abs(defects(x) for x in range(dim))
-        a, c = np.nonzero(z >= 0)  # e_a e_c = e_w
-        w, p = z[a, c], np.arange(dim)
-        # both sides as entries (x, y, p, q), numbered ((x * dim + y) * dim + p) * dim + q
-        lhs = ((f[a[:, None], a] * dim + f[c[:, None], c]) * dim + w[:, None]) * dim + w
-        rhs = ((a * dim + c)[:, None] * dim + p) * dim + np.argsort(f, axis=1)[p, w[:, None]]
-        _, entry = np.unique(np.concatenate([lhs.ravel(), rhs.ravel()]), return_inverse=True)
-        counts = np.bincount(entry, np.repeat([1.0, -1.0], [lhs.size, rhs.size]))
-        return float(np.abs(counts).max())
+        return _max_abs(defects(x) for x in range(self.algebra.dim))
 
 
 @dataclass(frozen=True)
@@ -438,10 +418,7 @@ def function_bialgebra(monoid: SemigroupTable) -> Bialgebra:
     coproduct dualizes multiplication, ``delta(f)(g, h) = f(g h)``, and the
     counit evaluates at the identity element.
     """
-    m = monoid.order
-    alg = Algebra((1,) * m)
-    eps = alg.functional_from_dual_coords(np.eye(m)[monoid.identity])
-    return Bialgebra.from_table(alg, monoid.table, eps)
+    return Bialgebra.from_table(monoid.table, monoid.identity)
 
 
 # ---------------------------------------------------------------------------

@@ -112,8 +112,11 @@ def _complex_pair(z: complex) -> list[float]:
 
 
 def _digest(source: str, may_be_builtin: bool) -> dict:
-    if may_be_builtin and builtin_name(source) is not None:
-        payload = f"builtin:{source}".encode()
+    """``source`` and the sha256 of a file's bytes or of a built-in's folded name."""
+    builtin = builtin_name(source) if may_be_builtin else None
+    if builtin is not None:
+        name, dual = builtin
+        payload = f"builtin:{'dual:' if dual else ''}{name}".encode()
     else:
         payload = Path(source).read_bytes()
     return {"source": source, "sha256": hashlib.sha256(payload).hexdigest()}
@@ -193,12 +196,12 @@ def _builtin_group_cstar(name: str, table: SemigroupTable, irreps: IrrepTable) -
     C*(``Z_n``) is the functions on its dual group, and ``j -> chi_j``, the
     character basis of ``cyclic_irreps``, maps ``Z_n`` onto that group: in it
     ``delta(e_j) = sum_{a + b = j mod n} e_a (x) e_b`` and the counit is the
-    trivial character ``e_0``.  So it is built from the table of ``Z_n``,
-    exactly, and runs on the table kernel.  The other groups go through
-    Fourier inversion.
+    trivial character ``e_0``, the identity of that group.  So it is built
+    from the table of ``Z_n``, exactly, and runs on the table kernel.  The
+    other groups go through Fourier inversion.
     """
     if name.startswith("zn:"):
-        return function_bialgebra(table)
+        return Bialgebra.from_table(table.table, table.identity)
     return group_cstar_bialgebra(table, irreps)
 
 

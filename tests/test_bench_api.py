@@ -6,15 +6,20 @@ renames or removes one of them, or changes the positional arguments it
 takes, would break the traced run without any other test noticing, so each
 ``from cstarconv... import name`` is checked here, and so is every call the
 harness makes of a library callable, directly or through one of its timing
-wrappers.
+wrappers, and every attribute it reads off a bialgebra.
 """
 
 import ast
 import importlib
 import inspect
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import cstarconv as cc
+from cstarconv.io import complex_matrix_to_json, load_bialgebra
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -116,3 +121,46 @@ def test_harness_call_binds(call):
     fn = CALLS[call]
     assert fn is not None, f"{source} calls {label}, which the library no longer has"
     inspect.signature(fn).bind(*range(count), **dict.fromkeys(keywords))
+
+
+def _bialgebra_reads():
+    """Attribute chains the harness reads off a bialgebra ``b``, such as ``("delta", "matrix")``."""
+    chains = set()
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.insert(0, node.attr)
+                node = node.value
+            if chain and isinstance(node, ast.Name) and node.id == "b":
+                chains.add(tuple(chain))
+    return sorted(chains)
+
+
+def test_harness_bialgebra_reads_resolve_on_every_construction(tmp_path):
+    """Each ``b.<attribute>`` the harness reads exists on a table-built, a
+    Fourier-built and a file-loaded bialgebra, whatever kernel each runs on."""
+    reads = _bialgebra_reads()
+    expected = {("structure_tensor",), ("delta", "matrix"), ("counit_coords",), ("epsilon",)}
+    assert expected | {("algebra",)} <= set(reads)
+    table_built = cc.function_bialgebra(cc.cyclic_group(5))
+    fourier_built = cc.group_cstar_bialgebra(*cc.builtin_group("s3"))
+    payload = {
+        "blocks": list(table_built.algebra.blocks),
+        "mode": "hom",
+        "delta": complex_matrix_to_json(table_built.delta.matrix),
+        "epsilon": [complex_matrix_to_json(blk) for blk in table_built.epsilon.dual_blocks],
+    }
+    (tmp_path / "z5.json").write_text(json.dumps(payload))
+    file_loaded = load_bialgebra(str(tmp_path / "z5.json"))
+    dense = [b._table is None for b in (table_built, fourier_built, file_loaded)]
+    assert dense == [False, True, True]
+    for b in (table_built, fourier_built, file_loaded):
+        for chain in reads:
+            value = b
+            for attr in chain:
+                value = getattr(value, attr)
+        dim = b.algebra.dim
+        assert b.structure_tensor.shape == (dim, dim, dim)
+        assert b.delta.matrix.shape == (dim * dim, dim)
+        assert np.array_equal(b.counit_coords, b.epsilon.dual)

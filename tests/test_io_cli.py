@@ -674,6 +674,19 @@ def test_cli_digests_a_file_named_like_a_builtin_group(tmp_path, monkeypatch, ca
     ]
 
 
+@pytest.mark.parametrize(
+    "spelling, canonical", [("zn:06", "zn:6"), (" ZN: 6 ", "zn:6"), ("dual:S3", "dual:s3")]
+)
+def test_cli_digests_a_builtin_by_its_folded_name(spelling, canonical):
+    """Spellings of one built-in group hash alike, as the canonical one always has."""
+    from cstarconv import cli
+
+    digest = cli._digest(spelling, True)
+    assert digest["source"] == spelling
+    assert digest["sha256"] == cli._digest(canonical, True)["sha256"]
+    assert digest["sha256"] == hashlib.sha256(f"builtin:{canonical}".encode()).hexdigest()
+
+
 def test_cli_text_format(tmp_path):
     result = run_cli("--format", "text", "validate", "zn:2")
     assert result.returncode == 0
