@@ -15,26 +15,25 @@ invariance residual and the coproduct laws all go through a few
 :class:`Bialgebra` methods, backed by one of two kernels chosen once per
 bialgebra:
 
-* the *table* kernel, when ``T[k, j, l] = [f(k, j) = l]`` for an int table
-  ``f`` whose every left translation ``f(k, .)`` is a bijection; the
-  contractions are exact gathers and scatters on ``f`` and the coproduct
-  laws are exact counts;
+* the *table* kernel, when ``T[k, j, l] = [f(k, j) = l]`` for the table
+  ``f`` of a finite group; the contractions are exact gathers and scatters
+  on ``f``, the counit and cocommutativity residuals exact counts, and the
+  other coproduct laws 0 by construction (see :func:`function_bialgebra`);
 * the *dense* kernel otherwise: einsums and matrix products over ``T``.
 
 Which family takes which kernel:
 
-* a table ``f`` on a finite set goes through :meth:`Bialgebra.from_table`,
-  the one way onto the table kernel: table when every row of ``f`` is a
-  permutation, with the dense coproduct matrix formed only when a dense path
-  reads ``delta``; dense, formed from ``f``, otherwise.  Functions on a
-  finite group are table, functions on a monoid that is not a group dense.
+* functions on a finite monoid go through :func:`function_bialgebra`, the
+  one way onto the table kernel: table when the monoid is a group, with
+  the dense coproduct matrix formed only when a dense path reads ``delta``;
+  dense, formed from the table, for a monoid that is not a group.
 * the group C*-algebra C*(``Z_n``) of the built-in ``zn:<n>`` (CLI
   ``validate zn:<n>`` and ``evolve dual:zn:<n>``): table.  In the character
   basis ``e_j`` of ``cyclic_irreps``, ``lam_g = sum_j omega^(j g) e_j`` and
   ``lam_g (x) lam_g`` give ``delta(e_j) = sum_{a + b = j mod n} e_a (x) e_b``
   and ``epsilon(e_j) = [j = 0]``: by Pontryagin duality C*(``Z_n``) is the
-  functions on the dual group, whose table is that of ``Z_n`` itself.  The
-  table is known by construction, so it is exact.
+  functions on the dual group, whose table is that of ``Z_n`` itself, so it
+  is built exactly as ``function_bialgebra(cyclic_group(n))``.
 * every ``Bialgebra(algebra, delta, epsilon, mode)``: dense.  That covers
   :func:`group_cstar_bialgebra` (``s3``, ``d4``, ``q8``, irrep files, and
   the tests' oracle for C*(``Z_n``)), whose coproduct comes out of Fourier
@@ -105,38 +104,12 @@ class Bialgebra:
             raise ShapeError("coproduct must map the algebra into its tensor square")
         algebra._require(epsilon)
 
-    @classmethod
-    def from_table(cls, table: np.ndarray, identity: int) -> Bialgebra:
-        """The functions on ``m`` points with product table ``f``, a read-only
-        ``(m, m)`` array of indices in ``range(m)``: on ``Algebra((1,) * m)``,
-        ``delta(e_l) = sum_{f[k, j] = l} e_k (x) e_j`` and the counit is the
-        point mass at ``identity``.
-
-        ``delta`` pulls functions back along ``f``, ``delta(g)(k, j) = g(f[k, j])``,
-        so it is a unital *-homomorphism for every ``f``; only coassociativity
-        (``f`` associative) and the counit laws (``identity`` a unit of ``f``)
-        can fail.  When every row of ``f`` is a permutation the result runs on
-        the table kernel and forms ``delta`` only when a dense path reads it;
-        otherwise it is the dense bialgebra formed from ``f``.
-        """
-        m = len(table)
-        alg = Algebra((1,) * m)
-        eps = alg.functional_from_dual_coords(np.eye(m)[identity])
-        b = cls.__new__(cls)
-        b.__dict__.update(algebra=alg, epsilon=eps, mode="hom", _table=table)
-        # a row of m entries in range(m) is a permutation when it hits every value
-        hit = np.zeros((m, m), dtype=bool)
-        hit[np.arange(m)[:, None], table] = True
-        if hit.all():
-            return b
-        return cls(alg, b.delta, eps)
-
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name!r}: a Bialgebra is immutable")
 
     @cached_property
     def delta(self) -> LinearMap:
-        f = self._table  # only a bialgebra built from a table gets here
+        f = self._table  # only function_bialgebra sets a table, so only it gets here
         dim = len(f)
         # on 1x1 blocks the coordinates of e_k (x) e_j are its Kronecker ones
         matrix = np.zeros((dim * dim, dim), dtype=np.complex128)
@@ -255,18 +228,14 @@ class Bialgebra:
     def coassociativity_residual(self) -> float:
         """Max-abs deviation of ``(delta (x) id) delta`` from ``(id (x) delta) delta``.
 
-        On the table kernel both sides are 0/1 tensors and the residual is
-        ``1.0`` exactly when ``f[f[x, y], z] != f[x, f[y, z]]`` somewhere.
-        On the dense kernel it compares every entry, as two matrix products
-        per chunk of output columns, so peak memory is about ``dim**3``
-        entries rather than two ``dim**4`` arrays.
+        Exactly 0 on the table kernel, which only :func:`function_bialgebra`
+        reaches.  On the dense kernel it compares every entry, as two matrix
+        products per chunk of output columns, so peak memory is about
+        ``dim**3`` entries rather than two ``dim**4`` arrays.
         """
+        if self._table is not None:
+            return 0.0
         dim = self.algebra.dim
-        f = self._table
-        if f is not None:
-            return float(
-                any((f[f[xs]] != f[xs][:, f]).any() for xs in _chunks(dim, dim * dim))
-            )
         t3 = self.structure_tensor
         pairs = t3.reshape(dim * dim, dim)
 
@@ -299,7 +268,7 @@ class Bialgebra:
 
     def unit_residual(self) -> float:
         """Max-abs deviation of ``delta(1)`` from the unit of the tensor square;
-        exactly 0 on the table kernel (see :meth:`from_table`)."""
+        exactly 0 on the table kernel, which only :func:`function_bialgebra` reaches."""
         if self._table is not None:
             return 0.0
         u = self.algebra.unit_coords
@@ -307,7 +276,7 @@ class Bialgebra:
 
     def star_residual(self) -> float:
         """Max-abs deviation of ``delta(e_x)*`` from ``delta(e_x*)`` over all ``x``;
-        exactly 0 on the table kernel (see :meth:`from_table`)."""
+        exactly 0 on the table kernel, which only :func:`function_bialgebra` reaches."""
         if self._table is not None:
             return 0.0
         s, delta = self.algebra.star_perm, self.delta.matrix
@@ -315,7 +284,7 @@ class Bialgebra:
 
     def homomorphism_residual(self) -> float:
         """Max-abs deviation of ``delta(e_x) delta(e_y)`` from ``delta(e_x e_y)``;
-        exactly 0 on the table kernel (see :meth:`from_table`).
+        exactly 0 on the table kernel, which only :func:`function_bialgebra` reaches.
 
         ``e_x e_y`` is read from the ``product_table`` ``z``, and the check
         runs one ``x`` at a time (peak about ``dim**3`` entries).
@@ -414,11 +383,27 @@ def validate_bialgebra(b: Bialgebra, tol: float = DEFAULT_TOL) -> ValidationRepo
 def function_bialgebra(monoid: SemigroupTable) -> Bialgebra:
     """The commutative bialgebra of complex functions on a finite monoid.
 
-    The algebra is ``m`` one-dimensional blocks (one per point); the
-    coproduct dualizes multiplication, ``delta(f)(g, h) = f(g h)``, and the
-    counit evaluates at the identity element.
+    The algebra is ``m`` one-dimensional blocks (one per point); with ``f``
+    the monoid's table, the coproduct pulls functions back along
+    multiplication, ``delta(g)(k, j) = g(f[k, j])``, and the counit is the
+    point mass at the identity.  Pullback along a map is a unital
+    *-homomorphism, and :class:`SemigroupTable` refuses a table that is not
+    associative, so on the table kernel, which only this function reaches,
+    the coproduct laws other than the counit laws read exactly 0.  A group
+    runs on the table kernel and forms ``delta`` only when a dense path reads
+    it; any other monoid gets the dense bialgebra formed from ``f``.
     """
-    return Bialgebra.from_table(monoid.table, monoid.identity)
+    f, m = monoid.table, monoid.order
+    alg = Algebra((1,) * m)
+    eps = alg.functional_from_dual_coords(np.eye(m)[monoid.identity])
+    b = Bialgebra.__new__(Bialgebra)
+    b.__dict__.update(algebra=alg, epsilon=eps, mode="hom", _table=f)
+    # a row of m entries in range(m) is a permutation when it hits every value
+    hit = np.zeros((m, m), dtype=bool)
+    hit[np.arange(m)[:, None], f] = True
+    if hit.all():
+        return b
+    return Bialgebra(alg, b.delta, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -193,15 +193,13 @@ def _smoke_checks(label: str, b: Bialgebra, rng, tol: float) -> list[dict]:
 def _builtin_group_cstar(name: str, table: SemigroupTable, irreps: IrrepTable) -> Bialgebra:
     """The group C*-bialgebra of the built-in group ``name`` (a folded fixture name).
 
-    C*(``Z_n``) is the functions on its dual group, and ``j -> chi_j``, the
-    character basis of ``cyclic_irreps``, maps ``Z_n`` onto that group: in it
-    ``delta(e_j) = sum_{a + b = j mod n} e_a (x) e_b`` and the counit is the
-    trivial character ``e_0``, the identity of that group.  So it is built
-    from the table of ``Z_n``, exactly, and runs on the table kernel.  The
-    other groups go through Fourier inversion.
+    C*(``Z_n``) is the functions on its dual group, which ``j -> chi_j``, the
+    character basis of ``cyclic_irreps``, identifies with ``Z_n``: so it is
+    :func:`function_bialgebra` of the checked table of ``Z_n``, exact and on
+    the table kernel.  The other groups go through Fourier inversion.
     """
     if name.startswith("zn:"):
-        return Bialgebra.from_table(table.table, table.identity)
+        return function_bialgebra(table)
     return group_cstar_bialgebra(table, irreps)
 
 
@@ -211,10 +209,15 @@ def _resolve_validate_targets(paths: list[str]) -> list[tuple[str, Bialgebra]]:
     for path in paths:
         builtin = builtin_name(path)
         if builtin is not None:
-            table, irreps = builtin_group(path)  # refuses the dual: prefix
+            name, dual = builtin
+            if dual:
+                raise SchemaError(
+                    f"validate takes no dual: prefix, got {path!r}; {name!r} checks both "
+                    "the functions and the group C*-algebra"
+                )
+            table, irreps = builtin_group(name)
             targets.append((f"functions[{path}]", function_bialgebra(table)))
-            cstar = _builtin_group_cstar(builtin[0], table, irreps)
-            targets.append((f"group_cstar[{path}]", cstar))
+            targets.append((f"group_cstar[{path}]", _builtin_group_cstar(name, table, irreps)))
             last_group = (path, table)
             continue
         data = io_schemas.load_document(path)
@@ -357,12 +360,14 @@ def cmd_guichardet(args) -> tuple[dict, int]:
     tol = args.tol
     builtin = builtin_name(args.group)
     if builtin:
+        if builtin[1]:
+            raise SchemaError(f"guichardet takes a group, not a dual: name, got {args.group!r}")
         if args.irreps is not None:
             raise SchemaError(
                 f"--irreps applies to a group file; built-in group {args.group!r} "
                 "carries its irreps"
             )
-        table, irreps = builtin_group(args.group)  # refuses the dual: prefix
+        table, irreps = builtin_group(builtin[0])
     else:
         table = io_schemas.load_semigroup(args.group)
         irreps = io_schemas.load_irreps(args.irreps) if args.irreps is not None else None

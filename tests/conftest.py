@@ -9,6 +9,11 @@ from cstarconv.sampling import random_functional
 
 SEED = 20260810
 
+# a loop of order 5: every row and column is a permutation and 0 is a
+# two-sided unit, but 36 triples are not associative, e.g. (1*1)*2 = 2 and
+# 1*(1*2) = 4; the table kernel relies on SemigroupTable refusing it
+LOOP_5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
 # subprocesses (``python -m cstarconv``, the demos) import the package from this checkout
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)

@@ -6,6 +6,8 @@ import pytest
 import cstarconv as cc
 from cstarconv.groups import builtin_name, is_builtin_group
 
+from conftest import LOOP_5
+
 
 @pytest.mark.parametrize("name", ["zn:1", "zn:2", "zn:5", "zn:12", "s3", "d4", "q8"])
 def test_builtin_tables_are_groups(name):
@@ -71,13 +73,14 @@ def test_irrep_dimension_counts(s3_irreps):
 
 
 def test_semigroup_table_rejects_bad_structures():
-    with pytest.raises(cc.ConstructionError):
-        cc.SemigroupTable(np.array([[1, 0], [0, 1]]), 0)  # declared identity is not a unit
+    with pytest.raises(cc.ConstructionError, match="declared identity is not a two-sided unit"):
+        cc.SemigroupTable(np.array([[1, 0], [0, 1]]), 0)
     # identity holds but (1*1)*1 = 1 while 1*(1*1) = 2
     bad_assoc = np.array([[0, 1, 2], [1, 2, 2], [2, 1, 2]])
-    with pytest.raises(cc.ConstructionError):
-        cc.SemigroupTable(bad_assoc, 0)
-    with pytest.raises(cc.ConstructionError):
+    for table in (bad_assoc, np.array(LOOP_5)):
+        with pytest.raises(cc.ConstructionError, match="multiplication table is not associative"):
+            cc.SemigroupTable(table, 0)
+    with pytest.raises(cc.ConstructionError, match="table entries must be element indices"):
         cc.SemigroupTable(np.array([[0, 1], [1, 5]]), 0)  # entry out of range
 
 

@@ -13,7 +13,7 @@ import pytest
 import cstarconv as cc
 from cstarconv import io as schemas
 
-from conftest import axiom_residuals
+from conftest import LOOP_5, axiom_residuals
 
 
 def run_cli(*args):
@@ -175,7 +175,8 @@ Z2_TABLE = [[0, 1], [1, 0]]
 ONE_POINT = {"mode": "hom", "delta": [[[1, 0]]], "epsilon": [[[[1, 0]]]]}
 
 # (command, file, path in the message); each was a traceback with exit 1, was
-# accepted (a bool, float or string count or index), or named a coarser path
+# accepted (a bool, float or string count or index), or named a coarser path,
+# except the loop, whose refusal as not associative the table kernel relies on
 BROKEN_STRUCTURE_FILES = {
     "negative-block": ("validate", _bialgebra_doc([1, -1]), "$.blocks"),
     "bool-block": ("validate", {"blocks": [True]} | ONE_POINT, "$.blocks[0]"),
@@ -185,6 +186,8 @@ BROKEN_STRUCTURE_FILES = {
     "string-identity": ("validate", _semigroup_doc(2, "0", Z2_TABLE), "$.identity"),
     "bool-table-entry": ("validate", _semigroup_doc(2, 0, [[0, True], [1, 0]]), "$.table[0][1]"),
     "huge-table-entry": ("validate", _semigroup_doc(2, 0, [[0, 2**64], [1, 0]]), "$.table"),
+    "loop-validate": ("validate", _semigroup_doc(5, 0, LOOP_5), "$.table"),
+    "loop-evolve": ("evolve", _semigroup_doc(5, 0, LOOP_5), "$.table"),
     "float-irrep-dim": ("irreps", _s3_irrep_doc(1.0), "$.irreps[0].dim"),
     "bool-irrep-dim": ("irreps", _s3_irrep_doc(True), "$.irreps[0].dim"),
     "bool-irrep-entry": (
@@ -219,6 +222,8 @@ def test_cli_rejects_broken_structure_files(tmp_path, capsys, kind, doc, where):
     path.write_text(json.dumps(doc))
     if kind == "validate":
         argv = ["validate", str(path)]
+    elif kind == "evolve":
+        argv = ["evolve", str(path), str(GOLDEN / "gamma_zn2.json")]
     else:
         group = tmp_path / "s3.json"
         s3 = cc.s3_group()
@@ -657,6 +662,25 @@ def test_cli_refuses_a_blank_path_by_name(argv, message, tmp_path, capsys):
     assert captured.out == ""
     assert "Errno" not in captured.err and "directory" not in captured.err
     assert message in captured.err
+
+
+DUAL_NAMES = {
+    "validate": ["validate", "dual:s3"],
+    "validate-zn": ["validate", "zn:2", "DUAL:zn:4"],
+    "guichardet": ["guichardet", "dual:s3", "{psi}"],
+}
+
+
+@pytest.mark.parametrize("argv", DUAL_NAMES.values(), ids=DUAL_NAMES.keys())
+def test_cli_names_the_dual_prefix_where_it_is_refused(argv, capsys):
+    """``evolve`` takes ``dual:``; ``validate`` and ``guichardet`` refuse it by
+    name, not as an unknown group."""
+    from cstarconv import cli
+
+    assert cli.main([arg.format(psi=GOLDEN / "psi_s3.json") for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "dual:" in captured.err and "unknown built-in group" not in captured.err
 
 
 def test_cli_digests_a_file_named_like_a_builtin_group(tmp_path, monkeypatch, capsys):

@@ -455,7 +455,7 @@ def test_generator_pairing_catches_swapped_tensor_legs(s3_functions, rng):
     ):
         gamma = random_generating_functional(good, rng)
         if storage == "_table":
-            b = cc.Bialgebra.from_table(good._table, 0)
+            b = cc.function_bialgebra(cc.s3_group())
             assert b._table is not None
             b.delta  # formed from the table before the swap
         else:
