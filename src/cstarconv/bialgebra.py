@@ -11,35 +11,17 @@ irreps (cocommutative).  ``mode="hyper"`` relaxes the coproduct from a
 Most computations are contractions of the *structure tensor*
 ``T[k, j, l]``: the coefficient of ``e_k (x) e_j`` (Kronecker coordinates)
 in ``delta(e_l)``.  Convolution of functionals, translation operators, the
-invariance residual and the coproduct laws all go through a few
-:class:`Bialgebra` methods, backed by one of two kernels chosen once per
-bialgebra:
+invariance residual and the coproduct laws all go through a few methods,
+and the class of a bialgebra is its kernel:
 
-* the *table* kernel, when ``T[k, j, l] = [f(k, j) = l]`` for the table
-  ``f`` of a finite group; the contractions are exact gathers and scatters
-  on ``f``, the counit and cocommutativity residuals exact counts, and the
-  other coproduct laws 0 by construction (see :func:`function_bialgebra`);
-* the *dense* kernel otherwise: einsums and matrix products over ``T``.
-
-Which family takes which kernel:
-
-* functions on a finite monoid go through :func:`function_bialgebra`, the
-  one way onto the table kernel: table when the monoid is a group, with
-  the dense coproduct matrix formed only when a dense path reads ``delta``;
-  dense, formed from the table, for a monoid that is not a group.
-* the group C*-algebra C*(``Z_n``) of the built-in ``zn:<n>`` (CLI
-  ``validate zn:<n>`` and ``evolve dual:zn:<n>``): table.  In the character
-  basis ``e_j`` of ``cyclic_irreps``, ``lam_g = sum_j omega^(j g) e_j`` and
-  ``lam_g (x) lam_g`` give ``delta(e_j) = sum_{a + b = j mod n} e_a (x) e_b``
-  and ``epsilon(e_j) = [j = 0]``: by Pontryagin duality C*(``Z_n``) is the
-  functions on the dual group, whose table is that of ``Z_n`` itself, so it
-  is built exactly as ``function_bialgebra(cyclic_group(n))``.
-* every ``Bialgebra(algebra, delta, epsilon, mode)``: dense.  That covers
-  :func:`group_cstar_bialgebra` (``s3``, ``d4``, ``q8``, irrep files, and
-  the tests' oracle for C*(``Z_n``)), whose coproduct comes out of Fourier
-  inversion with rounding fill, and bialgebra files, 0/1 coproducts
-  included: no table is read off a matrix, so ``validate`` sees every
-  defect of a given coproduct.
+* :class:`Bialgebra`, the *dense* kernel of einsums and matrix products
+  over ``T``, for every coproduct given as a matrix, 0/1 ones included: no
+  table is read off a matrix, so ``validate`` sees every defect of it.
+* ``_TableBialgebra``, the *table* kernel of exact gathers and scatters on
+  the table ``f`` of a finite group, ``T[k, j, l] = [f(k, j) = l]``, which
+  only :func:`function_bialgebra` builds.  The CLI's C*(``Z_n``) is built
+  by it as the functions on the dual group, whose table in the character
+  basis of ``cyclic_irreps`` is that of ``Z_n``.
 """
 
 from __future__ import annotations
@@ -81,14 +63,13 @@ def _max_abs(parts) -> float:
 
 
 class Bialgebra:
-    """An algebra with coproduct and counit.
+    """An algebra with coproduct and counit, on the dense kernel.
 
     Attributes
     ----------
     algebra : Algebra
     delta : LinearMap
-        Coproduct, a map from ``algebra`` to its tensor square.  On the table
-        kernel it is formed from the table on first access.
+        Coproduct, a map from ``algebra`` to its tensor square.
     epsilon : Functional
         Counit; must be a character.
     mode : str
@@ -99,22 +80,13 @@ class Bialgebra:
     def __init__(self, algebra: Algebra, delta: LinearMap, epsilon: Functional, mode: str = "hom"):
         if mode not in ("hom", "hyper"):
             raise ConstructionError(f"mode must be 'hom' or 'hyper', got {mode!r}")
-        self.__dict__.update(algebra=algebra, delta=delta, epsilon=epsilon, mode=mode, _table=None)
+        self.__dict__.update(algebra=algebra, delta=delta, epsilon=epsilon, mode=mode)
         if delta.source != algebra or delta.target != self.tensor_square:
             raise ShapeError("coproduct must map the algebra into its tensor square")
         algebra._require(epsilon)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name!r}: a Bialgebra is immutable")
-
-    @cached_property
-    def delta(self) -> LinearMap:
-        f = self._table  # only function_bialgebra sets a table, so only it gets here
-        dim = len(f)
-        # on 1x1 blocks the coordinates of e_k (x) e_j are its Kronecker ones
-        matrix = np.zeros((dim * dim, dim), dtype=np.complex128)
-        matrix[np.arange(dim * dim), f.ravel()] = 1.0
-        return LinearMap(self.algebra, self.tensor_square, matrix)
 
     @cached_property
     def tensor_square(self) -> Algebra:
@@ -142,30 +114,14 @@ class Bialgebra:
 
         Its transpose is the matrix of ``nu -> mu * nu`` on dual coordinates.
         """
-        f = self._table
-        if f is None:
-            return np.einsum("k,kjl->jl", dual, self.structure_tensor)
-        dim = len(f)
-        # T[k] has its one 1 of row j in column f[k, j]: scatter-add dual[k] there
-        index = (np.arange(dim) * dim + f).ravel()
-        weights = np.repeat(dual, dim)
-        out = np.empty(dim * dim, dtype=np.complex128)
-        out.real = np.bincount(index, weights.real, dim * dim)
-        out.imag = np.bincount(index, weights.imag, dim * dim)
-        return out.reshape(dim, dim)
+        return np.einsum("k,kjl->jl", dual, self.structure_tensor)
 
     def right_matrix(self, dual: np.ndarray) -> np.ndarray:
         """``sum_j dual[j] T[:, j, :]``, the matrix of ``a -> (id (x) mu)(delta a)``.
 
         Its transpose is the matrix of ``nu -> nu * mu`` on dual coordinates.
         """
-        f = self._table
-        if f is None:
-            return np.einsum("j,kjl->kl", dual, self.structure_tensor)
-        # row k is a permutation of dual: entry [k, f[k, j]] is dual[j]
-        out = np.empty(f.shape, dtype=np.complex128)
-        out[np.arange(len(f))[:, None], f] = dual
-        return out
+        return np.einsum("j,kjl->kl", dual, self.structure_tensor)
 
     def convolve(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Dual vectors of the convolutions of functionals with dual vectors ``x``, ``y``.
@@ -173,10 +129,7 @@ class Bialgebra:
         ``x`` and ``y`` are stacks of shape ``(..., dim)`` with broadcastable
         leading axes; entry ``l`` of a result is ``sum_kj x[k] y[j] T[k, j, l]``.
         The stacks run in chunks of vectors whose temporaries hold about
-        ``_CHUNK`` entries.  On the dense kernel a chunk is one GEMM
-        ``x @ T.reshape(dim, dim**2)`` and one batched contraction with ``y``;
-        on the table kernel it is one ``bincount`` that scatters
-        ``x[s, k] y[s, j]`` of vector ``s`` to ``s * dim + f[k, j]``.
+        ``_CHUNK`` entries, each through :meth:`_convolve_chunk`.
         """
         dim = self.algebra.dim
         x, y = np.asarray(x), np.asarray(y)
@@ -184,57 +137,41 @@ class Bialgebra:
         x = np.broadcast_to(x, batch + (dim,)).reshape(-1, dim)
         y = np.broadcast_to(y, batch + (dim,)).reshape(-1, dim)
         out = np.empty(x.shape, dtype=np.complex128)
-        f = self._table
         for rows in _chunks(len(out), dim * dim):
-            if f is None:
-                left = x[rows] @ self.structure_tensor.reshape(dim, dim * dim)
-                out[rows] = np.einsum("sj,sjl->sl", y[rows], left.reshape(-1, dim, dim))
-            else:
-                count = rows.stop - rows.start
-                index = (np.arange(count)[:, None, None] * dim + f).ravel()
-                weights = (x[rows, :, None] * y[rows, None, :]).ravel()
-                part = out[rows]
-                part.real = np.bincount(index, weights.real, count * dim).reshape(count, dim)
-                part.imag = np.bincount(index, weights.imag, count * dim).reshape(count, dim)
+            self._convolve_chunk(x[rows], y[rows], out[rows])
         return out.reshape(batch + (dim,))
+
+    def _convolve_chunk(self, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+        """Convolve rows of ``x`` and ``y`` into ``out``: a GEMM with ``T``, then ``y``."""
+        dim = self.algebra.dim
+        left = x @ self.structure_tensor.reshape(dim, dim * dim)
+        out[:] = np.einsum("sj,sjl->sl", y, left.reshape(-1, dim, dim))
 
     def invariance_residual(self, matrix: np.ndarray) -> float:
         """``max |T[k] @ matrix - matrix @ T[k]|`` over all ``k``.
 
         Runs over chunks of ``k`` whose temporaries hold about ``_CHUNK``
-        entries, so memory stays bounded at any ``dim``.  On the dense kernel
-        the two products are one matrix product and one batched matrix
-        product per chunk.  On the table kernel ``T[k] @ M`` is the row
-        gather ``M[f[k]]`` and ``M @ T[k]`` the column gather
-        ``M[:, f_inv[k]]``; renumbering the columns by ``f[k]`` turns their
-        difference into ``M[f[k]][:, f[k]] - M``, the same entries in
-        another order, so one gather per chunk gives the same maximum.
+        entries, so memory stays bounded at any ``dim``; :meth:`_commutators`
+        forms the differences of one chunk.
         """
         dim = self.algebra.dim
-        f = self._table
+        return _max_abs(self._commutators(matrix, ks) for ks in _chunks(dim, dim * dim))
 
-        def commutators(ks):
-            if f is None:
-                t3 = self.structure_tensor[ks]
-                out = (t3.reshape(-1, dim) @ matrix).reshape(t3.shape)
-                out -= np.matmul(matrix, t3)
-            else:
-                out = matrix[f[ks, :, None], f[ks, None, :]]
-                out -= matrix
-            return out
-
-        return _max_abs(commutators(ks) for ks in _chunks(dim, dim * dim))
+    def _commutators(self, matrix: np.ndarray, ks: slice) -> np.ndarray:
+        """``T[k] @ matrix - matrix @ T[k]`` for ``k`` in ``ks``, by two matrix products."""
+        dim = self.algebra.dim
+        t3 = self.structure_tensor[ks]
+        out = (t3.reshape(-1, dim) @ matrix).reshape(t3.shape)
+        out -= np.matmul(matrix, t3)
+        return out
 
     def coassociativity_residual(self) -> float:
         """Max-abs deviation of ``(delta (x) id) delta`` from ``(id (x) delta) delta``.
 
-        Exactly 0 on the table kernel, which only :func:`function_bialgebra`
-        reaches.  On the dense kernel it compares every entry, as two matrix
-        products per chunk of output columns, so peak memory is about
-        ``dim**3`` entries rather than two ``dim**4`` arrays.
+        It compares every entry, as two matrix products per chunk of output
+        columns, so peak memory is about ``dim**3`` entries rather than two
+        ``dim**4`` arrays.
         """
-        if self._table is not None:
-            return 0.0
         dim = self.algebra.dim
         t3 = self.structure_tensor
         pairs = t3.reshape(dim * dim, dim)
@@ -260,37 +197,25 @@ class Bialgebra:
 
     def cocommutativity_residual(self) -> float:
         """Max-abs deviation of the coproduct from its tensor flip."""
-        f = self._table
-        if f is not None:
-            return float((f != f.T).any())
         t3 = self.structure_tensor
         return float(np.max(np.abs(t3 - t3.transpose(1, 0, 2))))
 
     def unit_residual(self) -> float:
-        """Max-abs deviation of ``delta(1)`` from the unit of the tensor square;
-        exactly 0 on the table kernel, which only :func:`function_bialgebra` reaches."""
-        if self._table is not None:
-            return 0.0
+        """Max-abs deviation of ``delta(1)`` from the unit of the tensor square."""
         u = self.algebra.unit_coords
         return _max_abs([self.delta.matrix @ u - self.tensor_square.unit_coords])
 
     def star_residual(self) -> float:
-        """Max-abs deviation of ``delta(e_x)*`` from ``delta(e_x*)`` over all ``x``;
-        exactly 0 on the table kernel, which only :func:`function_bialgebra` reaches."""
-        if self._table is not None:
-            return 0.0
+        """Max-abs deviation of ``delta(e_x)*`` from ``delta(e_x*)`` over all ``x``."""
         s, delta = self.algebra.star_perm, self.delta.matrix
         return _max_abs([delta[self.tensor_square.star_perm].conj() - delta[:, s]])
 
     def homomorphism_residual(self) -> float:
-        """Max-abs deviation of ``delta(e_x) delta(e_y)`` from ``delta(e_x e_y)``;
-        exactly 0 on the table kernel, which only :func:`function_bialgebra` reaches.
+        """Max-abs deviation of ``delta(e_x) delta(e_y)`` from ``delta(e_x e_y)``.
 
         ``e_x e_y`` is read from the ``product_table`` ``z``, and the check
         runs one ``x`` at a time (peak about ``dim**3`` entries).
         """
-        if self._table is not None:
-            return 0.0
         z = self.algebra.product_table
         images = self.delta.matrix.T  # images[x] = coords(delta(e_x))
 
@@ -300,6 +225,77 @@ class Bialgebra:
             return self.tensor_square.multiply(images[x], images) - expected
 
         return _max_abs(defects(x) for x in range(self.algebra.dim))
+
+
+class _TableBialgebra(Bialgebra):
+    """The functions on a finite group with table ``f``, on the table kernel.
+
+    ``T[k, j, l] = [f(k, j) = l]``, so every contraction is an exact gather
+    or scatter on ``f``, and ``delta`` is formed from ``f`` only when a dense
+    path reads it.  The coproduct is the pullback ``delta(g)(k, j) =
+    g(f[k, j])``, a unital *-homomorphism for any map ``f``, and
+    :class:`SemigroupTable` refused ``f`` unless it is associative: so the
+    coassociativity, unit, ``*`` and homomorphism laws read exactly 0, and
+    only the counit and cocommutativity residuals are computed, as exact
+    counts.  That reason holds only for a checked table, so
+    :func:`function_bialgebra` is the one place that builds this class.
+    """
+
+    def __init__(self, algebra: Algebra, epsilon: Functional, table: np.ndarray):
+        self.__dict__.update(algebra=algebra, epsilon=epsilon, mode="hom", _f=table)
+
+    @cached_property
+    def delta(self) -> LinearMap:
+        f = self._f
+        dim = len(f)
+        # on 1x1 blocks the coordinates of e_k (x) e_j are its Kronecker ones
+        matrix = np.zeros((dim * dim, dim), dtype=np.complex128)
+        matrix[np.arange(dim * dim), f.ravel()] = 1.0
+        return LinearMap(self.algebra, self.tensor_square, matrix)
+
+    def left_matrix(self, dual: np.ndarray) -> np.ndarray:
+        f = self._f
+        dim = len(f)
+        # T[k] has its one 1 of row j in column f[k, j]: scatter-add dual[k] there
+        index = (np.arange(dim) * dim + f).ravel()
+        weights = np.repeat(dual, dim)
+        out = np.empty(dim * dim, dtype=np.complex128)
+        out.real = np.bincount(index, weights.real, dim * dim)
+        out.imag = np.bincount(index, weights.imag, dim * dim)
+        return out.reshape(dim, dim)
+
+    def right_matrix(self, dual: np.ndarray) -> np.ndarray:
+        f = self._f
+        # row k is a permutation of dual: entry [k, f[k, j]] is dual[j]
+        out = np.empty(f.shape, dtype=np.complex128)
+        out[np.arange(len(f))[:, None], f] = dual
+        return out
+
+    def _convolve_chunk(self, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+        # one bincount scatters x[s, k] y[s, j] of vector s to s * dim + f[k, j]
+        f, (count, dim) = self._f, out.shape
+        index = (np.arange(count)[:, None, None] * dim + f).ravel()
+        weights = (x[:, :, None] * y[:, None, :]).ravel()
+        out.real = np.bincount(index, weights.real, count * dim).reshape(count, dim)
+        out.imag = np.bincount(index, weights.imag, count * dim).reshape(count, dim)
+
+    def _commutators(self, matrix: np.ndarray, ks: slice) -> np.ndarray:
+        """``T[k] @ M`` is the row gather ``M[f[k]]`` and ``M @ T[k]`` the
+        column gather ``M[:, f_inv[k]]``; renumbering the columns by ``f[k]``
+        turns their difference into ``M[f[k]][:, f[k]] - M``, the same entries
+        in another order, so one gather per chunk gives the same maximum."""
+        f = self._f
+        out = matrix[f[ks, :, None], f[ks, None, :]]
+        out -= matrix
+        return out
+
+    def coassociativity_residual(self) -> float:
+        return 0.0
+
+    unit_residual = star_residual = homomorphism_residual = coassociativity_residual
+
+    def cocommutativity_residual(self) -> float:
+        return float((self._f != self._f.T).any())
 
 
 @dataclass(frozen=True)
@@ -386,18 +382,15 @@ def function_bialgebra(monoid: SemigroupTable) -> Bialgebra:
     The algebra is ``m`` one-dimensional blocks (one per point); with ``f``
     the monoid's table, the coproduct pulls functions back along
     multiplication, ``delta(g)(k, j) = g(f[k, j])``, and the counit is the
-    point mass at the identity.  Pullback along a map is a unital
-    *-homomorphism, and :class:`SemigroupTable` refuses a table that is not
-    associative, so on the table kernel, which only this function reaches,
-    the coproduct laws other than the counit laws read exactly 0.  A group
-    runs on the table kernel and forms ``delta`` only when a dense path reads
-    it; any other monoid gets the dense bialgebra formed from ``f``.
+    point mass at the identity.  A group gets ``_TableBialgebra``, the table
+    kernel, which this function alone builds, since its exact laws rest on
+    :class:`SemigroupTable` having checked ``f``.  Any other monoid gets the
+    dense :class:`Bialgebra` of the coproduct formed from ``f``.
     """
     f, m = monoid.table, monoid.order
     alg = Algebra((1,) * m)
     eps = alg.functional_from_dual_coords(np.eye(m)[monoid.identity])
-    b = Bialgebra.__new__(Bialgebra)
-    b.__dict__.update(algebra=alg, epsilon=eps, mode="hom", _table=f)
+    b = _TableBialgebra(alg, eps, f)
     # a row of m entries in range(m) is a permutation when it hits every value
     hit = np.zeros((m, m), dtype=bool)
     hit[np.arange(m)[:, None], f] = True

@@ -144,10 +144,17 @@ def load_semigroup(source) -> SemigroupTable:
             _fail(f"$.table[{r}]", f"expected {order} entries")
         for c, v in enumerate(row):
             _as_int(v, f"$.table[{r}][{c}]")
+    if not 0 <= identity < order:
+        _fail("$.identity", f"identity index {identity} out of range")
     try:
         return SemigroupTable(np.array(table), identity)
-    except (ValueError, OverflowError) as exc:  # an entry past the index range
-        raise SchemaError(f"at $.table: {exc}") from exc
+    except (ValueError, OverflowError) as exc:  # an entry past the index range, or a law
+        # SemigroupTable checks the entries, then the identity, then associativity
+        unit = list(range(order))
+        indices = all(0 <= v < order for row in table for v in row)
+        not_unit = table[identity] != unit or [row[identity] for row in table] != unit
+        where = "$.identity" if indices and not_unit else "$.table"
+        raise SchemaError(f"at {where}: {exc}") from exc
 
 
 def load_irreps(source) -> IrrepTable:

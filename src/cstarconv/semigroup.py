@@ -153,9 +153,9 @@ def generator_pairing_residual(b: Bialgebra, gamma: Functional) -> float:
     ``e_k (x) gamma`` of the coordinate functionals, built as Kronecker
     products reordered by :func:`mixing_permutation`.  The identity holds
     for any bilinear coproduct, coassociative or not, so it checks the
-    coordinate bookkeeping of the kernel's storage, the gather table or the
-    structure tensor (which leg is which, and the Kronecker reordering),
-    not the coproduct axioms.
+    bookkeeping of what the kernel contracts, the table kernel's ``f`` or
+    the dense kernel's structure tensor (which leg is which, and the
+    Kronecker reordering), not the coproduct axioms.
     """
     alg = b.algebra
     z_matrix = right_convolution_operator(b, gamma).matrix

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cstarconv as cc
+from cstarconv.bialgebra import _TableBialgebra
 from cstarconv.sampling import random_functional
 
 SEED = 20260810
@@ -81,6 +82,11 @@ def functional_norm_witness(algebra, mu):
 def translation_unitary(irreps, g: int):
     """The element ``(+)_pi pi(g)`` of the group C*-algebra."""
     return cc.Algebra(irreps.dims).element([pi[g] for pi in irreps.matrices])
+
+
+def on_table_kernel(b) -> bool:
+    """Whether ``b`` runs on the table kernel, which only ``function_bialgebra`` builds."""
+    return isinstance(b, _TableBialgebra)
 
 
 def axiom_residuals(report) -> np.ndarray:

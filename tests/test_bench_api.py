@@ -21,6 +21,8 @@ import pytest
 import cstarconv as cc
 from cstarconv.io import complex_matrix_to_json, load_bialgebra
 
+from conftest import on_table_kernel
+
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -153,7 +155,7 @@ def test_harness_bialgebra_reads_resolve_on_every_construction(tmp_path):
     }
     (tmp_path / "z5.json").write_text(json.dumps(payload))
     file_loaded = load_bialgebra(str(tmp_path / "z5.json"))
-    dense = [b._table is None for b in (table_built, fourier_built, file_loaded)]
+    dense = [not on_table_kernel(b) for b in (table_built, fourier_built, file_loaded)]
     assert dense == [False, True, True]
     for b in (table_built, fourier_built, file_loaded):
         for chain in reads:

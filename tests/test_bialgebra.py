@@ -9,9 +9,15 @@ import pytest
 import cstarconv as cc
 from cstarconv import cli
 from cstarconv.io import complex_matrix_to_json, load_bialgebra
-from cstarconv.sampling import random_duals
 
-from conftest import SEED, axiom_residuals, tensor_element, tensor_flip, translation_unitary
+from conftest import (
+    SEED,
+    axiom_residuals,
+    on_table_kernel,
+    tensor_element,
+    tensor_flip,
+    translation_unitary,
+)
 
 
 def test_z2_function_bialgebra_exact(z2_functions):
@@ -253,40 +259,98 @@ def _random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-@pytest.mark.parametrize("spec", ["zn:1", "zn:2", "zn:7", "zn:64", "s3", "d4", "q8"])
-def test_table_kernel_matches_dense_oracle(spec):
-    b = _builtin_bialgebra(spec)
-    assert b._table is not None
-    dense = _dense(b)
-    rng = np.random.default_rng(SEED)
+def _table_built(case):
+    """A bialgebra that ``function_bialgebra`` builds, and its Fourier-built
+    oracle when it is the CLI's C*(Z_n) (``case`` ``dual:zn:<n>``)."""
+    if case.startswith("dual:"):
+        name = case.removeprefix("dual:")
+        table, irreps = cc.builtin_group(name)
+        return cli._builtin_group_cstar(name, table, irreps), cc.group_cstar_bialgebra(table, irreps)
+    return _builtin_bialgebra(case), None
+
+
+def _convolve_chunk(b, x, y, mats):
+    out = np.empty(x.shape, dtype=np.complex128)
+    b._convolve_chunk(x, y, out)
+    return out
+
+
+# how each method the table kernel overrides is compared: the call on the
+# kernel under test and on its oracle, given dual vectors x, y and matrices
+ORACLE_CALLS = {
+    "left_matrix": lambda b, x, y, mats: np.array([b.left_matrix(v) for v in x]),
+    "right_matrix": lambda b, x, y, mats: np.array([b.right_matrix(v) for v in x]),
+    "_convolve_chunk": _convolve_chunk,
+    # the table kernel gives each commutator with its columns renumbered by f[k]
+    "_commutators": lambda b, x, y, mats: np.array(
+        [np.sort(np.abs(b._commutators(m, slice(None))), axis=None) for m in mats]
+    ),
+    **{
+        law: lambda b, *inputs, law=law: getattr(b, law)()
+        for law in (
+            "coassociativity_residual", "unit_residual", "star_residual",
+            "homomorphism_residual", "cocommutativity_residual",
+        )
+    },
+}
+
+
+def _oracle_inputs(b, rng, unit):
+    """``(x, y, mats)``: three dual vectors each, a random matrix and a right
+    translation, which commutes with every ``T[k]``.  With ``unit`` the dual
+    vectors have dual norm one and the random matrix row and column sums of
+    absolute values at most one."""
     dim = b.algebra.dim
-    for _ in range(3):
-        x, y = _random_complex(rng, dim), _random_complex(rng, dim)
-        assert np.array_equal(b.left_matrix(x), dense.left_matrix(x))
-        assert np.array_equal(b.right_matrix(x), dense.right_matrix(x))
-        assert np.abs(b.convolve(x, y) - dense.convolve(x, y)).max() <= 1e-12
-        mat = _random_complex(rng, dim, dim)
-        invariant = b.right_matrix(x)
-        for m in (mat, invariant):
-            assert b.invariance_residual(m) == dense.invariance_residual(m)
-    # right translations commute with left ones
-    assert b.invariance_residual(invariant) == 0.0
-    assert b.coassociativity_residual() == dense.coassociativity_residual() == 0.0
-    assert b.counit_residual() == dense.counit_residual() == 0.0
-    assert b.cocommutativity_residual() == dense.cocommutativity_residual()
-    assert "structure_tensor" not in b.__dict__
+    duals, mat = _random_complex(rng, 6, dim), _random_complex(rng, dim, dim)
+    if unit:
+        duals /= cc.functional_norms(b.algebra, duals)[:, None]
+        mat /= max(np.abs(mat).sum(axis=0).max(), np.abs(mat).sum(axis=1).max())
+    return duals[:3], duals[3:], (mat, b.right_matrix(duals[0]))
 
 
-@pytest.mark.parametrize("spec", ["zn:1", "zn:2", "zn:7", "zn:64", "s3", "d4", "q8"])
-def test_validation_report_matches_dense_oracle(spec):
-    b = _builtin_bialgebra(spec)
-    assert b._table is not None
+# the built-in groups' function bialgebras, and the CLI's C*(Z_n)
+TABLE_BUILT_CASES = ["zn:1", "zn:2", "zn:7", "zn:64", "s3", "d4", "q8"] + [
+    f"dual:zn:{n}" for n in (1, 2, 3, 5, 8, 24, 64)
+]
+
+
+@pytest.mark.parametrize("case", TABLE_BUILT_CASES)
+def test_validation_report_matches_dense_oracle(case):
+    b, _ = _table_built(case)
+    assert on_table_kernel(b)
     report = cc.validate_bialgebra(b)
     # built from the group table: validation forms neither the dense
     # coproduct nor the tensor square
     assert "delta" not in b.__dict__ and "tensor_square" not in b.__dict__
     assert report == cc.validate_bialgebra(_dense(b))
     assert axiom_residuals(report).max() == 0.0
+
+
+@pytest.mark.parametrize("case", TABLE_BUILT_CASES)
+def test_table_kernel_matches_dense_oracle(case):
+    """Every method the table kernel overrides against the dense kernel on
+    the same coproduct, exactly (convolution within 1e-12), and for C*(Z_n)
+    also against Fourier inversion within 1e-12.
+
+    The Fourier coproduct carries rounding fill (2.5e-13 at n = 64), which a
+    contraction sums over its inputs, so the inputs it sees have unit norm.
+    """
+    b, fourier = _table_built(case)
+    assert on_table_kernel(b)
+    overrides = {name for name in vars(type(b)) if not name.startswith("__")} - {"delta"}
+    assert set(ORACLE_CALLS) == overrides
+    dense = _dense(b)
+    rng = np.random.default_rng(SEED)
+    raw = _oracle_inputs(b, rng, unit=False)
+    unit = _oracle_inputs(b, rng, unit=True)
+    # right translations commute with left ones
+    assert b.invariance_residual(raw[2][1]) == 0.0
+    for name, call in ORACLE_CALLS.items():
+        tol = 1e-12 if name == "_convolve_chunk" else 0.0
+        assert np.abs(call(b, *raw) - call(dense, *raw)).max() <= tol, name
+        if fourier is not None:
+            assert np.abs(call(b, *unit) - call(fourier, *unit)).max() <= 1e-12, name
+    assert "structure_tensor" not in b.__dict__
 
 
 def _table_coproduct(blocks, table):
@@ -318,7 +382,7 @@ def test_table_coproducts_on_a_matrix_block_break_their_laws(name, broken):
     idx = np.arange(5)
     table = {"sum": (idx[:, None] + idx) % 5, "right": np.tile(idx, (5, 1))}[name]
     b = _table_coproduct((1, 2), table)
-    assert b._table is None
+    assert not on_table_kernel(b)
     for law in _LAWS:
         assert (getattr(b, law)() >= 1.0) == (law in broken)
     assert not all(ok for *_, ok in cc.validate_bialgebra(b).checks(1e-9))
@@ -348,7 +412,7 @@ def test_function_bialgebra_file_runs_dense_like_the_table_built_one(tmp_path, c
 
     path = _function_bialgebra_file(tmp_path, cc.s3_group().table, 0)
     loaded = load_bialgebra(path)
-    assert loaded._table is None
+    assert not on_table_kernel(loaded)
     table_built = cc.function_bialgebra(cc.s3_group())
     assert cc.validate_bialgebra(loaded) == cc.validate_bialgebra(table_built)
     gamma_path = tmp_path / "gamma.json"
@@ -405,7 +469,7 @@ def test_coproduct_formed_from_the_table_is_the_dense_construction(table):
     assert b.delta.matrix.dtype == expected.dtype
     assert np.array_equal(b.delta.matrix, expected)
     assert b.delta.target is b.tensor_square
-    assert (b._table is not None) == group
+    assert on_table_kernel(b) == group
 
 
 def test_one_tensor_square_per_bialgebra(s3_dual, tmp_path):
@@ -419,16 +483,16 @@ def test_one_tensor_square_per_bialgebra(s3_dual, tmp_path):
 @pytest.mark.parametrize("spec", ["zn:5", "s3", "d4", "q8"])
 def test_group_functions_select_table_kernel(spec):
     b = _builtin_bialgebra(spec)
-    assert b._table is not None
-    assert np.array_equal(b._table, cc.builtin_group(spec)[0].table)
+    assert on_table_kernel(b)
+    assert np.array_equal(b._f, cc.builtin_group(spec)[0].table)
 
 
 @pytest.mark.parametrize("spec", ["dual:zn:4", "dual:zn:24", "dual:s3", "dual:d4", "dual:q8"])
 def test_group_cstar_bialgebras_select_dense_kernel(spec):
     # the Fourier-built coproduct carries rounding fill; it is never rounded away
-    assert _builtin_bialgebra(spec)._table is None
+    assert not on_table_kernel(_builtin_bialgebra(spec))
     # the CLI builds C*(Z_n) from its character-basis table; the other groups stay dense
-    assert (cli._resolve_bialgebra(spec)._table is not None) == spec.startswith("dual:zn:")
+    assert on_table_kernel(cli._resolve_bialgebra(spec)) == spec.startswith("dual:zn:")
 
 
 def test_group_cstar_from_files_selects_dense_kernel(tmp_path):
@@ -449,48 +513,30 @@ def test_group_cstar_from_files_selects_dense_kernel(tmp_path):
     }
     (tmp_path / "cstar_z3.json").write_text(json.dumps(payload))
     paths = [str(tmp_path / name) for name in ("z3.json", "irr.json", "cstar_z3.json")]
-    kernels = [b._table is not None for _, b in cli._resolve_validate_targets(paths)]
+    kernels = [on_table_kernel(b) for _, b in cli._resolve_validate_targets(paths)]
     # functions on Z_3, then C*(Z_3) from the irrep file, then the bialgebra file
     assert kernels == [True, False, False]
-    assert cli._resolve_bialgebra(paths[2])._table is None
+    assert not on_table_kernel(cli._resolve_bialgebra(paths[2]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 24, 64])
 def test_table_built_cyclic_group_cstar_matches_dense_oracle(n):
-    """C*(Z_n) from its character-basis table against Fourier inversion.
-
-    The oracle's coproduct carries rounding fill (2.5e-13 at n = 64), which
-    a contraction sums over its inputs, so the inputs have unit norm: dual
-    vectors of dual norm one and a matrix whose row and column sums of
-    absolute values are at most one.
-    """
+    """C*(Z_n) from its character-basis table has the coproduct and counit
+    of Fourier inversion; its contractions are compared in
+    ``test_table_kernel_matches_dense_oracle``."""
     name = f"zn:{n}"
     table, irreps = cc.builtin_group(name)
     b = cli._builtin_group_cstar(name, table, irreps)
     dense = cc.group_cstar_bialgebra(table, irreps)
-    assert b._table is not None and b.algebra == dense.algebra
-    assert axiom_residuals(cc.validate_bialgebra(b)).max() == 0.0
-    assert "delta" not in b.__dict__  # validation formed no dense coproduct
+    assert on_table_kernel(b) and b.algebra == dense.algebra
     assert np.abs(b.delta.matrix - dense.delta.matrix).max() <= 1e-12
     assert np.array_equal(b.counit_coords, dense.counit_coords)
-    rng = np.random.default_rng(SEED)
-    duals = random_duals(b.algebra, rng, 6)
-    duals /= cc.functional_norms(b.algebra, duals)[:, None]
-    x, y = duals[:3], duals[3:]
-    assert np.abs(b.convolve(x, y) - dense.convolve(x, y)).max() <= 1e-12
-    mat = _random_complex(rng, n, n)
-    mat /= max(np.abs(mat).sum(axis=0).max(), np.abs(mat).sum(axis=1).max())
-    for v in x:
-        assert np.abs(b.left_matrix(v) - dense.left_matrix(v)).max() <= 1e-12
-        assert np.abs(b.right_matrix(v) - dense.right_matrix(v)).max() <= 1e-12
-        for m in (mat, b.right_matrix(v)):
-            assert abs(b.invariance_residual(m) - dense.invariance_residual(m)) <= 1e-12
 
 
 def test_monoid_that_is_not_a_group_selects_dense_kernel():
     table = np.array([[0, 1, 2], [1, 2, 2], [2, 2, 2]])
     b = cc.function_bialgebra(cc.SemigroupTable(table, 0))
-    assert b._table is None
+    assert not on_table_kernel(b)
     assert (axiom_residuals(cc.validate_bialgebra(b)) == 0.0).all()
 
 
@@ -502,7 +548,7 @@ def test_coproduct_entry_off_one_selects_dense_kernel_and_fails_validation(s3_fu
     delta[row, np.flatnonzero(delta[row])] = 1.0 + 1e-9
     coproduct = cc.LinearMap(b.delta.source, b.delta.target, delta)
     perturbed = cc.Bialgebra(b.algebra, coproduct, b.epsilon)
-    assert perturbed._table is None
+    assert not on_table_kernel(perturbed)
     report = cc.validate_bialgebra(perturbed)
     assert report.coassoc_residual > 5e-10
     assert not all(ok for *_, ok in report.checks(1e-10))
@@ -521,81 +567,57 @@ def test_non_associative_latin_square_fails_dense_coassociativity():
     assert _einsum_coassoc_residual(b) == 1.0
 
 
-def table_setters(source: str) -> list[tuple[int, str | None]]:
-    """``(line, innermost enclosing function)`` of every write of a ``_table``
-    that is not the constant ``None``: keyword argument, dict literal key,
-    attribute or subscript assignment, or a ``setattr``-style call."""
+def table_kernel_doors(source: str) -> list[tuple[int, str, str | None]]:
+    """``(line, name, innermost enclosing function)`` of every use of the
+    name ``_TableBialgebra`` but its class statement, and of every ``_table``
+    name, attribute, keyword, argument or string."""
     tree = ast.parse(source)
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-
-    def key(node):
-        return isinstance(node, ast.Constant) and node.value == "_table"
-
-    def written(target):
-        return any(
-            key(n) or (isinstance(n, ast.Attribute) and n.attr == "_table")
-            for n in ast.walk(target)
-        )
-
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.keyword) and node.arg == "_table":
-            values = [node.value]
-        elif isinstance(node, ast.Dict):
-            values = [v for k, v in zip(node.keys, node.values) if key(k)]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            hit = any(written(t) for t in targets) and node.value is not None
-            values = [node.value] if hit else []
-        elif isinstance(node, ast.Call):
-            values = [v for k, v in zip(node.args, node.args[1:]) if key(k)]
-        else:
+        if isinstance(node, ast.ClassDef):
             continue
+        fields = ("id", "attr", "arg", "name", "asname", "value")
+        named = {getattr(node, field, None) for field in fields} & {"_TableBialgebra", "_table"}
         scope = node
         while scope in parents and not isinstance(scope, ast.FunctionDef):
             scope = parents[scope]
-        for value in values:
-            if not (isinstance(value, ast.Constant) and value.value is None):
-                found.append((node.lineno, getattr(scope, "name", None)))
+        found += [(node.lineno, name, getattr(scope, "name", None)) for name in named]
     return sorted(found)
 
 
-def test_only_function_bialgebra_sets_a_table():
-    """A second door onto the table kernel would let ``coassociativity_residual``
-    read 0 for a table that :class:`SemigroupTable` never checked."""
-    src = Path(cc.__file__).parent
-    setters = [scope for path in src.glob("*.py") for _, scope in table_setters(path.read_text())]
-    assert setters == ["function_bialgebra"]
-
-
-def test_the_table_setter_scan_finds_planted_doors():
-    planted = """
-class Bialgebra:
-    def __init__(self, delta):
-        self.__dict__.update(delta=delta, _table=None)
+PLANTED_DOORS = """
+class _TableBialgebra(Bialgebra):
+    pass
 
 def function_bialgebra(monoid):
-    b.__dict__.update(_table=monoid.table)
+    return _TableBialgebra(alg, eps, monoid.table)
 
-def door(b, table):
-    b.__dict__["_table"] = table
-    object.__setattr__(b, "_table", table)
-    b.__dict__.update({"_table": table})
-    b._table = table
-    b.__dict__.update(_table=table)
-    b.__dict__["_table"] = None
-    same(b._table, table)
+def door(alg, eps, table):
+    b = _TableBialgebra(alg, eps, table)
+    kernel = bialgebra._TableBialgebra
+    setattr(b, "_table", table)
+    return object.__new__(_TableBialgebra)
 """
-    assert table_setters(planted) == [
-        (7, "function_bialgebra"), (10, "door"), (11, "door"), (12, "door"), (13, "door"),
-        (14, "door"),
-    ]
+
+
+@pytest.mark.parametrize("source", ["src", "planted"])
+def test_only_function_bialgebra_builds_the_table_kernel(source):
+    """A second door onto the table kernel would let ``coassociativity_residual``
+    read 0 for a table that :class:`SemigroupTable` never checked."""
+    expected = [("_TableBialgebra", "function_bialgebra")]
+    if source == "src":
+        texts = [path.read_text() for path in Path(cc.__file__).parent.glob("*.py")]
+    else:
+        texts = [PLANTED_DOORS]
+        expected += [("_TableBialgebra", "door")] * 2 + [("_table", "door"), ("_TableBialgebra", "door")]
+    assert [door[1:] for text in texts for door in table_kernel_doors(text)] == expected
 
 
 def test_invariance_residual_runs_in_bounded_memory():
     # a dim^3 complex tensor at dim 128 would be 32 MB, and so would structure_tensor
     b = cc.function_bialgebra(cc.cyclic_group(128))
-    assert b._table is not None
+    assert on_table_kernel(b)
     rng = np.random.default_rng(SEED)
     t_map = cc.LinearMap(b.algebra, b.algebra, _random_complex(rng, 128, 128))
     tracemalloc.start()

@@ -184,6 +184,9 @@ BROKEN_STRUCTURE_FILES = {
     "bool-order": ("validate", _semigroup_doc(True, 0, [[0]]), "$.order"),
     "float-identity": ("validate", _semigroup_doc(2, 0.7, Z2_TABLE), "$.identity"),
     "string-identity": ("validate", _semigroup_doc(2, "0", Z2_TABLE), "$.identity"),
+    "identity-past-order": ("validate", _semigroup_doc(2, 7, Z2_TABLE), "$.identity"),
+    "negative-identity": ("validate", _semigroup_doc(2, -1, Z2_TABLE), "$.identity"),
+    "identity-not-a-unit": ("validate", _semigroup_doc(2, 1, Z2_TABLE), "$.identity"),
     "bool-table-entry": ("validate", _semigroup_doc(2, 0, [[0, True], [1, 0]]), "$.table[0][1]"),
     "huge-table-entry": ("validate", _semigroup_doc(2, 0, [[0, 2**64], [1, 0]]), "$.table"),
     "loop-validate": ("validate", _semigroup_doc(5, 0, LOOP_5), "$.table"),
