@@ -65,6 +65,9 @@ def _max_abs(parts) -> float:
 class Bialgebra:
     """An algebra with coproduct and counit, on the dense kernel.
 
+    ``kernel`` names the kernel (``"dense"`` here, ``"table"`` on the table
+    kernel), so a report can say which one decided its residuals.
+
     Attributes
     ----------
     algebra : Algebra
@@ -76,6 +79,8 @@ class Bialgebra:
         ``"hom"`` when the coproduct is a unital *-homomorphism,
         ``"hyper"`` when it is merely completely positive and unital.
     """
+
+    kernel = "dense"
 
     def __init__(self, algebra: Algebra, delta: LinearMap, epsilon: Functional, mode: str = "hom"):
         if mode not in ("hom", "hyper"):
@@ -151,19 +156,18 @@ class Bialgebra:
         """``max |T[k] @ matrix - matrix @ T[k]|`` over all ``k``.
 
         Runs over chunks of ``k`` whose temporaries hold about ``_CHUNK``
-        entries, so memory stays bounded at any ``dim``; :meth:`_commutators`
-        forms the differences of one chunk.
+        entries, so memory stays bounded at any ``dim``; each chunk is two
+        matrix products.
         """
         dim = self.algebra.dim
-        return _max_abs(self._commutators(matrix, ks) for ks in _chunks(dim, dim * dim))
 
-    def _commutators(self, matrix: np.ndarray, ks: slice) -> np.ndarray:
-        """``T[k] @ matrix - matrix @ T[k]`` for ``k`` in ``ks``, by two matrix products."""
-        dim = self.algebra.dim
-        t3 = self.structure_tensor[ks]
-        out = (t3.reshape(-1, dim) @ matrix).reshape(t3.shape)
-        out -= np.matmul(matrix, t3)
-        return out
+        def commutators(ks):
+            t3 = self.structure_tensor[ks]
+            out = (t3.reshape(-1, dim) @ matrix).reshape(t3.shape)
+            out -= np.matmul(matrix, t3)
+            return out
+
+        return _max_abs(commutators(ks) for ks in _chunks(dim, dim * dim))
 
     def coassociativity_residual(self) -> float:
         """Max-abs deviation of ``(delta (x) id) delta`` from ``(id (x) delta) delta``.
@@ -239,10 +243,17 @@ class _TableBialgebra(Bialgebra):
     only the counit and cocommutativity residuals are computed, as exact
     counts.  That reason holds only for a checked table, so
     :func:`function_bialgebra` is the one place that builds this class.
+    The invariance residual is a bound within a factor 2 of the exact one,
+    read from the group's identity and inverses (:meth:`invariance_residual`).
     """
 
-    def __init__(self, algebra: Algebra, epsilon: Functional, table: np.ndarray):
-        self.__dict__.update(algebra=algebra, epsilon=epsilon, mode="hom", _f=table)
+    kernel = "table"
+
+    def __init__(self, algebra: Algebra, epsilon: Functional, group: SemigroupTable):
+        self.__dict__.update(
+            algebra=algebra, epsilon=epsilon, mode="hom",
+            _f=group.table, _identity=group.identity, _inverses=group.inverses,
+        )
 
     @cached_property
     def delta(self) -> LinearMap:
@@ -279,15 +290,22 @@ class _TableBialgebra(Bialgebra):
         out.real = np.bincount(index, weights.real, count * dim).reshape(count, dim)
         out.imag = np.bincount(index, weights.imag, count * dim).reshape(count, dim)
 
-    def _commutators(self, matrix: np.ndarray, ks: slice) -> np.ndarray:
-        """``T[k] @ M`` is the row gather ``M[f[k]]`` and ``M @ T[k]`` the
-        column gather ``M[:, f_inv[k]]``; renumbering the columns by ``f[k]``
-        turns their difference into ``M[f[k]][:, f[k]] - M``, the same entries
-        in another order, so one gather per chunk gives the same maximum."""
-        f = self._f
-        out = matrix[f[ks, :, None], f[ks, None, :]]
-        out -= matrix
-        return out
+    def invariance_residual(self, matrix: np.ndarray) -> float:
+        """A certified bound ``2 r`` on the exact residual ``R``, from orbit
+        representatives, at ``dim**2`` cost.
+
+        ``T[k] @ M`` is the row gather ``M[f[k]]`` and ``M @ T[k]`` the column
+        gather ``M[:, f_inv[k]]``; renumbering the columns by ``f[k]`` gives
+        ``R = max_{k,j,l} |M[kj, kl] - M[j, l]|``.  Every pair ``(j, l)`` lies
+        in the left-translation orbit of ``(e, j^-1 l)``, so
+        ``r = max_{j,l} |M[j, l] - M[e, j^-1 l]|`` has ``r <= R`` (take
+        ``k = j^-1``) and ``R <= 2 r`` (pass through the representative), and
+        the returned ``2 r`` lies in ``[R, 2 R]``: 0 exactly when ``M``
+        commutes with every ``T[k]``.
+        """
+        out = matrix[self._identity][self._f[self._inverses]]
+        np.subtract(matrix, out, out=out)
+        return 2.0 * _max_abs([out])
 
     def coassociativity_residual(self) -> float:
         return 0.0
@@ -387,14 +405,11 @@ def function_bialgebra(monoid: SemigroupTable) -> Bialgebra:
     :class:`SemigroupTable` having checked ``f``.  Any other monoid gets the
     dense :class:`Bialgebra` of the coproduct formed from ``f``.
     """
-    f, m = monoid.table, monoid.order
+    m = monoid.order
     alg = Algebra((1,) * m)
     eps = alg.functional_from_dual_coords(np.eye(m)[monoid.identity])
-    b = _TableBialgebra(alg, eps, f)
-    # a row of m entries in range(m) is a permutation when it hits every value
-    hit = np.zeros((m, m), dtype=bool)
-    hit[np.arange(m)[:, None], f] = True
-    if hit.all():
+    b = _TableBialgebra(alg, eps, monoid)
+    if monoid.is_group:
         return b
     return Bialgebra(alg, b.delta, eps)
 

@@ -298,6 +298,7 @@ def cmd_evolve(args) -> tuple[dict, int]:
     gamma_norm = functional_norm(gamma)
 
     body = {
+        "kernel": b.kernel,
         "generating_functional": {
             "hermitian": diag.hermitian,
             "vanishes_at_unit": diag.vanishes_at_unit,
@@ -312,6 +313,7 @@ def cmd_evolve(args) -> tuple[dict, int]:
         bound = norm_continuity_bound(b, gamma, grid, tol)
         body["norm_bound"] = {
             "c_hat": bound.c_hat,
+            "c_hat_source": bound.c_hat_source,
             "generator_norm": bound.generator_norm,
             "satisfied": bound.satisfied,
         }
@@ -325,7 +327,8 @@ def cmd_evolve(args) -> tuple[dict, int]:
         unital = unitality_residual(p_t)
         recovery = functional_norm(recover_functional(b, p_t) - lam)
         # over the coordinate dual basis the commutation and strong-invariance
-        # residuals are the same maximum, so it is computed once for both checks
+        # residuals are the same maximum, so it is computed once for both
+        # checks; on the table kernel it is the bound within a factor 2 of it
         invariance = commutation_residual(b, p_t)
         weak = weak_invariance_residual(b, p_t)
         entries.append(

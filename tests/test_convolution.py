@@ -5,14 +5,15 @@ import pytest
 import scipy.linalg
 
 import cstarconv as cc
-from cstarconv.convolution import _PADE_THETA, _pade_expm, expm
+from cstarconv import cli
+from cstarconv.convolution import _PADE_THETA, _PHI1_COEFFS, _pade_expm, expm
 from cstarconv.sampling import (
     corrupted_generating_functional,
     random_functional,
     random_generating_functional,
 )
 
-from conftest import functional_norm_witness
+from conftest import SEED, functional_norm_witness
 
 
 def dual_basis_functional(b, k):
@@ -303,6 +304,70 @@ def test_difference_quotient_recovers_generator(s3_dual, rng):
         assert cc.functional_norm(quotient - direct) < 1e-12 / h
         # series tail bound for the convergence rate
         assert cc.functional_norm(quotient - gamma) <= h * norm**2 * math.exp(h * norm) + 1e-12
+
+
+def _augmented_quotient(flow, t):
+    """The phi_1 quotient through one exponential of the augmented matrix."""
+    dim = len(flow.dual_gamma)
+    aug = np.zeros((dim + 1, dim + 1), dtype=np.complex128)
+    aug[:dim, :dim] = t * flow.convolution_matrix
+    aug[:dim, dim] = flow.dual_gamma
+    return expm(aug)[:dim, dim]
+
+
+def _zn64_flow():
+    """Functions on Z_64 with a seeded ``2 (mu - delta_e)``, mu on eight points."""
+    rng = np.random.default_rng(SEED)
+    b = cc.function_bialgebra(cc.cyclic_group(64))
+    dual = np.zeros(64)
+    dual[rng.choice(np.arange(1, 64), size=8, replace=False)] = 2.0 * rng.dirichlet(np.ones(8))
+    dual[0] = -2.0
+    return cc.associated_semigroup(b, b.algebra.functional_from_dual_coords(dual))
+
+
+def test_phi1_series_tail_is_below_unit_roundoff():
+    theta, n = _PADE_THETA[3], len(_PHI1_COEFFS)
+    assert np.array_equal(_PHI1_COEFFS, [1.0 / math.factorial(k + 1) for k in range(n)])
+
+    def tail(first):
+        return sum(theta**k / math.factorial(k + 1) for k in range(first, first + 30))
+
+    # the terms past the last one summed, and not one term fewer, fit below 2**-53
+    assert tail(n) < 2.0**-53 <= tail(n - 1)
+
+
+@pytest.mark.parametrize("case", ["zn:64", "dual:s3"])
+def test_small_time_quotients_match_the_augmented_exponential(case, s3_dual, rng):
+    """The phi_1 series below ``t |M|_1 = theta_3`` and the augmented
+    exponential above it agree with the augmented exponential within a
+    relative 1e-14: on the norm-bound grid of ``evolve`` and at the threshold."""
+    flow = _zn64_flow() if case == "zn:64" else cc.associated_semigroup(
+        s3_dual, random_generating_functional(s3_dual, rng)
+    )
+    norm = np.abs(flow.convolution_matrix).sum(axis=0).max()
+    at = _PADE_THETA[3] / norm
+    grid = cli._norm_bound_grid(8.0, cc.functional_norm(flow.gamma), 1e-9)
+    times = grid + [at, np.nextafter(at, 0.0), np.nextafter(at, np.inf), 1.01 * at]
+    for t in times:
+        want = _augmented_quotient(flow, t)
+        got = flow.quotient_at(t).dual
+        assert np.abs(got - want).sum() <= 1e-14 * np.abs(want).sum(), t
+    # both branches ran: the series leaves its Krylov vectors on the flow
+    assert "_krylov" in flow.__dict__
+    assert sum(t * norm <= _PADE_THETA[3] for t in times) < len(times)
+    assert np.array_equal(flow.quotient_at(0.0).dual, flow.dual_gamma)
+
+
+def test_small_time_quotient_of_a_huge_generator_stays_finite(s3_dual, rng):
+    """The Krylov vectors are scaled by a power of two near ``|M|_1``, so a
+    generator of norm 1e200 has no power that overflows."""
+    gamma = random_generating_functional(s3_dual, rng) * 1e200
+    flow = cc.associated_semigroup(s3_dual, gamma)
+    t = 1e-210
+    quotient = flow.quotient_at(t)
+    assert np.isfinite(quotient.dual).all()
+    norm = cc.functional_norm(gamma)
+    assert cc.functional_norm(quotient - gamma) <= 2.0 * t * norm * norm
 
 
 def test_continuity_moduli_closed_form(z2_functions, z2_rate_functional):

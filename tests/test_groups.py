@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import cstarconv as cc
-from cstarconv.groups import builtin_name, is_builtin_group
+from cstarconv.groups import _generators, builtin_name, is_builtin_group
 
-from conftest import LOOP_5
+from conftest import LOOP_5, SEED
 
 
 @pytest.mark.parametrize("name", ["zn:1", "zn:2", "zn:5", "zn:12", "s3", "d4", "q8"])
@@ -82,6 +82,88 @@ def test_semigroup_table_rejects_bad_structures():
             cc.SemigroupTable(table, 0)
     with pytest.raises(cc.ConstructionError, match="table entries must be element indices"):
         cc.SemigroupTable(np.array([[0, 1], [1, 5]]), 0)  # entry out of range
+
+
+def _exhaustively_associative(table) -> bool:
+    """Oracle: ``(g h) k = g (h k)`` over all ``m**3`` triples."""
+    t = np.asarray(table)
+    return all(np.array_equal(t[t[g]], t[g][t]) for g in range(len(t)))
+
+
+def _transformation_monoid(rng, n: int, count: int) -> np.ndarray:
+    """Table of the monoid of maps of ``range(n)`` generated by ``count``
+    random ones under composition, identity first: associative, rarely a group."""
+    maps = [tuple(range(n))]
+    gens = [tuple(int(x) for x in rng.integers(0, n, n)) for _ in range(count)]
+    for a in maps:  # grows while it runs: the closure by right factors
+        for g in gens:
+            product = tuple(g[x] for x in a)
+            if product not in maps:
+                maps.append(product)
+    index = {a: i for i, a in enumerate(maps)}
+    return np.array([[index[tuple(b[x] for x in a)] for b in maps] for a in maps])
+
+
+def _relabelled(rng, table: np.ndarray, identity: int) -> tuple[np.ndarray, int]:
+    """The same magma with its elements renamed by a random permutation."""
+    p = rng.permutation(len(table))
+    out = np.empty_like(table)
+    out[np.ix_(p, p)] = p[table]
+    return out, int(p[identity])
+
+
+def _light_test_cases():
+    rng = np.random.default_rng(SEED)
+    associative = [_relabelled(rng, _transformation_monoid(rng, 4, 2), 0) for _ in range(12)]
+    for name in ("zn:12", "s3", "d4", "q8"):
+        group, _ = cc.builtin_group(name)
+        associative.append(_relabelled(rng, np.array(group.table), group.identity))
+    # a left-zero monoid: x y = x unless x is the identity; every element is
+    # a generator, the worst case of the greedy set
+    left_zero = np.tile(np.arange(9)[:, None], 9)
+    left_zero[0] = np.arange(9)
+    associative.append((left_zero, 0))
+    # the associative tables one entry off, and random tables with a
+    # two-sided unit: almost never associative
+    perturbed = []
+    for table, e in associative:
+        others = np.flatnonzero(np.arange(len(table)) != e)
+        if len(others) >= 2:
+            off = table.copy()
+            j, k = rng.choice(others, 2)
+            off[j, k] = (off[j, k] + 1) % len(off)
+            perturbed.append((off, e))
+    for m in (3, 4, 6):
+        for _ in range(4):
+            table = rng.integers(0, m, (m, m))
+            table[0] = table[:, 0] = np.arange(m)
+            perturbed.append(_relabelled(rng, table, 0))
+    return [(np.array(LOOP_5), 0)] + associative + perturbed
+
+
+def test_light_associativity_test_matches_the_exhaustive_oracle():
+    verdicts = []
+    for table, e in _light_test_cases():
+        expected = _exhaustively_associative(table)
+        try:
+            cc.SemigroupTable(table, e)
+            accepted = True
+        except cc.ConstructionError as exc:
+            assert str(exc) == "multiplication table is not associative"
+            accepted = False
+        assert accepted == expected, table
+        verdicts.append(accepted)
+    assert 10 <= sum(verdicts) <= len(verdicts) - 10
+
+
+@pytest.mark.parametrize("name", ["zn:1", "zn:7", "zn:512", "s3", "d4", "q8"])
+def test_light_test_checks_a_logarithmic_generating_set_of_a_group(name):
+    """By Lagrange a greedy generating set of a group has at most ``log2 m``
+    elements past the identity, so the check costs ``m**2 log m``, not ``m**3``."""
+    group, _ = cc.builtin_group(name)
+    generators = _generators(group.table, group.identity)
+    assert len(generators) <= np.log2(group.order)
+    assert group.identity not in generators
 
 
 def test_truncated_monoid_is_valid_non_group():

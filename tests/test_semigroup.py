@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cstarconv as cc
-from cstarconv.convolution import expm
+from cstarconv.convolution import _PADE_THETA, expm
 from cstarconv.sampling import (
     random_functional,
     random_generating_functional,
@@ -86,11 +86,16 @@ def test_flow_builds_its_convolution_matrix_once(s3_functions, s3_dual, rng, mon
         mult = b.left_matrix(gamma.dual).T
         for t, lam, quotient in zip(GRID, states, quotients):
             assert np.array_equal(lam.dual, cc.convolution_exp(b, gamma, t).dual)
-            # the phi_1 formula through the augmented exponential, on its own matrix
+            # the phi_1 formula through the augmented exponential, on its own
+            # matrix; small times take the phi_1 series instead
             aug = np.zeros((dim + 1, dim + 1), dtype=np.complex128)
             aug[:dim, :dim] = t * mult
             aug[:dim, dim] = gamma.dual
-            assert np.array_equal(quotient.dual, expm(aug)[:dim, dim])
+            want = expm(aug)[:dim, dim]
+            if t * np.abs(mult).sum(axis=0).max() <= _PADE_THETA[3]:
+                assert np.abs(quotient.dual - want).sum() <= 1e-14 * np.abs(want).sum()
+            else:
+                assert np.array_equal(quotient.dual, want)
 
 
 def test_flow_refuses_negative_times_and_foreign_functionals(s3_functions, s3_dual, rng):
@@ -239,7 +244,11 @@ def test_invariance_residuals_match_einsum_reference(rng):
                 reference_commutation_residual(b, t_map),
                 reference_strong_invariance_residual(b, t_map),
             ):
-                assert abs(commutation - ref) <= 1e-12, (label, name, commutation, ref)
+                # the table kernel's orbit bound lies in [R, 2 R]
+                factor = 2.0 if on_table_kernel(b) else 1.0
+                assert ref - 1e-12 <= commutation <= factor * ref + 1e-12, (
+                    label, name, commutation, ref,
+                )
             if name.startswith("random"):
                 largest_random = max(largest_random, commutation)
                 assert commutation > 0.1, (label, name)
