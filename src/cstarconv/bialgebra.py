@@ -1,12 +1,11 @@
 """Coproduct/counit structure on finite-dimensional C*-algebras.
 
-A bialgebra here is an algebra together with a coproduct ``delta`` (a linear
-map into the tensor square) and a counit character ``epsilon``, subject to
-coassociativity and the counit laws.  Two construction families are
-provided: functions on a finite monoid (commutative) and the group
-C*-algebra of a finite group presented through a complete table of unitary
-irreps (cocommutative).  ``mode="hyper"`` relaxes the coproduct from a
-*-homomorphism to a completely positive unital map.
+A bialgebra here is an algebra together with a coproduct ``delta`` (a
+unital *-homomorphism into the tensor square) and a counit character
+``epsilon``, subject to coassociativity and the counit laws.  Two
+construction families are provided: functions on a finite monoid
+(commutative) and the group C*-algebra of a finite group presented through
+a complete table of unitary irreps (cocommutative).
 
 Most computations are contractions of the *structure tensor*
 ``T[k, j, l]``: the coefficient of ``e_k (x) e_j`` (Kronecker coordinates)
@@ -37,7 +36,6 @@ from .algebra import (
     Element,
     Functional,
     mixing_permutation,
-    psd_within,
     tensor_algebra,
     within,
 )
@@ -75,17 +73,12 @@ class Bialgebra:
         Coproduct, a map from ``algebra`` to its tensor square.
     epsilon : Functional
         Counit; must be a character.
-    mode : str
-        ``"hom"`` when the coproduct is a unital *-homomorphism,
-        ``"hyper"`` when it is merely completely positive and unital.
     """
 
     kernel = "dense"
 
-    def __init__(self, algebra: Algebra, delta: LinearMap, epsilon: Functional, mode: str = "hom"):
-        if mode not in ("hom", "hyper"):
-            raise ConstructionError(f"mode must be 'hom' or 'hyper', got {mode!r}")
-        self.__dict__.update(algebra=algebra, delta=delta, epsilon=epsilon, mode=mode)
+    def __init__(self, algebra: Algebra, delta: LinearMap, epsilon: Functional):
+        self.__dict__.update(algebra=algebra, delta=delta, epsilon=epsilon)
         if delta.source != algebra or delta.target != self.tensor_square:
             raise ShapeError("coproduct must map the algebra into its tensor square")
         algebra._require(epsilon)
@@ -200,9 +193,12 @@ class Bialgebra:
         return _max_abs([self.right_matrix(eps) - eye, self.left_matrix(eps) - eye])
 
     def cocommutativity_residual(self) -> float:
-        """Max-abs deviation of the coproduct from its tensor flip."""
+        """Max-abs deviation of the coproduct from its tensor flip, over
+        chunks of ``k`` as in :meth:`invariance_residual`."""
+        dim = self.algebra.dim
         t3 = self.structure_tensor
-        return float(np.max(np.abs(t3 - t3.transpose(1, 0, 2))))
+        flipped = t3.transpose(1, 0, 2)
+        return _max_abs(t3[ks] - flipped[ks] for ks in _chunks(dim, dim * dim))
 
     def unit_residual(self) -> float:
         """Max-abs deviation of ``delta(1)`` from the unit of the tensor square."""
@@ -251,7 +247,7 @@ class _TableBialgebra(Bialgebra):
 
     def __init__(self, algebra: Algebra, epsilon: Functional, group: SemigroupTable):
         self.__dict__.update(
-            algebra=algebra, epsilon=epsilon, mode="hom",
+            algebra=algebra, epsilon=epsilon,
             _f=group.table, _identity=group.identity, _inverses=group.inverses,
         )
 
@@ -320,26 +316,18 @@ class _TableBialgebra(Bialgebra):
 class ValidationReport:
     """Residuals of the bialgebra axioms (max-abs matrix deviations).
 
-    In ``hyper`` mode the homomorphism law gives way to complete positivity
-    of the coproduct, measured by the smallest Choi eigenvalue and the
-    largest Choi Hermitian defect.
+    ``hom_residual`` covers both halves of the *-homomorphism law of the
+    coproduct: the ``*`` law and multiplicativity.
     """
 
     coassoc_residual: float
     counit_residual: float
     character_residual: float
     unit_residual: float
-    hom_residual: float | None
-    cp_min_eig: float | None
-    cp_hermitian_defect: float | None
+    hom_residual: float
 
     def checks(self, tol: float) -> list[tuple[str, float, bool]]:
-        """``(axiom, residual, verdict)`` for each measured axiom, in report order.
-
-        An axiom holds when ``within(residual, tol)``.  Complete positivity
-        is reported by the smallest Choi eigenvalue and holds when every Choi
-        piece is PSD within ``tol``, Hermitian defect included.
-        """
+        """``(axiom, residual, within(residual, tol))`` for each axiom, in report order."""
         named = (
             ("coassociativity", self.coassoc_residual),
             ("counit_laws", self.counit_residual),
@@ -347,24 +335,20 @@ class ValidationReport:
             ("coproduct_unital", self.unit_residual),
             ("coproduct_homomorphism", self.hom_residual),
         )
-        out = [(name, r, bool(within(r, tol))) for name, r in named if r is not None]
-        if self.cp_min_eig is not None:
-            cp = psd_within(self.cp_hermitian_defect, self.cp_min_eig, tol)
-            out.append(("coproduct_choi_min_eig", self.cp_min_eig, bool(cp)))
-        return out
+        return [(name, r, bool(within(r, tol))) for name, r in named]
 
 
 def validate_bialgebra(b: Bialgebra, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Measure all bialgebra axioms and return their residuals.
 
-    The coproduct laws (coassociativity, the counit laws, unitality and, in
-    ``hom`` mode, the *-homomorphism law) are :class:`Bialgebra` methods
-    run on the bialgebra's kernel.  The character law of the counit is
-    checked exhaustively over all pairs of matrix units, gathered through
-    the algebra's ``product_table``.  In ``hyper`` mode the homomorphism
-    residual is replaced by the Choi diagnostics of the coproduct; ``tol``
-    is passed to :func:`~cstarconv.semigroup.is_completely_positive` and
-    affects no reported number.
+    The coproduct laws (coassociativity, the counit laws, unitality and the
+    *-homomorphism law) are :class:`Bialgebra` methods run on the
+    bialgebra's kernel.  The character law of the counit is checked
+    exhaustively over all pairs of matrix units, gathered through the
+    algebra's ``product_table``.  Every reported number is a residual, so
+    ``tol`` decides nothing here: it is kept, unused, for the callers that
+    pass it positionally (the benchmark's replay among them), and the
+    verdicts come from :meth:`ValidationReport.checks`.
     """
     alg = b.algebra
     coassoc = b.coassociativity_residual()
@@ -377,16 +361,8 @@ def validate_bialgebra(b: Bialgebra, tol: float = DEFAULT_TOL) -> ValidationRepo
             eps[alg.star_perm] - eps.conj(),
         ]
     )
-    unit_res = b.unit_residual()
-    if b.mode == "hom":
-        hom = _max_abs([b.star_residual(), b.homomorphism_residual()])
-        return ValidationReport(coassoc, counit, character, unit_res, hom, None, None)
-    from .semigroup import is_completely_positive
-
-    cp = is_completely_positive(b.delta, tol)
-    min_eig = float(np.min(cp.min_choi_eigenvalues))
-    defect = float(np.max(cp.hermitian_defects))
-    return ValidationReport(coassoc, counit, character, unit_res, None, min_eig, defect)
+    hom = _max_abs([b.star_residual(), b.homomorphism_residual()])
+    return ValidationReport(coassoc, counit, character, b.unit_residual(), hom)
 
 
 # ---------------------------------------------------------------------------

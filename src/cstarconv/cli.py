@@ -9,7 +9,7 @@ Three subcommands wrap the library:
   certificate included, with the GNS cross-check
 
 Every check passes when its residual is finite and at most ``--tol``, save
-the three PSD checks, whose residual is a signed smallest eigenvalue.  The
+the two PSD checks, whose residual is a signed smallest eigenvalue.  The
 sampled checks of ``validate`` are relative: each sample's residual is divided
 by ``max(1, scale)``, the product of the norms of the functionals it involves.
 
@@ -45,7 +45,7 @@ from .convolution import (
     norm_continuity_bound,
 )
 from .errors import ConstructionError, PreconditionError, SchemaError
-from .groups import IrrepTable, SemigroupTable, builtin_group, builtin_name
+from .groups import SemigroupTable, builtin_group, builtin_irreps, builtin_name, builtin_table
 from . import io as io_schemas
 from .groupfun import guichardet_constant, guichardet_via_gns
 from .sampling import random_duals
@@ -190,17 +190,18 @@ def _smoke_checks(label: str, b: Bialgebra, rng, tol: float) -> list[dict]:
     ]
 
 
-def _builtin_group_cstar(name: str, table: SemigroupTable, irreps: IrrepTable) -> Bialgebra:
+def _builtin_group_cstar(name: str, table: SemigroupTable) -> Bialgebra:
     """The group C*-bialgebra of the built-in group ``name`` (a folded fixture name).
 
     C*(``Z_n``) is the functions on its dual group, which ``j -> chi_j``, the
     character basis of ``cyclic_irreps``, identifies with ``Z_n``: so it is
     :func:`function_bialgebra` of the checked table of ``Z_n``, exact and on
-    the table kernel.  The other groups go through Fourier inversion.
+    the table kernel, and no irrep is built.  The other groups go through
+    Fourier inversion.
     """
     if name.startswith("zn:"):
         return function_bialgebra(table)
-    return group_cstar_bialgebra(table, irreps)
+    return group_cstar_bialgebra(table, builtin_irreps(name))
 
 
 def _resolve_validate_targets(paths: list[str]) -> list[tuple[str, Bialgebra]]:
@@ -215,9 +216,9 @@ def _resolve_validate_targets(paths: list[str]) -> list[tuple[str, Bialgebra]]:
                     f"validate takes no dual: prefix, got {path!r}; {name!r} checks both "
                     "the functions and the group C*-algebra"
                 )
-            table, irreps = builtin_group(name)
+            table = builtin_table(name)
             targets.append((f"functions[{path}]", function_bialgebra(table)))
-            targets.append((f"group_cstar[{path}]", _builtin_group_cstar(name, table, irreps)))
+            targets.append((f"group_cstar[{path}]", _builtin_group_cstar(name, table)))
             last_group = (path, table)
             continue
         data = io_schemas.load_document(path)
@@ -261,8 +262,8 @@ def _resolve_bialgebra(ref: str) -> Bialgebra:
     builtin = builtin_name(ref)
     if builtin is not None:
         name, dual = builtin
-        table, irreps = builtin_group(name)
-        return _builtin_group_cstar(name, table, irreps) if dual else function_bialgebra(table)
+        table = builtin_table(name)
+        return _builtin_group_cstar(name, table) if dual else function_bialgebra(table)
     data = io_schemas.load_document(ref)
     if "table" in data:
         return function_bialgebra(io_schemas.load_semigroup(data))

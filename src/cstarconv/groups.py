@@ -349,18 +349,32 @@ def _cyclic_order(key: str) -> int | None:
 
 def builtin_group(name: str) -> tuple[SemigroupTable, IrrepTable]:
     """Resolve a fixture name: ``zn:<n>``, ``s3``, ``d4`` or ``q8``."""
+    return builtin_table(name), builtin_irreps(name)
+
+
+def builtin_table(name: str) -> SemigroupTable:
+    """The group table of a fixture name, without its irreps."""
+    return _build_fixture(name, 0)
+
+
+def builtin_irreps(name: str) -> IrrepTable:
+    """The irreps of a fixture name; ``cyclic_irreps`` costs ``n**2`` on ``zn:<n>``."""
+    return _build_fixture(name, 1)
+
+
+def _build_fixture(name: str, part: int):
+    """Part ``part`` of the fixture ``name``: 0 for the table, 1 for the irreps."""
     key = name.strip().lower()
-    if key.startswith("zn:"):
-        n = _cyclic_order(key)
-        if n is None:
-            raise ConstructionError(f"cyclic group order must be an integer in {name!r}")
-        if n < 1:
-            raise ConstructionError(f"cyclic order must be positive, got {n}")
-        try:
-            return cyclic_group(n), cyclic_irreps(n)
-        except (MemoryError, ValueError) as exc:  # numpy refuses the allocation
-            raise ConstructionError(f"cyclic group of order {n} is too large to build: {exc}")
     if key in _NAMED_GROUPS:
-        group, irreps = _NAMED_GROUPS[key]
-        return group(), irreps()
-    raise ConstructionError(f"unknown built-in group {name!r}")
+        return _NAMED_GROUPS[key][part]()
+    if not key.startswith("zn:"):
+        raise ConstructionError(f"unknown built-in group {name!r}")
+    n = _cyclic_order(key)
+    if n is None:
+        raise ConstructionError(f"cyclic group order must be an integer in {name!r}")
+    if n < 1:
+        raise ConstructionError(f"cyclic order must be positive, got {n}")
+    try:
+        return (cyclic_group, cyclic_irreps)[part](n)
+    except (MemoryError, ValueError) as exc:  # numpy refuses the allocation
+        raise ConstructionError(f"cyclic group of order {n} is too large to build: {exc}")

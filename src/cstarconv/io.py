@@ -6,8 +6,9 @@ in canonical basis order.  Schemas:
 * semigroup file:   ``{"order": m, "identity": e, "table": [[...]]}``
 * irrep file:       ``{"irreps": [{"dim": d, "matrices": [[[...]]]}]}``
   (one ``d x d`` complex matrix per group element, in table order)
-* bialgebra file:   ``{"blocks": [...], "mode": "hom"|"hyper",
+* bialgebra file:   ``{"blocks": [...], "mode": "hom",
   "delta": <dim^2 x dim complex matrix>, "epsilon": [<dual blocks>]}``
+  (``"hom"`` says the coproduct is a *-homomorphism, the only kind read)
 * functional file:  ``{"dual_blocks": [<per-block complex matrices>]}``
 * group function:   ``{"group": <ref>, "values": [[re, im], ...]}``
 
@@ -196,6 +197,9 @@ def load_bialgebra(source) -> Bialgebra:
     for key in ("blocks", "mode", "delta", "epsilon"):
         if key not in data:
             _fail("$", f"bialgebra file missing key {key!r}")
+    if data["mode"] != "hom":
+        mode = data["mode"]
+        _fail("$.mode", f'expected "hom": the coproduct must be a *-homomorphism; got {mode!r}')
     blocks = data["blocks"]
     if not isinstance(blocks, list):
         _fail("$.blocks", "expected a list of integers")
@@ -212,11 +216,8 @@ def load_bialgebra(source) -> Bialgebra:
             f"expected shape ({square.dim}, {algebra.dim}), got {delta.shape}",
         )
     eps = load_functional(algebra, {"epsilon": data["epsilon"]}, key="epsilon")
-    mode = data["mode"]
-    if mode not in ("hom", "hyper"):
-        _fail("$.mode", f"expected 'hom' or 'hyper', got {mode!r}")
     try:
-        return Bialgebra(algebra, LinearMap(algebra, square, delta), eps, mode)
+        return Bialgebra(algebra, LinearMap(algebra, square, delta), eps)
     except ValueError as exc:
         raise SchemaError(f"at $: {exc}") from exc
 

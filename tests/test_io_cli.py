@@ -212,6 +212,17 @@ BROKEN_STRUCTURE_FILES = {
         _irrep_doc([[[[1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]),
         "$.irreps[0].matrices[1]",
     ),
+    # "hom" is the only mode, read before the coproduct
+    **{
+        f"mode-{case}-{command}": (command, {"blocks": [1]} | ONE_POINT | change, "$.mode")
+        for case, change in {
+            "hyper": {"mode": "hyper"},
+            "upper-case": {"mode": "HOM"},
+            "number": {"mode": 1},
+            "hyper-bad-delta": {"mode": "hyper", "delta": [[["1", 0]]]},
+        }.items()
+        for command in ("validate", "evolve")
+    },
 }
 
 
@@ -311,37 +322,33 @@ def test_cli_validate_corrupted_delta(tmp_path, z2_functions):
 
 
 def test_cli_validate_hyper_bialgebra_file(tmp_path):
-    """A completely positive non-homomorphic coproduct passes in hyper mode."""
-    # class structure of S3: {e}, transpositions, rotations
-    k = np.zeros((3, 3, 3))
-    k[0, 0, 0] = 1.0
-    k[1, 0, 1] = k[1, 1, 0] = 1.0
-    k[2, 0, 2] = k[2, 2, 0] = 1.0
-    k[0, 1, 1], k[2, 1, 1] = 1.0 / 3.0, 2.0 / 3.0
-    k[1, 1, 2] = k[1, 2, 1] = 1.0
-    k[0, 2, 2], k[2, 2, 2] = 0.5, 0.5
-    delta = np.zeros((9, 3))
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                delta[b * 3 + c, a] = k[a, b, c]
+    """The S3 class-hypergroup coproduct is completely positive and unital but
+    not multiplicative: with ``"mode": "hyper"`` both commands refuse the file
+    (exit 2, naming ``$.mode``), and with ``"hom"`` it fails the homomorphism
+    law alone."""
+    from test_bialgebra import s3_class_hyperbialgebra
+
     payload = {
         "blocks": [1, 1, 1],
         "mode": "hyper",
-        "delta": schemas.complex_matrix_to_json(delta),
+        "delta": schemas.complex_matrix_to_json(s3_class_hyperbialgebra().delta.matrix),
         "epsilon": [[[[1.0, 0.0]]], [[[0.0, 0.0]]], [[[0.0, 0.0]]]],
     }
     path = tmp_path / "hyper.json"
     path.write_text(json.dumps(payload))
-    result = run_cli("validate", str(path))
-    assert result.returncode == 0
-    report = json.loads(result.stdout)
-    choi = [c for c in report["checks"] if "choi" in c["name"]]
-    assert choi and choi[0]["pass"]
+    gamma = tmp_path / "gamma.json"
+    gamma.write_text(json.dumps({"dual_blocks": [[[[-1.0, 0.0]]], [[[0.5, 0.0]]], [[[0.5, 0.0]]]]}))
+    for argv in (["validate", str(path)], ["evolve", str(path), str(gamma)]):
+        result = run_cli(*argv)
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith("error: at $.mode: ")
+        assert "*-homomorphism" in result.stderr and "Traceback" not in result.stderr
     payload["mode"] = "hom"
     path.write_text(json.dumps(payload))
     result = run_cli("validate", str(path))
     assert result.returncode == 1
+    failed = [c["name"] for c in json.loads(result.stdout)["checks"] if not c["pass"]]
+    assert failed == [f"bialgebra[{path}]:coproduct_homomorphism"]
 
 
 def test_cli_validate_malformed_file(tmp_path):
@@ -453,6 +460,40 @@ def test_cli_evolve_dual_cyclic_group_matches_the_dense_route(tmp_path, monkeypa
     assert code == dense_code == 0
     assert (table_route.pop("kernel"), dense_route.pop("kernel")) == ("table", "dense")
     assert_matches(table_route, dense_route)
+
+
+def test_cli_builds_cyclic_irreps_only_for_guichardet(tmp_path, monkeypatch, capsys):
+    """``validate zn:8``, ``evolve zn:8`` and ``evolve dual:zn:8`` read no
+    irrep: with ``cyclic_irreps`` made to raise they print the same reports,
+    while ``guichardet zn:8`` still reaches it for the GNS route."""
+    from cstarconv import cli, groups
+
+    gamma = tmp_path / "gamma.json"
+    gamma.write_text(json.dumps({"dual_blocks": [[[[-1.0, 0.0]]], [[[1.0, 0.0]]]] + [[[[0, 0]]]] * 6}))
+    psi = tmp_path / "psi.json"
+    psi.write_text(json.dumps({"values": [[0.0, 0.0]] + [[-1.0, 0.0]] * 7}))
+    runs = [
+        ["validate", "zn:8"],
+        ["evolve", "zn:8", str(gamma), "--times", "0.5,2"],
+        ["evolve", "dual:zn:8", str(gamma), "--times", "0.5,2"],
+    ]
+
+    def reports():
+        out = []
+        for argv in runs:
+            assert cli.main(argv) == 0
+            out.append(capsys.readouterr().out)
+        return out
+
+    expected = reports()
+
+    def refuse(n):
+        raise RuntimeError(f"cyclic_irreps({n}) was built")
+
+    monkeypatch.setattr(groups, "cyclic_irreps", refuse)
+    assert reports() == expected
+    with pytest.raises(RuntimeError, match="cyclic_irreps"):
+        cli.main(["guichardet", "zn:8", str(psi)])
 
 
 def test_cli_guichardet_s3_sign(tmp_path):
@@ -796,7 +837,7 @@ def test_cli_smoke_check_fails_on_a_nan_sample(tmp_path):
     """Convolutions that overflow to nan fail the sampled checks, not read as 0."""
     path = tmp_path / "huge.json"
     delta = [[[1e308, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [1, 0]], [[1e308, 0], [-1e308, 0]]]
-    doc = {"blocks": [1, 1], "mode": "hyper", "delta": delta, "epsilon": [[[[1, 0]]], [[[0, 0]]]]}
+    doc = {"blocks": [1, 1], "mode": "hom", "delta": delta, "epsilon": [[[[1, 0]]], [[[0, 0]]]]}
     path.write_text(json.dumps(doc))
     result = run_cli("validate", str(path))
     assert result.returncode == 1

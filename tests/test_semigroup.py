@@ -470,7 +470,7 @@ def test_generator_pairing_catches_swapped_tensor_legs(s3_functions, rng):
             assert on_table_kernel(b)
             b.delta  # formed from the table before the swap
         else:
-            b = cc.Bialgebra(good.algebra, good.delta, good.epsilon, good.mode)
+            b = cc.Bialgebra(good.algebra, good.delta, good.epsilon)
         b.__dict__[storage] = swap(getattr(good, storage))
         assert cc.generator_pairing_residual(b, gamma) > 1e-3
 

@@ -1,11 +1,13 @@
 """One rule decides every report check: ``pass == within(residual, tolerance)``.
 
-The three PSD checks (``choi_min_eig[t=...]``, ``coproduct_choi_min_eig`` and
-``kernel_psd_after_shift``) print a signed smallest eigenvalue; their pass is
-the library's PSD verdict, which also reads Hermitian defects.  The contract
-is checked on fixture inputs and on two inputs whose Choi matrices are not
-Hermitian although their smallest Choi eigenvalue is nonnegative.  An ``ast``
-scan keeps every tolerance comparison of ``src/`` inside ``algebra.within``.
+The two PSD checks (``choi_min_eig[t=...]`` and ``kernel_psd_after_shift``)
+print a signed smallest eigenvalue; their pass is the library's PSD verdict,
+which also reads Hermitian defects.  ``validate`` has none: every axiom of
+a bialgebra is a residual decided by ``within``.  The contract is checked on
+fixture inputs, on a generator whose Choi matrices are not Hermitian although
+their smallest Choi eigenvalue is nonnegative, and on a coproduct whose
+``*`` defect fails its homomorphism check.  An ``ast`` scan keeps every
+tolerance comparison of ``src/`` inside ``algebra.within``.
 """
 
 import ast
@@ -25,14 +27,16 @@ GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(cc.__file__).parent
 TOL = 1e-9
 
-# Functions on two points in hyper mode, with epsilon the evaluation at 0:
+# Functions on two points, with epsilon the evaluation at 0:
 #   delta(e0) = e0 (x) e0 + (1 + 0.5i) e1 (x) e1
 #   delta(e1) = e0 (x) e1 + e1 (x) e0 - 0.5i e1 (x) e1
-# Every axiom residual is 0, the smallest Choi eigenvalue is 0, and both
-# Choi matrices have Hermitian defect 1.
-HYPER = {
+# Coassociative, counital and unital, but delta(e1)* != delta(e1*): the
+# star defect is 1, above the multiplicativity defect 0.56, so it is the
+# homomorphism residual.  (Its smallest Choi eigenvalue is 0 and both Choi
+# matrices have Hermitian defect 1.)
+STAR_DEFECT = {
     "blocks": [1, 1],
-    "mode": "hyper",
+    "mode": "hom",
     "delta": [[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [1, 0]], [[1, 0.5], [0, -0.5]]],
     "epsilon": [[[[1, 0]]], [[[0, 0]]]],
 }
@@ -51,9 +55,7 @@ def run_cli(argv):
 
 
 def is_psd_check(name: str) -> bool:
-    return name.split(":")[-1].startswith(
-        ("choi_min_eig[", "coproduct_choi_min_eig", "kernel_psd_after_shift")
-    )
+    return name.split(":")[-1].startswith(("choi_min_eig[", "kernel_psd_after_shift"))
 
 
 def validate_psd_verdicts(specs):
@@ -90,10 +92,10 @@ CASES = {
         ["validate", "zn:4", "s3"],
         lambda: validate_psd_verdicts(["zn:4", "s3"]),
     ),
-    "validate-hyper": (
+    "validate-star-defect": (
         None,
-        ["validate", "hyper.json"],
-        lambda: validate_psd_verdicts(["hyper.json"]),
+        ["validate", "star_defect.json"],
+        lambda: validate_psd_verdicts(["star_defect.json"]),
     ),
     "evolve-zn2": (
         GOLDEN,
@@ -125,7 +127,7 @@ CASES = {
 
 @pytest.fixture
 def repro_dir(tmp_path):
-    (tmp_path / "hyper.json").write_text(json.dumps(HYPER))
+    (tmp_path / "star_defect.json").write_text(json.dumps(STAR_DEFECT))
     (tmp_path / "gamma.json").write_text(json.dumps(GAMMA_NON_HERMITIAN))
     (tmp_path / "psi.json").write_text(json.dumps(PSI_OFF_IDENTITY))
     return tmp_path
@@ -146,20 +148,22 @@ def test_report_pass_is_the_library_verdict(name, repro_dir, monkeypatch):
             residual = np.nan if c["residual"] is None else c["residual"]
             assert c["pass"] is bool(cc.within(residual, c["tolerance"])), c
     assert (code == 0) == report["pass"] == all(c["pass"] for c in checks)
+    if argv[0] == "validate":
+        assert psd == {}
 
 
-def test_hyper_coproduct_with_a_choi_hermitian_defect_fails(repro_dir, monkeypatch):
+def test_coproduct_with_a_star_defect_fails_the_homomorphism_law(repro_dir, monkeypatch):
     monkeypatch.chdir(repro_dir)
-    b = schemas.load_bialgebra("hyper.json")
-    assert cc.is_completely_positive(b.delta).hermitian_defects == (1.0, 1.0)
+    b = schemas.load_bialgebra("star_defect.json")
+    assert b.star_residual() == 1.0
     report = cc.validate_bialgebra(b)
-    assert report.cp_min_eig == 0.0 and report.cp_hermitian_defect == 1.0
+    assert report.hom_residual == 1.0
     assert [ok for *_, ok in report.checks(TOL)] == [True] * 4 + [False]
 
-    code, out = run_cli(["validate", "hyper.json"])
+    code, out = run_cli(["validate", "star_defect.json"])
     checks = {c["name"]: c for c in out["checks"]}
-    choi = checks["bialgebra[hyper.json]:coproduct_choi_min_eig"]
-    assert choi["residual"] == 0.0 and choi["pass"] is False
+    hom = checks["bialgebra[star_defect.json]:coproduct_homomorphism"]
+    assert hom["residual"] == 1.0 and hom["pass"] is False
     assert code == 1
 
 
