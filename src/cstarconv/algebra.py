@@ -52,7 +52,8 @@ def hermitian_spectrum(mats) -> tuple[np.ndarray, np.ndarray]:
 
     Every positive-semidefiniteness decision of the package (states,
     conditionally positive functionals, Choi pieces, translation kernels)
-    is measured here and decided by :func:`psd_within`.
+    is measured here, reduced by :func:`psd_violation` and decided by
+    :func:`within`.
     """
     mats = np.asarray(mats)
     mats_h = mats.conj().swapaxes(-1, -2)
@@ -71,13 +72,26 @@ def within(residual, tol: float) -> np.ndarray:
     return np.isfinite(residual) & (residual <= tol)
 
 
+def psd_violation(defects, min_eigs) -> np.ndarray:
+    """Elementwise distance from PSD of the output of :func:`hermitian_spectrum`.
+
+    The larger of the Hermitian defect and the negated smallest eigenvalue,
+    0 for an exactly PSD matrix and ``nan`` when either is not finite, so
+    ``within`` never passes it.
+    """
+    defects, min_eigs = np.asarray(defects), np.asarray(min_eigs)
+    finite = np.isfinite(defects) & np.isfinite(min_eigs)
+    # 0 - e rather than -e, so that a zero eigenvalue gives +0, not -0
+    return np.where(finite, np.maximum(defects, 0.0 - min_eigs), np.nan)
+
+
 def psd_within(defects, min_eigs, tol: float) -> np.ndarray:
-    """Elementwise PSD verdict on the output of :func:`hermitian_spectrum`.
+    """Elementwise PSD verdict: ``within(psd_violation(defects, min_eigs), tol)``.
 
     A matrix is positive semidefinite within ``tol`` when its Hermitian
     defect is at most ``tol`` and its smallest eigenvalue at least ``-tol``.
     """
-    return within(defects, tol) & within(-np.asarray(min_eigs), tol)
+    return within(psd_violation(defects, min_eigs), tol)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import (
-    DEFAULT_TOL, Functional, _dual_block_spectra, functional_norm, psd_within, within
+    DEFAULT_TOL, Functional, _dual_block_spectra, functional_norm, psd_violation, within
 )
 from .bialgebra import Bialgebra, discrete_type_decomposition
 from .errors import PreconditionError, ShapeError
@@ -270,6 +270,43 @@ class AssociatedSemigroup:
         alg = self.bialgebra.algebra
         return LinearMap(alg, alg, expm(t * self.generator.matrix))
 
+    def moduli(self, times) -> list[float]:
+        """Dual-norm distances ``|exp(t gamma) - epsilon|`` at the given times.
+
+        Computed as ``t * norm((exp(t gamma) - epsilon) / t)`` through the
+        stable difference quotient, so small times lose no accuracy.
+        """
+        return [0.0 if t == 0 else float(t) * functional_norm(self.quotient_at(t)) for t in times]
+
+    def norm_bound(self, grid, tol: float = DEFAULT_TOL) -> NormContinuityBound:
+        """Check the automatic-norm-continuity bound for a valid generator.
+
+        The bialgebra must be of discrete type and ``gamma`` a valid
+        generating functional; invalid input raises.  ``grid`` holds strictly
+        positive times covering ``(0, T]``; the estimate only sees grid
+        values, so it should refine toward 0, where the supremum is approached.
+        """
+        b, gamma = self.bialgebra, self.gamma
+        diag = generating_functional(b, gamma, tol)
+        if not diag.valid:
+            raise PreconditionError(
+                "norm bound requires a valid generating functional "
+                f"(hermitian={diag.hermitian}, vanishes_at_unit={diag.vanishes_at_unit}, "
+                f"conditionally_positive={diag.conditionally_positive})"
+            )
+        grid = [float(t) for t in grid]
+        if not grid or any(t <= 0 for t in grid):
+            raise PreconditionError("grid must consist of strictly positive times")
+        p = discrete_type_decomposition(b).ideal_unit
+        # np.max so that a grid value lost to overflow (nan) fails the bound
+        best = float(np.max([self.quotient_at(t)(p).real for t in grid]))
+        cap = 1.0 / max(grid)
+        c_hat = max(best, cap)
+        norm = functional_norm(gamma)
+        excess = norm - 2.0 * c_hat
+        source = "cap" if best < cap else "grid"
+        return NormContinuityBound(c_hat, norm, excess, bool(within(excess, tol)), source)
+
 
 def associated_semigroup(b: Bialgebra, gamma: Functional) -> AssociatedSemigroup:
     """The flow (:class:`AssociatedSemigroup`) of the generator ``gamma``."""
@@ -282,17 +319,18 @@ class GeneratingFunctional:
 
     Valid generators (Hermitian, vanishing at the unit, conditionally
     positive) exponentiate to convolution semigroups of states; this is the
-    finite-dimensional Schoenberg correspondence.
+    finite-dimensional Schoenberg correspondence.  ``violation`` is the
+    largest of the dual blocks' Hermitian defects, ``|gamma(1)|`` and the
+    PSD violation of the blocks off the counit's, and ``valid`` records
+    ``within(violation, tol)``: the conjunction of the three conditions.
     """
 
     functional: Functional
     hermitian: bool
     vanishes_at_unit: bool
     conditionally_positive: bool
-
-    @property
-    def valid(self) -> bool:
-        return self.hermitian and self.vanishes_at_unit and self.conditionally_positive
+    violation: float
+    valid: bool
 
 
 def generating_functional(
@@ -307,21 +345,22 @@ def generating_functional(
     """
     dec = discrete_type_decomposition(b)
     defects, min_eigs, _ = _dual_block_spectra(gamma)
-    hermitian = bool(np.all(within(defects, tol)))
-    unit_val = gamma(b.algebra.unit())
-    cond = bool(np.all(np.delete(psd_within(defects, min_eigs, tol), dec.omega_index)))
     # np.abs gives inf where the builtin abs of a complex raises OverflowError
-    return GeneratingFunctional(gamma, hermitian, bool(within(np.abs(unit_val), tol)), cond)
+    unit_defect = np.abs(gamma(b.algebra.unit()))
+    off_counit = np.delete(psd_violation(defects, min_eigs), dec.omega_index)
+    hermitian = bool(np.all(within(defects, tol)))
+    vanishes = bool(within(unit_defect, tol))
+    cond = bool(np.all(within(off_counit, tol)))
+    # np.max so that a nan diagnostic makes the violation nan
+    violation = float(np.max(np.concatenate([defects, [unit_defect], off_counit])))
+    return GeneratingFunctional(
+        gamma, hermitian, vanishes, cond, violation, bool(within(violation, tol))
+    )
 
 
 def continuity_moduli(b: Bialgebra, gamma: Functional, times) -> list[float]:
-    """Dual-norm distances ``|exp(t gamma) - epsilon|`` at the given times.
-
-    Computed as ``t * norm((exp(t gamma) - epsilon) / t)`` through the
-    stable difference quotient, so small times lose no accuracy.
-    """
-    flow = AssociatedSemigroup(b, gamma)
-    return [0.0 if t == 0 else float(t) * functional_norm(flow.quotient_at(t)) for t in times]
+    """:meth:`AssociatedSemigroup.moduli` of the flow of ``gamma``."""
+    return AssociatedSemigroup(b, gamma).moduli(times)
 
 
 @dataclass(frozen=True)
@@ -347,38 +386,5 @@ class NormContinuityBound:
 def norm_continuity_bound(
     b: Bialgebra, gamma: Functional, grid, tol: float = DEFAULT_TOL
 ) -> NormContinuityBound:
-    """Check the automatic-norm-continuity bound for a valid generator.
-
-    Parameters
-    ----------
-    b : Bialgebra
-        Must be of discrete type (validated character counit).
-    gamma : Functional
-        A valid generating functional; invalid input raises.
-    grid : iterable of float
-        Strictly positive times covering ``(0, T]``; the estimate only sees
-        grid values, so the grid should refine toward 0 (the supremum is
-        approached there).
-    tol : float
-        Slack added to the bound check.
-    """
-    diag = generating_functional(b, gamma, tol)
-    if not diag.valid:
-        raise PreconditionError(
-            "norm bound requires a valid generating functional "
-            f"(hermitian={diag.hermitian}, vanishes_at_unit={diag.vanishes_at_unit}, "
-            f"conditionally_positive={diag.conditionally_positive})"
-        )
-    grid = [float(t) for t in grid]
-    if not grid or any(t <= 0 for t in grid):
-        raise PreconditionError("grid must consist of strictly positive times")
-    p = discrete_type_decomposition(b).ideal_unit
-    flow = AssociatedSemigroup(b, gamma)
-    # np.max so that a grid value lost to overflow (nan) fails the bound
-    best = float(np.max([flow.quotient_at(t)(p).real for t in grid]))
-    cap = 1.0 / max(grid)
-    c_hat = max(best, cap)
-    norm = functional_norm(gamma)
-    excess = norm - 2.0 * c_hat
-    source = "cap" if best < cap else "grid"
-    return NormContinuityBound(c_hat, norm, excess, bool(within(excess, tol)), source)
+    """:meth:`AssociatedSemigroup.norm_bound` of the flow of ``gamma``."""
+    return AssociatedSemigroup(b, gamma).norm_bound(grid, tol)

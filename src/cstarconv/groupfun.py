@@ -25,6 +25,7 @@ from .algebra import (
     GNSData,
     gns,
     hermitian_spectrum,
+    psd_violation,
     psd_within,
     within,
 )
@@ -110,25 +111,25 @@ class GuichardetCertificate:
     constant: float
     shifted_values: np.ndarray
     min_eigenvalue: float
+    hermitian_defect: float
     ones_residual: float
     minimality_delta: float
     minimality_min_eigenvalue: float
 
     def checks(self, tol: float = DEFAULT_TOL) -> list[tuple[str, float, bool]]:
-        """``(fact, residual, verdict)`` for each certified fact.
+        """``(fact, residual, within(residual, tol))`` for each certified fact.
 
-        The shifted kernel's Hermitian defect is the input's, which the
-        preconditions bound by ``tol``, so its PSD verdict reads the
-        eigenvalue alone.
+        The residual of ``kernel_psd_after_shift`` is the shifted kernel's
+        :func:`~cstarconv.algebra.psd_violation`; its Hermitian defect is the
+        input's, which the preconditions bound by ``tol``.
         """
         order = len(self.shifted_values)
-        minimality = self.minimality_min_eigenvalue + self.minimality_delta * order
-        psd, ones, minimal = within([-self.min_eigenvalue, self.ones_residual, minimality], tol)
-        return [
-            ("kernel_psd_after_shift", self.min_eigenvalue, bool(psd)),
-            ("ones_vector_annihilated", self.ones_residual, bool(ones)),
-            ("shift_minimality", minimality, bool(minimal)),
-        ]
+        named = (
+            ("kernel_psd_after_shift", psd_violation(self.hermitian_defect, self.min_eigenvalue)),
+            ("ones_vector_annihilated", self.ones_residual),
+            ("shift_minimality", self.minimality_min_eigenvalue + self.minimality_delta * order),
+        )
+        return [(name, float(r), bool(within(r, tol))) for name, r in named]
 
 
 def _check_guichardet_preconditions(group, values, tol):
@@ -174,11 +175,12 @@ def guichardet_constant(
     shifted = values + constant
     kernel = kernel_matrix(group, shifted)
     lowered = kernel_matrix(group, shifted - MINIMALITY_DELTA)
-    min_eig, lowered_min = hermitian_spectrum(np.stack([kernel, lowered]))[1].tolist()
+    spectra = hermitian_spectrum(np.stack([kernel, lowered]))
+    (defect, _), (min_eig, lowered_min) = (a.tolist() for a in spectra)
     # the ones vector is tested against the matrix whose spectrum is certified
     ones_residual = float(np.linalg.norm((kernel + kernel.conj().T) / 2 @ np.ones(m)))
     return GuichardetCertificate(
-        constant, shifted, min_eig, ones_residual, MINIMALITY_DELTA, lowered_min
+        constant, shifted, min_eig, defect, ones_residual, MINIMALITY_DELTA, lowered_min
     )
 
 

@@ -21,7 +21,7 @@ from .algebra import (
     element_norm,
     hermitian_spectrum,
     mixing_permutation,
-    psd_within,
+    psd_violation,
     within,
 )
 from .bialgebra import Bialgebra
@@ -86,10 +86,15 @@ def is_right_convolution_operator(
 
 @dataclass(frozen=True)
 class CompletePositivityReport:
-    """Choi diagnostics of a linear map, one entry per source block."""
+    """Choi diagnostics of a linear map, one entry per source block.
+
+    ``violation`` is the largest :func:`~cstarconv.algebra.psd_violation`
+    over the Choi pieces, and ``cp`` records ``within(violation, tol)``.
+    """
 
     min_choi_eigenvalues: tuple[float, ...]
     hermitian_defects: tuple[float, ...]
+    violation: float
     cp: bool
 
 
@@ -129,9 +134,10 @@ def is_completely_positive(
             defect, eigs = hermitian_spectrum(choi)
             min_eigs[src_pos] = np.minimum(min_eigs[src_pos], eigs.min(axis=1))
             defects[src_pos] = np.maximum(defects[src_pos], defect.max(axis=1))
-    cp = bool(np.all(psd_within(defects, min_eigs, tol)))
+    # np.max so that a nan piece makes the violation nan
+    violation = float(np.max(psd_violation(defects, min_eigs)))
     return CompletePositivityReport(
-        tuple(float(e) for e in min_eigs), tuple(float(d) for d in defects), cp
+        tuple(min_eigs.tolist()), tuple(defects.tolist()), violation, bool(within(violation, tol))
     )
 
 

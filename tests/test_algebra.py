@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cstarconv as cc
-from cstarconv.algebra import GNS_RANK_TOL
+from cstarconv.algebra import GNS_RANK_TOL, psd_violation, psd_within
 from cstarconv.sampling import (
     random_element,
     random_functional,
@@ -504,3 +504,23 @@ def test_functional_norm_dominates_pairing_hypothesis(entries):
     witness = functional_norm_witness(alg, mu)
     assert abs(mu(witness)) <= cc.functional_norm(mu) + 1e-9
     assert abs(mu(witness) - cc.functional_norm(mu)) <= 1e-9
+
+
+# values at and around +-tol, the non-finite values and plain random values
+edge = st.sampled_from(
+    [0.0, 1e-9, -1e-9, 1e-9 * (1 + 1e-15), -1e-9 * (1 + 1e-15), np.nan, np.inf, -np.inf]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(edge, finite), min_size=1, max_size=6), st.data())
+def test_psd_within_is_within_of_the_violation(defects, data):
+    """One PSD rule: the verdict is ``within`` of ``psd_violation``, elementwise."""
+    size = len(defects)
+    min_eigs = data.draw(st.lists(st.one_of(edge, finite), min_size=size, max_size=size))
+    tol = data.draw(st.sampled_from([0.0, 1e-9, 1.0]))
+    verdict = psd_within(defects, min_eigs, tol)
+    assert np.array_equal(verdict, cc.within(psd_violation(defects, min_eigs), tol))
+    # the violation passes exactly when both the defect and the eigenvalue do
+    both = cc.within(np.array(defects), tol) & cc.within(-np.array(min_eigs), tol)
+    assert np.array_equal(verdict, both)

@@ -417,6 +417,30 @@ def test_schoenberg_forward(s3_dual, q8_dual, rng):
                 assert cc.within(cc.state_check(cc.convolution_exp(b, gamma, t)).violation(), 1e-9)
 
 
+def test_generator_valid_is_within_of_its_violation(s3_dual, q8_dual, rng):
+    """``valid`` is ``within(violation, tol)`` and the conjunction of the three
+    conditions, on valid, corrupted, non-Hermitian and non-finite generators."""
+    for b in (s3_dual, q8_dual):
+        gammas = [random_generating_functional(b, rng) for _ in range(5)]
+        gammas += [corrupted_generating_functional(b, rng, violation=v) for v in (1e-2, 1e-10)]
+        gammas += [b.epsilon, 1j * gammas[0], np.nan * gammas[0], np.inf * gammas[0]]
+        for gamma in gammas:
+            for tol in (0.0, 1e-9, 1e-1):
+                diag = cc.generating_functional(b, gamma, tol)
+                assert diag.valid is bool(cc.within(diag.violation, tol))
+                conditions = diag.hermitian and diag.vanishes_at_unit
+                assert diag.valid is (conditions and diag.conditionally_positive)
+
+
+def test_flow_methods_are_the_free_functions(s3_dual, rng):
+    b = s3_dual
+    gamma = random_generating_functional(b, rng)
+    flow = cc.associated_semigroup(b, gamma)
+    times = [0.0, 1e-3, 0.5, 2.0]
+    assert flow.moduli(times) == cc.continuity_moduli(b, gamma, times)
+    assert flow.norm_bound(REFINED_GRID) == cc.norm_continuity_bound(b, gamma, REFINED_GRID)
+
+
 def test_schoenberg_reverse(s3_dual, q8_dual, rng):
     """Broken conditional positivity shows up as a state violation on the grid."""
     for b in (s3_dual, q8_dual):

@@ -462,6 +462,32 @@ def test_cli_evolve_dual_cyclic_group_matches_the_dense_route(tmp_path, monkeypa
     assert_matches(table_route, dense_route)
 
 
+def test_cli_evolve_builds_one_flow(tmp_path, monkeypatch, capsys):
+    """``evolve zn:64`` forms the left-convolution matrix of gamma once: the
+    moduli, the norm-bound grid and the states share one flow."""
+    import cstarconv as cc
+    from cstarconv import cli
+    from cstarconv.sampling import random_generating_functional
+
+    b = cli._resolve_bialgebra("zn:64")
+    gamma = random_generating_functional(b, np.random.default_rng(1))
+    path = tmp_path / "gamma.json"
+    blocks = [cc.io.complex_matrix_to_json(rho) for rho in gamma.dual_blocks]
+    path.write_text(json.dumps({"dual_blocks": blocks}))
+    calls = []
+    kernel = type(b).left_matrix
+
+    def counted(self, dual):
+        calls.append(dual.shape)
+        return kernel(self, dual)
+
+    monkeypatch.setattr(type(b), "left_matrix", counted)
+    times = "0.001,0.01,0.1,0.5,1,2,4,8"
+    assert cli.main(["evolve", "zn:64", str(path), "--times", times]) == 0
+    assert json.loads(capsys.readouterr().out)["norm_bound"]["c_hat_source"] == "grid"
+    assert calls == [(64,)]
+
+
 def test_cli_builds_cyclic_irreps_only_for_guichardet(tmp_path, monkeypatch, capsys):
     """``validate zn:8``, ``evolve zn:8`` and ``evolve dual:zn:8`` read no
     irrep: with ``cyclic_irreps`` made to raise they print the same reports,
@@ -847,23 +873,27 @@ def test_cli_smoke_check_fails_on_a_nan_sample(tmp_path):
 
 
 def test_check_never_passes_a_non_finite_residual():
-    from cstarconv.cli import _check
+    from cstarconv.cli import _check, render_json
 
     for residual in (math.nan, math.inf, -math.inf):
-        for verdict in (None, False, True):
-            check = _check("x", residual, 1e-9, verdict)
-            assert check["pass"] is False and check["residual"] is None
+        check = _check("x", residual, 1e-9)
+        assert check["pass"] is False
+        assert json.loads(render_json(check))["residual"] is None
 
 
-def test_cli_main_refuses_to_render_non_finite(monkeypatch, capsys):
-    """A non-finite number outside the checks ends in exit 1, not a ValueError."""
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_cli_main_renders_a_non_finite_number_as_null(monkeypatch, capsys, fmt):
+    """The renderer writes null for every non-finite float, wherever it sits."""
     from cstarconv import cli
 
-    monkeypatch.setattr(cli, "cmd_validate", lambda args: ({"value": math.inf}, 0))
-    assert cli.main(["validate", "zn:2"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error:" in captured.err and "non-finite" in captured.err
+    body = {"value": math.inf, "nested": [np.float64(np.nan), {"x": -math.inf}]}
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: (body, 0))
+    assert cli.main(["--format", fmt, "validate", "zn:2"]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out) == {"value": None, "nested": [None, {"x": None}]}
+    else:
+        assert out == "value = null\nnested[0] = null\nnested[1].x = null\n"
 
 
 NON_FINITE_OR_BROKEN_GAMMA = {
@@ -918,7 +948,8 @@ def test_cli_evolve_norm_bound_grid_edges(tmp_path, capsys, values, argv):
     assert cli.main([*argv, "evolve", "zn:2", str(gamma_path), "--times", "1"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["generating_functional"]["conditionally_positive"] is True
-    assert report["checks"][0]["name"] == "generator_norm_bound"
+    names = [c["name"] for c in report["checks"][:2]]
+    assert names == ["generating_functional", "generator_norm_bound"]
     if argv:
         assert report["norm_bound"]["satisfied"] is True
 

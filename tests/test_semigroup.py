@@ -371,6 +371,16 @@ def test_transpose_between_different_block_sizes_is_not_cp():
     assert cc.is_completely_positive(cc.LinearMap(source, target, swap)).cp
 
 
+def test_choi_violation_reads_a_hermitian_defect_the_eigenvalue_hides():
+    """``1j * id`` on M_2: its Choi matrix is ``1j`` times a PSD matrix of
+    eigenvalue 2, whose Hermitian part is 0, so only the defect shows."""
+    alg = cc.Algebra((2,))
+    report = cc.is_completely_positive(cc.LinearMap(alg, alg, 1j * np.eye(alg.dim)))
+    assert report.min_choi_eigenvalues == (0.0,)
+    assert report.hermitian_defects == (2.0,)
+    assert report.violation == 2.0 and report.cp is False
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_map_is_never_cp():
     alg = cc.Algebra((2, 1))
@@ -378,7 +388,7 @@ def test_non_finite_map_is_never_cp():
         mat = np.eye(alg.dim, dtype=np.complex128)
         mat[0, 0] = bad
         report = cc.is_completely_positive(cc.LinearMap(alg, alg, mat))
-        assert not report.cp
+        assert not report.cp and math.isnan(report.violation)
         assert math.isnan(report.min_choi_eigenvalues[0])
         assert report.min_choi_eigenvalues[1] == 0.0
         mat[0, 0], mat[1, 2] = 1.0, bad

@@ -1,13 +1,16 @@
-"""One rule decides every report check: ``pass == within(residual, tolerance)``.
+"""One rule decides every report: each check passes exactly when
+``within(residual, tolerance)``, with a null residual read as ``nan``, and the
+report passes exactly when all its listed checks do, with exit code 0
+exactly then.
 
-The two PSD checks (``choi_min_eig[t=...]`` and ``kernel_psd_after_shift``)
-print a signed smallest eigenvalue; their pass is the library's PSD verdict,
-which also reads Hermitian defects.  ``validate`` has none: every axiom of
-a bialgebra is a residual decided by ``within``.  The contract is checked on
-fixture inputs, on a generator whose Choi matrices are not Hermitian although
-their smallest Choi eigenvalue is nonnegative, and on a coproduct whose
-``*`` defect fails its homomorphism check.  An ``ast`` scan keeps every
-tolerance comparison of ``src/`` inside ``algebra.within``.
+A PSD check reports its violation (``algebra.psd_violation``), so
+``choi_psd[t=...]`` fails on a Choi Hermitian defect that its signed
+eigenvalue would hide.  The generator's validity is the listed check
+``generating_functional``, so an invalid generator fails a check.  The
+contract is checked on fixture inputs, on those two failures, on a
+coproduct whose ``*`` defect fails its homomorphism check, on a failed
+``guichardet`` precondition and on every recorded golden report.  An ``ast``
+scan keeps every tolerance comparison of ``src/`` inside ``algebra.within``.
 """
 
 import ast
@@ -22,6 +25,7 @@ import pytest
 import cstarconv as cc
 from cstarconv import cli
 from cstarconv import io as schemas
+from cstarconv.sampling import corrupted_generating_functional
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(cc.__file__).parent
@@ -47,6 +51,14 @@ GAMMA_NON_HERMITIAN = {"dual_blocks": [[[[-1, 0.5]]], [[[1, 0]]]]}
 PSI_OFF_IDENTITY = {"group": "s3", "values": [[0.1, 0]] * 6}
 
 
+def invalid_generator() -> dict:
+    """A Hermitian generator on C*(S3) that vanishes at the unit but is not
+    conditionally positive: one eigenvalue of a block off the counit's is -1e-2."""
+    b = cli._resolve_bialgebra("dual:s3")
+    gamma = corrupted_generating_functional(b, np.random.default_rng(0))
+    return {"dual_blocks": [schemas.complex_matrix_to_json(rho) for rho in gamma.dual_blocks]}
+
+
 def run_cli(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -54,74 +66,23 @@ def run_cli(argv):
     return code, json.loads(out.getvalue())
 
 
-def is_psd_check(name: str) -> bool:
-    return name.split(":")[-1].startswith(("choi_min_eig[", "kernel_psd_after_shift"))
-
-
-def validate_psd_verdicts(specs):
-    return {
-        f"{label}:{name}": ok
-        for label, b in cli._resolve_validate_targets(specs)
-        for name, _, ok in cc.validate_bialgebra(b, TOL).checks(TOL)
-        if is_psd_check(name)
-    }
-
-
-def evolve_psd_verdicts(ref, gamma_path, times):
-    b = cli._resolve_bialgebra(ref)
-    sg = cc.associated_semigroup(b, schemas.load_functional(b.algebra, gamma_path))
-    return {
-        f"choi_min_eig[t={cli._fmt(t)}]": cc.is_completely_positive(sg.operator_at(t), TOL).cp
-        for t in times
-    }
-
-
-def guichardet_psd_verdicts(group, psi_path):
-    table, _ = cc.builtin_group(group)
-    _, values = schemas.load_group_function(psi_path)
-    try:
-        cert = cc.guichardet_constant(table, values, TOL)
-    except cc.PreconditionError:
-        return {}
-    return {name: ok for name, _, ok in cert.checks(TOL) if is_psd_check(name)}
+def assert_one_rule(report: dict, code: int) -> None:
+    checks = report["checks"]
+    for c in checks:
+        residual = np.nan if c["residual"] is None else c["residual"]
+        assert c["pass"] is bool(cc.within(residual, c["tolerance"])), c
+    assert report["pass"] is all(c["pass"] for c in checks) is (code == 0)
 
 
 CASES = {
-    "validate": (
-        GOLDEN,
-        ["validate", "zn:4", "s3"],
-        lambda: validate_psd_verdicts(["zn:4", "s3"]),
-    ),
-    "validate-star-defect": (
-        None,
-        ["validate", "star_defect.json"],
-        lambda: validate_psd_verdicts(["star_defect.json"]),
-    ),
-    "evolve-zn2": (
-        GOLDEN,
-        ["evolve", "zn:2", "gamma_zn2.json", "--times", "0,0.5,1"],
-        lambda: evolve_psd_verdicts("zn:2", "gamma_zn2.json", [0.0, 0.5, 1.0]),
-    ),
-    "evolve-dual-s3": (
-        GOLDEN,
-        ["evolve", "dual:s3", "gamma_dual_s3.json"],
-        lambda: evolve_psd_verdicts("dual:s3", "gamma_dual_s3.json", [1.0]),
-    ),
-    "evolve-non-hermitian": (
-        None,
-        ["evolve", "zn:2", "gamma.json", "--times", "0.5"],
-        lambda: evolve_psd_verdicts("zn:2", "gamma.json", [0.5]),
-    ),
-    "guichardet-s3": (
-        GOLDEN,
-        ["guichardet", "s3", "psi_s3.json"],
-        lambda: guichardet_psd_verdicts("s3", "psi_s3.json"),
-    ),
-    "guichardet-preconditions": (
-        None,
-        ["guichardet", "s3", "psi.json"],
-        lambda: guichardet_psd_verdicts("s3", "psi.json"),
-    ),
+    "validate": (GOLDEN, ["validate", "zn:4", "s3"]),
+    "validate-star-defect": (None, ["validate", "star_defect.json"]),
+    "evolve-zn2": (GOLDEN, ["evolve", "zn:2", "gamma_zn2.json", "--times", "0,0.5,1"]),
+    "evolve-dual-s3": (GOLDEN, ["evolve", "dual:s3", "gamma_dual_s3.json"]),
+    "evolve-non-hermitian": (None, ["evolve", "zn:2", "gamma.json", "--times", "0.5"]),
+    "evolve-invalid-generator": (None, ["evolve", "dual:s3", "bad.json", "--times", "0"]),
+    "guichardet-s3": (GOLDEN, ["guichardet", "s3", "psi_s3.json"]),
+    "guichardet-preconditions": (None, ["guichardet", "s3", "psi.json"]),
 }
 
 
@@ -129,27 +90,37 @@ CASES = {
 def repro_dir(tmp_path):
     (tmp_path / "star_defect.json").write_text(json.dumps(STAR_DEFECT))
     (tmp_path / "gamma.json").write_text(json.dumps(GAMMA_NON_HERMITIAN))
+    (tmp_path / "bad.json").write_text(json.dumps(invalid_generator()))
     (tmp_path / "psi.json").write_text(json.dumps(PSI_OFF_IDENTITY))
     return tmp_path
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_report_pass_is_the_library_verdict(name, repro_dir, monkeypatch):
-    cwd, argv, library = CASES[name]
+    """The library's one verdict, ``within``, decides every check and the report."""
+    cwd, argv = CASES[name]
     monkeypatch.chdir(cwd or repro_dir)
     code, report = run_cli(argv)
-    psd = library()
-    checks = report["checks"]
-    assert {c["name"] for c in checks if is_psd_check(c["name"])} == set(psd)
-    for c in checks:
-        if is_psd_check(c["name"]):
-            assert c["pass"] is psd[c["name"]], c
-        else:
-            residual = np.nan if c["residual"] is None else c["residual"]
-            assert c["pass"] is bool(cc.within(residual, c["tolerance"])), c
-    assert (code == 0) == report["pass"] == all(c["pass"] for c in checks)
-    if argv[0] == "validate":
-        assert psd == {}
+    assert_one_rule(report, code)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(GOLDEN.glob("*.out.json")), ids=lambda p: p.name.removesuffix(".out.json")
+)
+def test_every_golden_report_keeps_the_one_rule(path):
+    recorded = json.loads(path.read_text())
+    assert_one_rule(json.loads(recorded["stdout"]), recorded["exit_code"])
+
+
+def test_invalid_generator_fails_its_listed_check(repro_dir, monkeypatch):
+    monkeypatch.chdir(repro_dir)
+    code, out = run_cli(["evolve", "dual:s3", "bad.json", "--times", "0"])
+    failing = [c for c in out["checks"] if not c["pass"]]
+    assert [c["name"] for c in failing] == ["generating_functional"]
+    assert failing[0]["residual"] == pytest.approx(1e-2, rel=1e-9)
+    assert out["generating_functional"]["conditionally_positive"] is False
+    assert out["norm_bound"] is None
+    assert code == 1
 
 
 def test_coproduct_with_a_star_defect_fails_the_homomorphism_law(repro_dir, monkeypatch):
@@ -168,11 +139,17 @@ def test_coproduct_with_a_star_defect_fails_the_homomorphism_law(repro_dir, monk
 
 
 def test_evolve_choi_check_fails_on_a_hermitian_defect(repro_dir, monkeypatch):
+    """The residual is the Hermitian defect 0.338, which the signed smallest
+    Choi eigenvalue 0.306 of the report body would hide."""
     monkeypatch.chdir(repro_dir)
     code, out = run_cli(["evolve", "zn:2", "gamma.json", "--times", "0.5"])
-    choi = next(c for c in out["checks"] if c["name"] == "choi_min_eig[t=0.5]")
-    assert choi["residual"] > 0.3 and choi["pass"] is False
-    assert min(out["times"][0]["choi_min_eigenvalues"]) == choi["residual"]
+    choi = next(c for c in out["checks"] if c["name"] == "choi_psd[t=0.5]")
+    b = cli._resolve_bialgebra("zn:2")
+    p_t = cc.associated_semigroup(b, schemas.load_functional(b.algebra, "gamma.json"))
+    defects = cc.is_completely_positive(p_t.operator_at(0.5), TOL).hermitian_defects
+    assert choi["residual"] == max(defects) == pytest.approx(0.3384, abs=1e-4)
+    assert choi["pass"] is False
+    assert 0.3 < min(out["times"][0]["choi_min_eigenvalues"]) < choi["residual"]
     assert code == 1
 
 
