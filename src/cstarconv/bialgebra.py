@@ -16,9 +16,9 @@ and the class of a bialgebra is its kernel:
 * :class:`Bialgebra`, the *dense* kernel of einsums and matrix products
   over ``T``, for every coproduct given as a matrix, 0/1 ones included: no
   table is read off a matrix, so ``validate`` sees every defect of it.
-* ``_TableBialgebra``, the *table* kernel of exact gathers and scatters on
-  the table ``f`` of a finite group, ``T[k, j, l] = [f(k, j) = l]``, which
-  only :func:`function_bialgebra` builds.  The CLI's C*(``Z_n``) is built
+* ``_TableBialgebra``, the *table* kernel of exact gathers on the table
+  ``f`` of a finite group, ``T[k, j, l] = [f(k, j) = l]``, which only
+  :func:`function_bialgebra` builds.  The CLI's C*(``Z_n``) is built
   by it as the functions on the dual group, whose table in the character
   basis of ``cyclic_irreps`` is that of ``Z_n``.
 """
@@ -111,8 +111,12 @@ class Bialgebra:
         """``sum_k dual[k] T[k]``, the matrix of ``a -> (mu (x) id)(delta a)``.
 
         Its transpose is the matrix of ``nu -> mu * nu`` on dual coordinates.
+        A stack of shape ``(..., dim)`` gives a stack of matrices, one GEMM
+        with ``T``.
         """
-        return np.einsum("k,kjl->jl", dual, self.structure_tensor)
+        dim = self.algebra.dim
+        out = dual @ self.structure_tensor.reshape(dim, dim * dim)
+        return out.reshape(out.shape[:-1] + (dim, dim))
 
     def right_matrix(self, dual: np.ndarray) -> np.ndarray:
         """``sum_j dual[j] T[:, j, :]``, the matrix of ``a -> (id (x) mu)(delta a)``.
@@ -125,9 +129,9 @@ class Bialgebra:
         """Dual vectors of the convolutions of functionals with dual vectors ``x``, ``y``.
 
         ``x`` and ``y`` are stacks of shape ``(..., dim)`` with broadcastable
-        leading axes; entry ``l`` of a result is ``sum_kj x[k] y[j] T[k, j, l]``.
-        The stacks run in chunks of vectors whose temporaries hold about
-        ``_CHUNK`` entries, each through :meth:`_convolve_chunk`.
+        leading axes; entry ``l`` of a result is ``sum_kj x[k] y[j] T[k, j, l]``,
+        that is ``y @ left_matrix(x)``, on either kernel.  The stacks run in
+        chunks of vectors whose left matrices hold about ``_CHUNK`` entries.
         """
         dim = self.algebra.dim
         x, y = np.asarray(x), np.asarray(y)
@@ -136,14 +140,8 @@ class Bialgebra:
         y = np.broadcast_to(y, batch + (dim,)).reshape(-1, dim)
         out = np.empty(x.shape, dtype=np.complex128)
         for rows in _chunks(len(out), dim * dim):
-            self._convolve_chunk(x[rows], y[rows], out[rows])
+            out[rows] = (y[rows, None] @ self.left_matrix(x[rows]))[:, 0]
         return out.reshape(batch + (dim,))
-
-    def _convolve_chunk(self, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-        """Convolve rows of ``x`` and ``y`` into ``out``: a GEMM with ``T``, then ``y``."""
-        dim = self.algebra.dim
-        left = x @ self.structure_tensor.reshape(dim, dim * dim)
-        out[:] = np.einsum("sj,sjl->sl", y, left.reshape(-1, dim, dim))
 
     def invariance_residual(self, matrix: np.ndarray) -> float:
         """``max |T[k] @ matrix - matrix @ T[k]|`` over all ``k``.
@@ -230,9 +228,10 @@ class Bialgebra:
 class _TableBialgebra(Bialgebra):
     """The functions on a finite group with table ``f``, on the table kernel.
 
-    ``T[k, j, l] = [f(k, j) = l]``, so every contraction is an exact gather
-    or scatter on ``f``, and ``delta`` is formed from ``f`` only when a dense
-    path reads it.  The coproduct is the pullback ``delta(g)(k, j) =
+    ``T[k, j, l] = [f(k, j) = l]``, so the left and right matrices are exact
+    gathers of a dual vector through ``l j^-1`` and ``k^-1 l``, two index
+    tables cached on the kernel, and ``delta`` is formed from ``f`` only when
+    a dense path reads it.  The coproduct is the pullback ``delta(g)(k, j) =
     g(f[k, j])``, a unital *-homomorphism for any map ``f``, and
     :class:`SemigroupTable` refused ``f`` unless it is associative: so the
     coassociativity, unit, ``*`` and homomorphism laws read exactly 0, and
@@ -260,31 +259,21 @@ class _TableBialgebra(Bialgebra):
         matrix[np.arange(dim * dim), f.ravel()] = 1.0
         return LinearMap(self.algebra, self.tensor_square, matrix)
 
+    @cached_property
+    def _right_index(self) -> np.ndarray:
+        """``[k, l] -> k^-1 l``: ``T[k, j, l]`` is 1 exactly at ``j = k^-1 l``."""
+        return self._f[self._inverses]
+
+    @cached_property
+    def _left_index(self) -> np.ndarray:
+        """``[j, l] -> l j^-1``: ``T[k, j, l]`` is 1 exactly at ``k = l j^-1``."""
+        return self._f.T[self._inverses]
+
     def left_matrix(self, dual: np.ndarray) -> np.ndarray:
-        f = self._f
-        dim = len(f)
-        # T[k] has its one 1 of row j in column f[k, j]: scatter-add dual[k] there
-        index = (np.arange(dim) * dim + f).ravel()
-        weights = np.repeat(dual, dim)
-        out = np.empty(dim * dim, dtype=np.complex128)
-        out.real = np.bincount(index, weights.real, dim * dim)
-        out.imag = np.bincount(index, weights.imag, dim * dim)
-        return out.reshape(dim, dim)
+        return dual[..., self._left_index]
 
     def right_matrix(self, dual: np.ndarray) -> np.ndarray:
-        f = self._f
-        # row k is a permutation of dual: entry [k, f[k, j]] is dual[j]
-        out = np.empty(f.shape, dtype=np.complex128)
-        out[np.arange(len(f))[:, None], f] = dual
-        return out
-
-    def _convolve_chunk(self, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-        # one bincount scatters x[s, k] y[s, j] of vector s to s * dim + f[k, j]
-        f, (count, dim) = self._f, out.shape
-        index = (np.arange(count)[:, None, None] * dim + f).ravel()
-        weights = (x[:, :, None] * y[:, None, :]).ravel()
-        out.real = np.bincount(index, weights.real, count * dim).reshape(count, dim)
-        out.imag = np.bincount(index, weights.imag, count * dim).reshape(count, dim)
+        return dual[..., self._right_index]
 
     def invariance_residual(self, matrix: np.ndarray) -> float:
         """A certified bound ``2 r`` on the exact residual ``R``, from orbit
@@ -297,9 +286,10 @@ class _TableBialgebra(Bialgebra):
         ``r = max_{j,l} |M[j, l] - M[e, j^-1 l]|`` has ``r <= R`` (take
         ``k = j^-1``) and ``R <= 2 r`` (pass through the representative), and
         the returned ``2 r`` lies in ``[R, 2 R]``: 0 exactly when ``M``
-        commutes with every ``T[k]``.
+        commutes with every ``T[k]``.  The representatives ``M[e, j^-1 l]``
+        are the right matrix of the row ``M[e]``.
         """
-        out = matrix[self._identity][self._f[self._inverses]]
+        out = self.right_matrix(matrix[self._identity])
         np.subtract(matrix, out, out=out)
         return 2.0 * _max_abs([out])
 
@@ -432,7 +422,7 @@ def fourier_matrices(group: SemigroupTable, irreps: IrrepTable):
     """
     m = group.order
     lam = irreps.coefficient_rows()
-    weights = np.repeat([d / m for d in irreps.dims], [d * d for d in irreps.dims])
+    weights = np.concatenate([np.full(d * d, d / m) for d in irreps.dims])
     return lam, (weights[:, None] * lam.conj()).T
 
 

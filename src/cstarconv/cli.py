@@ -501,6 +501,10 @@ def main(argv=None) -> int:
     except (SchemaError, ConstructionError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # exit 2, as for a zn: order too large to build
+        detail = f": {exc}" if str(exc) else ""  # numpy's names the array
+        print(f"error: not enough memory for this input{detail}", file=sys.stderr)
+        return 2
     text = render_json(report) if args.format == "json" else "\n".join(render_text(report))
     sys.stdout.write(text + "\n")
     print(f"# elapsed seconds: {time.perf_counter() - start:.3f}", file=sys.stderr)

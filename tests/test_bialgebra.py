@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cstarconv as cc
-from cstarconv import cli
+from cstarconv import bialgebra, cli
 from cstarconv.io import complex_matrix_to_json, load_bialgebra
 
 from conftest import (
@@ -265,18 +265,11 @@ def _table_built(case):
     return _builtin_bialgebra(case), None
 
 
-def _convolve_chunk(b, x, y, mats):
-    out = np.empty(x.shape, dtype=np.complex128)
-    b._convolve_chunk(x, y, out)
-    return out
-
-
 # how each method the table kernel overrides is compared: the call on the
 # kernel under test and on its oracle, given dual vectors x, y and matrices
 ORACLE_CALLS = {
     "left_matrix": lambda b, x, y, mats: np.array([b.left_matrix(v) for v in x]),
     "right_matrix": lambda b, x, y, mats: np.array([b.right_matrix(v) for v in x]),
-    "_convolve_chunk": _convolve_chunk,
     "invariance_residual": lambda b, x, y, mats: np.array([b.invariance_residual(m) for m in mats]),
     **{
         law: lambda b, *inputs, law=law: getattr(b, law)()
@@ -326,18 +319,21 @@ def test_validation_report_matches_dense_oracle(case):
 @pytest.mark.parametrize("case", TABLE_BUILT_CASES)
 def test_table_kernel_matches_dense_oracle(case):
     """Every method the table kernel overrides against the dense kernel on
-    the same coproduct, exactly (convolution within 1e-12), and for C*(Z_n)
-    also against Fourier inversion within 1e-12.  The invariance residual,
-    a bound on the table kernel, must lie in ``[R, 2 R]`` of the oracle's
-    exact ``R``.
+    the same coproduct, exactly, and for C*(Z_n) also against Fourier
+    inversion within 1e-12; the inherited ``convolve`` within 1e-12 of both.
+    The invariance residual, a bound on the table kernel, must lie in
+    ``[R, 2 R]`` of the oracle's exact ``R``.
 
     The Fourier coproduct carries rounding fill (2.5e-13 at n = 64), which a
     contraction sums over its inputs, so the inputs it sees have unit norm.
     """
     b, fourier = _table_built(case)
     assert on_table_kernel(b)
-    overrides = {name for name in vars(type(b)) if not name.startswith("__")} - {"delta", "kernel"}
-    assert set(ORACLE_CALLS) == overrides
+    # names that override a Bialgebra attribute; the cached index tables are new ones
+    overrides = {
+        name for name in vars(type(b)) if hasattr(cc.Bialgebra, name) and not name.startswith("__")
+    }
+    assert set(ORACLE_CALLS) == overrides - {"kernel"}
     dense = _dense(b)
     rng = np.random.default_rng(SEED)
     raw = _oracle_inputs(b, rng, unit=False)
@@ -352,11 +348,38 @@ def test_table_kernel_matches_dense_oracle(case):
             if fourier is not None:
                 assert_within_factor_two(call(b, *unit), call(fourier, *unit), 1e-12)
             continue
-        tol = 1e-12 if name == "_convolve_chunk" else 0.0
-        assert np.abs(call(b, *raw) - call(dense, *raw)).max() <= tol, name
+        assert np.abs(call(b, *raw) - call(dense, *raw)).max() == 0.0, name
         if fourier is not None:
             assert np.abs(call(b, *unit) - call(fourier, *unit)).max() <= 1e-12, name
+    (x, y, _), (x_unit, y_unit, _) = raw, unit
+    assert np.abs(b.convolve(x, y) - dense.convolve(x, y)).max() <= 1e-12
+    if fourier is not None:
+        assert np.abs(b.convolve(x_unit, y_unit) - fourier.convolve(x_unit, y_unit)).max() <= 1e-12
     assert "structure_tensor" not in b.__dict__
+
+
+@pytest.mark.parametrize("case", ["zn:1", "zn:7", "s3", "q8", "dual:zn:8"])
+def test_left_matrix_of_a_stack_is_the_stack_of_left_matrices(case):
+    """A ``(3, dim)`` stack gives the three single calls: exactly on the table
+    kernel and on its 0/1 dense oracle, where every entry is one product.
+    The Fourier-built C*(G) sums rounded products, and BLAS sums one row
+    (gemv) and several (gemm) in different orders, so there they agree to
+    rounding."""
+    b, _ = _table_built(case)
+    fourier = _builtin_bialgebra("dual:" + case.removeprefix("dual:"))
+    stack = _random_complex(np.random.default_rng(SEED), 3, b.algebra.dim)
+    for kernel, tol in [(b, 0.0), (_dense(b), 0.0), (fourier, 1e-14)]:
+        single = np.array([kernel.left_matrix(v) for v in stack])
+        assert kernel.left_matrix(stack).shape == single.shape
+        assert np.abs(kernel.left_matrix(stack) - single).max() <= tol
+
+
+def test_convolve_is_defined_once():
+    """Both kernels convolve through ``y @ left_matrix(x)``, on ``Bialgebra``."""
+    kernels = [cls for cls in vars(bialgebra).values() if isinstance(cls, type)]
+    kernels = [cls for cls in kernels if issubclass(cls, cc.Bialgebra)]
+    assert len(kernels) == 2
+    assert [cls for cls in kernels if "convolve" in vars(cls)] == [cc.Bialgebra]
 
 
 def assert_within_factor_two(bound, exact, tol):

@@ -688,6 +688,26 @@ def test_cli_refuses_a_cyclic_order_too_large_to_build(n, argv, capsys):
     assert line.startswith(f"error: cyclic group of order {n} is too large to build")
 
 
+@pytest.mark.parametrize(
+    "error", [MemoryError(), MemoryError("Unable to allocate 27.0 GiB for an array")]
+)
+def test_cli_reports_memory_exhaustion_in_one_line(monkeypatch, capsys, error):
+    """A ``MemoryError`` anywhere in a command exits 2, the code of an order
+    too large to build, with one ``error:`` line and no traceback."""
+    from cstarconv import cli
+
+    def exhaust(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_validate", exhaust)
+    assert cli.main(["validate", "zn:2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: not enough memory for this input")
+    assert str(error) in line
+
+
 EMPTY_NAMES = {
     "guichardet": ["guichardet", "", "{psi}"],
     "evolve": ["evolve", " ", "{gamma}"],
