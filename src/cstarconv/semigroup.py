@@ -57,8 +57,9 @@ def commutation_residual(b: Bialgebra, t_map: LinearMap) -> float:
 #: Deviation of ``delta T`` from ``(id (x) T) delta`` (max-abs entries).  In
 #: structure-tensor coordinates ``delta T`` is ``T[k] @ M`` and
 #: ``(id (x) T) delta`` is ``M @ T[k]``, so this is the residual of
-#: :func:`commutation_residual`; the ``evolve`` command evaluates it once per
-#: time point and reports it under both names.
+#: :func:`commutation_residual`, which ``evolve`` reports once as
+#: ``commutation[t]``.  The alias is kept only for the benchmark replay
+#: (``perfbench/replay.py``) and the demos that call it by this name.
 strong_invariance_residual = commutation_residual
 
 

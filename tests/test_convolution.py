@@ -466,7 +466,7 @@ REFINED_GRID = [2.0**-k for k in range(0, 35)]
 def test_norm_bound_zero_generator(s3_dual):
     zero = s3_dual.algebra.functional([np.zeros((n, n)) for n in s3_dual.algebra.blocks])
     bound = cc.norm_continuity_bound(s3_dual, zero, [0.5, 1.0, 2.0])
-    assert bound.c_hat == pytest.approx(0.5)
+    assert bound.c_hat == 0.0
     assert bound.generator_norm == 0.0
     assert bound.satisfied
 
@@ -484,6 +484,20 @@ def test_norm_bound_random_generators(s3_dual, rng):
         gamma = random_generating_functional(s3_dual, rng, norm=1.0)
         bound = cc.norm_continuity_bound(s3_dual, gamma, REFINED_GRID)
         assert bound.satisfied
+
+
+@pytest.mark.parametrize("name", ["zn:8", "dual:s3", "dual:q8"])
+def test_norm_bound_holds_at_every_norm_and_grid_max(name):
+    """The ``evolve`` grid certifies every valid generator from ``1e-8`` to
+    ``1e3`` in norm, whether it halves down from 8 or starts below its floor."""
+    b = cli._resolve_bialgebra(name)
+    rng = np.random.default_rng(SEED)
+    for k in range(-8, 4):
+        gamma = random_generating_functional(b, rng, norm=10.0**k)
+        for t_max in (8.0, 1e-300):
+            grid = cli._norm_bound_grid(t_max, cc.functional_norm(gamma), 1e-9)
+            bound = cc.norm_continuity_bound(b, gamma, grid)
+            assert bound.satisfied, (k, t_max, bound)
 
 
 def test_norm_bound_rejects_invalid(s3_dual):

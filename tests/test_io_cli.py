@@ -397,15 +397,50 @@ def test_cli_evolve_two_state_flow(tmp_path):
 
 
 def test_cli_evolve_norm_bound_and_grid_max(tmp_path):
+    """For ``gamma = rate (delta_1 - delta_e)`` on ``Z_2``, ``lambda_t(p)/t``
+    decreases to ``gamma(p) = rate = |gamma| / 2``: that is ``c_hat``, read from
+    the flow and not set by the grid, also for a small generator at the
+    default ``--grid-max``."""
     gamma_path = tmp_path / "gamma.json"
-    gamma_path.write_text(json.dumps({"dual_blocks": [[[[-1.0, 0.0]]], [[[1.0, 0.0]]]]}))
-    result = run_cli("evolve", "zn:2", str(gamma_path), "--times", "1", "--grid-max", "4")
-    assert result.returncode == 0
-    report = json.loads(result.stdout)
-    bound = report["norm_bound"]
-    assert bound["satisfied"] is True
-    assert abs(bound["c_hat"] - 1.0) < 1e-9
-    assert bound["generator_norm"] == 2.0
+    for rate, grid_max in [(1.0, "4"), (0.05, "8")]:
+        gamma_path.write_text(json.dumps({"dual_blocks": [[[[-rate, 0.0]]], [[[rate, 0.0]]]]}))
+        result = run_cli("evolve", "zn:2", str(gamma_path), "--times", "1", "--grid-max", grid_max)
+        assert result.returncode == 0
+        bound = json.loads(result.stdout)["norm_bound"]
+        assert bound["satisfied"] is True
+        assert abs(bound["c_hat"] - rate) < 1e-9
+        assert bound["generator_norm"] == 2 * rate
+
+
+@pytest.mark.parametrize("grid_max", ["8", "1e-300"])
+def test_cli_evolve_norm_bound_fails_a_broken_flow_at_any_grid_max(
+    tmp_path, monkeypatch, capsys, grid_max
+):
+    """``gamma = 2 (mu - delta_e)`` on ``Z_64``, ``mu`` a seeded probability
+    off ``e``, has norm 4 and ``gamma(p) = 2``.  Difference quotients halved
+    by a fault give ``c_hat`` about 1: the bound fails at every
+    ``--grid-max``, a tiny one included, while the correct flow passes."""
+    from cstarconv import cli
+    from cstarconv.convolution import AssociatedSemigroup
+
+    mu = np.random.default_rng(5).random(63)
+    weights = np.concatenate([[-2.0], 2.0 * mu / mu.sum()])
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps({"dual_blocks": [[[[w, 0.0]]] for w in weights]}))
+    argv = ["evolve", "zn:64", str(path), "--times", "1", "--grid-max", grid_max]
+
+    def bound_check():
+        code = cli.main(argv)
+        report = json.loads(capsys.readouterr().out)
+        return code, next(c for c in report["checks"] if c["name"] == "generator_norm_bound")
+
+    code, check = bound_check()
+    assert code == 0 and check["pass"] is True and abs(check["residual"]) < 1e-9
+    quotient = AssociatedSemigroup.quotient_at
+    monkeypatch.setattr(AssociatedSemigroup, "quotient_at", lambda sg, t: quotient(sg, t) * 0.5)
+    code, check = bound_check()
+    assert code == 1 and check["pass"] is False
+    assert check["residual"] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_cli_evolve_invalid_generator(tmp_path):
@@ -484,7 +519,6 @@ def test_cli_evolve_builds_one_flow(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(type(b), "left_matrix", counted)
     times = "0.001,0.01,0.1,0.5,1,2,4,8"
     assert cli.main(["evolve", "zn:64", str(path), "--times", times]) == 0
-    assert json.loads(capsys.readouterr().out)["norm_bound"]["c_hat_source"] == "grid"
     assert calls == [(64,)]
 
 
@@ -546,6 +580,35 @@ def test_cli_guichardet_gns_route_uses_the_tolerance(tmp_path):
     assert "precondition_failures" not in report
     agreement = next(c for c in report["checks"] if c["name"] == "gns_constant_agreement")
     assert agreement["pass"] is True
+
+
+def test_cli_guichardet_refuses_bad_irreps_before_the_kernel_route(
+    tmp_path, monkeypatch, capsys
+):
+    """A ``Z_3`` irrep with ``chi(1) = i`` is refused (exit 2) before the
+    kernel route's eigendecomposition runs."""
+    from cstarconv import cli
+
+    group = tmp_path / "z3.json"
+    table = cc.cyclic_group(3).table.tolist()
+    group.write_text(json.dumps({"order": 3, "identity": 0, "table": table}))
+    psi = tmp_path / "psi.json"
+    psi.write_text(json.dumps({"values": [[0.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]]}))
+    omega = np.exp(2j * np.pi / 3)
+    characters = [[1, 1, 1], [1, omega, omega**2], [1, 1j, -1]]
+    irreps = tmp_path / "irreps.json"
+    irreps.write_text(json.dumps({"irreps": [
+        {"dim": 1, "matrices": [schemas.complex_matrix_to_json(np.array([[c]])) for c in chi]}
+        for chi in characters
+    ]}))
+    calls = []
+    constant = cli.guichardet_constant
+    monkeypatch.setattr(cli, "guichardet_constant", lambda *a: calls.append(a) or constant(*a))
+    assert cli.main(["guichardet", str(group), str(psi), "--irreps", str(irreps)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: irrep 2 violates the homomorphism law at (1, 2)\n" in captured.err
+    assert calls == []
 
 
 def test_cli_guichardet_rejects_nonvanishing(tmp_path):
@@ -863,7 +926,7 @@ def test_cli_evolve_overflow_is_a_failed_check(tmp_path):
     report = json.loads(result.stdout)
     assert report["pass"] is False
     overflowed = [c for c in report["checks"] if c["name"].endswith("[t=800]")]
-    assert len(overflowed) == 7
+    assert len(overflowed) == 6
     assert all(c["residual"] is None and c["pass"] is False for c in overflowed)
     entry = report["times"][1]
     assert entry["t"] == 800 and entry["state_min_eigenvalue"] is None

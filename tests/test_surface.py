@@ -31,10 +31,11 @@ def _caller_files() -> list[Path]:
 
 
 def _referenced_names(path: Path) -> set[str]:
-    """Every Name, Attribute and import alias in a file."""
+    """Every Name read or deleted (not one only assigned), Attribute and import
+    alias in a file: a module constant is not its own caller."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
