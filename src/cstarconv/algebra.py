@@ -169,7 +169,7 @@ class Algebra:
     @cached_property
     def product_table(self) -> np.ndarray:
         """Int table ``z`` with ``e_x e_y = e_{z[x, y]}``, or 0 where ``z[x, y] = -1``
-        (so a vector padded with one 0 gathers the coordinate of each product)."""
+        (so a vector with one 0 appended gathers the coordinate of each product)."""
         table = np.full((self.dim, self.dim), -1, dtype=np.intp)
         for n, _, idx in self.blocks_by_size:
             r, s, u = np.indices((n, n, n)).reshape(3, -1)
@@ -532,21 +532,30 @@ def mixing_permutation(a1: Algebra, a2: Algebra) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GNSData:
-    """Cyclic representation of a positive functional.
+    """Cyclic representation of a positive functional, held as its quotient map.
+
+    The representation is ``pi(a) = to_space @ L_a @ from_space``, where
+    ``L_a`` is the coordinate matrix of ``b -> a * b``
+    (:func:`left_multiplication_matrix`).  No representing matrix is
+    formed: a caller reads what it needs from the two factors.
 
     Attributes
     ----------
     dimension : int
-        Hilbert-space dimension (the rank of the Gram matrix).
-    rep_matrices : np.ndarray
-        Array of shape ``(algebra.dim, d, d)``: the representing matrix of
-        each canonical basis element.
+        Hilbert-space dimension ``d`` (the rank of the Gram matrix).
+    to_space : np.ndarray
+        ``(d, algebra.dim)`` quotient map ``b -> [b]`` onto an orthonormal
+        basis of the GNS space.
+    from_space : np.ndarray
+        ``(algebra.dim, d)`` right inverse of ``to_space`` on the non-null
+        span: ``to_space @ from_space`` is the identity.
     cyclic_vector : np.ndarray
-        Vector ``eta`` of length ``d`` with ``<eta, pi(a) eta> = omega(a)``.
+        Vector ``eta = [1]`` of length ``d`` with ``<eta, pi(a) eta> = omega(a)``.
     """
 
     dimension: int
-    rep_matrices: np.ndarray
+    to_space: np.ndarray
+    from_space: np.ndarray
     cyclic_vector: np.ndarray
 
 
@@ -560,11 +569,13 @@ def gns(algebra: Algebra, omega: Functional, tol: float = DEFAULT_TOL) -> GNSDat
     """GNS construction for a positive functional.
 
     Builds the Gram matrix ``G[x, y] = omega(x* y)`` over the canonical
-    basis, quotients by its numerical null space (eigenvalues below
-    ``GNS_RANK_TOL * max_eigenvalue``), and represents left multiplication
-    on an orthonormal basis of the quotient.  Both gather through the one
-    table of basis products, :attr:`Algebra.product_table` ``z``: ``e_x* e_y``
-    is ``e_{z[star_perm[x], y]}`` and ``e_k e_y`` is ``e_{z[k, y]}`` (or 0).
+    basis by one gather through the table of basis products,
+    :attr:`Algebra.product_table` ``z`` (``e_x* e_y`` is
+    ``e_{z[star_perm[x], y]}``, or 0), and factors the quotient by its
+    numerical null space (eigenvalues below ``GNS_RANK_TOL * max_eigenvalue``)
+    onto an orthonormal basis.  It stops there: :class:`GNSData` holds the
+    quotient map and its right inverse, from which ``pi(a)`` is
+    ``to_space @ L_a @ from_space``.
 
     Parameters
     ----------
@@ -586,8 +597,7 @@ def gns(algebra: Algebra, omega: Functional, tol: float = DEFAULT_TOL) -> GNSDat
     if not is_positive_functional(omega, tol):
         raise PreconditionError("GNS construction requires a positive functional")
 
-    z = algebra.product_table
-    gram = np.append(algebra.dual_coords(omega), 0.0)[z[algebra.star_perm]]
+    gram = np.append(algebra.dual_coords(omega), 0.0)[algebra.product_table[algebra.star_perm]]
     gram = (gram + gram.conj().T) / 2.0
 
     eigvals, eigvecs = np.linalg.eigh(gram)
@@ -599,12 +609,8 @@ def gns(algebra: Algebra, omega: Functional, tol: float = DEFAULT_TOL) -> GNSDat
     vecs = eigvecs[:, keep]
     d = int(keep.sum())
 
-    # to_space maps coordinates onto the quotient; from_space is its
-    # right inverse on the non-null span.
     to_space = (np.sqrt(svals)[:, None]) * vecs.conj().T
     from_space = vecs / np.sqrt(svals)[None, :] if d else vecs
 
-    padded = np.append(to_space, np.zeros((d, 1)), axis=1)  # column -1 reads 0
-    reps = np.moveaxis(padded[:, z], 0, 1) @ from_space
     eta = to_space @ algebra.unit_coords
-    return GNSData(d, _frozen(reps), _frozen(eta))
+    return GNSData(d, _frozen(to_space), _frozen(from_space), _frozen(eta))

@@ -292,11 +292,7 @@ def cmd_evolve(args) -> tuple[dict, int]:
     if diag.valid:
         grid = _norm_bound_grid(args.grid_max, gamma_norm, tol)
         bound = sg.norm_bound(grid, tol)
-        body["norm_bound"] = {
-            "c_hat": bound.c_hat,
-            "generator_norm": bound.generator_norm,
-            "satisfied": bound.satisfied,
-        }
+        body["norm_bound"] = {"c_hat": bound.c_hat}
         checks.append(_check("generator_norm_bound", bound.residual, tol))
     entries = []
     for t, modulus in zip(times, moduli):
@@ -322,7 +318,6 @@ def cmd_evolve(args) -> tuple[dict, int]:
                 "state_hermitian_defect": state.hermitian_defect,
                 "distance_to_counit": modulus,
                 "choi_min_eigenvalues": list(cp.min_choi_eigenvalues),
-                "unitality_residual": unital,
             }
         )
         tag = f"t={_fmt(t)}"

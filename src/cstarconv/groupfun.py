@@ -336,8 +336,10 @@ def guichardet_via_gns(
 
     data = gns(alg, omega, tol)
     lam, _ = fourier_matrices(group, irreps)
-    # <eta, pi(a) eta> is linear in a: read it on the basis, then on every lam_g
+    # <eta, pi(a) eta> is linear in a: read it on the basis, then on every lam_g;
+    # on e_k it is u @ L_k @ v, and (L_k v)[z[k, y]] = v[y] for the product table z
     eta = data.cyclic_vector
-    shifted = np.einsum("i,kij,j->k", eta.conj(), data.rep_matrices, eta) @ lam
+    u = np.append(eta.conj() @ data.to_space, 0.0)  # entry -1 reads 0
+    shifted = (u[alg.product_table] @ (data.from_space @ eta)) @ lam
     deviation = float(np.max(np.abs((shifted - shifted[group.identity]) - values)))
     return GuichardetViaGNS(float(constant), shifted, data, deviation)

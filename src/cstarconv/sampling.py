@@ -1,4 +1,4 @@
-"""Seeded random test data: elements, functionals, states, generators.
+"""Seeded random data: functionals and generating functionals.
 
 All generators take a ``numpy.random.Generator`` so the property suites and
 the command-line smoke checks are reproducible from a single seed.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Algebra, Element, Functional, functional_norm
+from .algebra import Algebra, Functional, functional_norm
 from .bialgebra import Bialgebra, discrete_type_decomposition
 
 
@@ -35,11 +35,6 @@ def _gaussian_coords(
     return out
 
 
-def random_element(algebra: Algebra, rng: np.random.Generator) -> Element:
-    """Element with independent standard complex Gaussian entries."""
-    return algebra.from_coords(_gaussian_coords(algebra, rng, 1, dual=False))
-
-
 def random_duals(algebra: Algebra, rng: np.random.Generator, count: int) -> np.ndarray:
     """Dual vectors, shape ``(count, dim)``, of ``count`` random functionals.
 
@@ -52,16 +47,6 @@ def random_duals(algebra: Algebra, rng: np.random.Generator, count: int) -> np.n
 def random_functional(algebra: Algebra, rng: np.random.Generator) -> Functional:
     """Functional with independent standard complex Gaussian dual entries."""
     return algebra.functional_from_dual_coords(random_duals(algebra, rng, 1))
-
-
-def random_state(algebra: Algebra, rng: np.random.Generator) -> Functional:
-    """State with a random full-rank density: PSD dual blocks of unit total trace."""
-    blocks = []
-    for n in algebra.blocks:
-        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        blocks.append(x @ x.conj().T + 1e-3 * np.eye(n))
-    total = sum(np.trace(b).real for b in blocks)
-    return algebra.functional([b / total for b in blocks])
 
 
 def random_generating_functional(

@@ -6,7 +6,7 @@ import pytest
 
 import cstarconv as cc
 from cstarconv.bialgebra import _TableBialgebra
-from cstarconv.sampling import random_functional
+from cstarconv.sampling import _gaussian_coords, random_functional
 
 SEED = 20260810
 
@@ -18,6 +18,21 @@ LOOP_5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4
 # subprocesses (``python -m cstarconv``, the demos) import the package from this checkout
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+
+
+def random_element(algebra: cc.Algebra, rng: np.random.Generator) -> cc.Element:
+    """Element with independent standard complex Gaussian entries."""
+    return algebra.from_coords(_gaussian_coords(algebra, rng, 1, dual=False))
+
+
+def random_state(algebra: cc.Algebra, rng: np.random.Generator) -> cc.Functional:
+    """State with a random full-rank density: PSD dual blocks of unit total trace."""
+    blocks = []
+    for n in algebra.blocks:
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        blocks.append(x @ x.conj().T + 1e-3 * np.eye(n))
+    total = sum(np.trace(b).real for b in blocks)
+    return algebra.functional([b / total for b in blocks])
 
 
 def hermitian_defect(matrix: np.ndarray) -> float:

@@ -13,7 +13,7 @@ from cstarconv.sampling import (
     random_generating_functional,
 )
 
-from conftest import SEED, functional_norm_witness
+from conftest import SEED, functional_norm_witness, random_state
 
 
 def dual_basis_functional(b, k):
@@ -393,8 +393,6 @@ def test_continuity_moduli_tail_bound(s3_dual, rng):
 
 
 def test_compound_poisson_form_is_valid(s3_dual, rng):
-    from cstarconv.sampling import random_state
-
     b = s3_dual
     nu = random_state(b.algebra, rng)
     gamma = 1.7 * (nu - b.epsilon)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import cstarconv as cc
-from cstarconv.sampling import random_state
 
-from conftest import translation_unitary
+from conftest import random_state, translation_unitary
 
 
 def gram_built_function(group, rng, dim=3):
@@ -367,14 +366,15 @@ def test_guichardet_routes_agree_on_z4(rng):
 
 
 def _vector_values_per_element(irreps, data):
-    """``<eta, pi(lam_g) eta>`` one group element at a time: one ``einsum`` over
-    all representing matrices per element, then ``vdot``."""
+    """``<eta, pi(lam_g) eta>`` one group element at a time: the representing
+    matrix ``to_space @ L @ from_space`` of each translation unitary, with
+    ``L`` its public left-multiplication matrix, then ``vdot``."""
     alg = cc.Algebra(irreps.dims)
     eta = data.cyclic_vector
     values = []
     for g in range(irreps.matrices[0].shape[0]):
-        coords = alg.to_coords(translation_unitary(irreps, g))
-        rep = np.einsum("k,kij->ij", coords, data.rep_matrices)
+        left = cc.left_multiplication_matrix(alg, translation_unitary(irreps, g))
+        rep = data.to_space @ left @ data.from_space
         values.append(complex(np.vdot(eta, rep @ eta)))
     return np.array(values)
 

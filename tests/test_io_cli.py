@@ -406,10 +406,11 @@ def test_cli_evolve_norm_bound_and_grid_max(tmp_path):
         gamma_path.write_text(json.dumps({"dual_blocks": [[[[-rate, 0.0]]], [[[rate, 0.0]]]]}))
         result = run_cli("evolve", "zn:2", str(gamma_path), "--times", "1", "--grid-max", grid_max)
         assert result.returncode == 0
-        bound = json.loads(result.stdout)["norm_bound"]
-        assert bound["satisfied"] is True
-        assert abs(bound["c_hat"] - rate) < 1e-9
-        assert bound["generator_norm"] == 2 * rate
+        report = json.loads(result.stdout)
+        check = next(c for c in report["checks"] if c["name"] == "generator_norm_bound")
+        assert check["pass"] is True
+        assert abs(report["norm_bound"]["c_hat"] - rate) < 1e-9
+        assert report["generating_functional"]["norm"] == 2 * rate
 
 
 @pytest.mark.parametrize("grid_max", ["8", "1e-300"])
@@ -1034,7 +1035,7 @@ def test_cli_evolve_norm_bound_grid_edges(tmp_path, capsys, values, argv):
     names = [c["name"] for c in report["checks"][:2]]
     assert names == ["generating_functional", "generator_norm_bound"]
     if argv:
-        assert report["norm_bound"]["satisfied"] is True
+        assert report["checks"][1]["pass"] is True
 
 
 IMPORT_GUARD = """

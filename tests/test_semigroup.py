@@ -5,13 +5,9 @@ import pytest
 
 import cstarconv as cc
 from cstarconv.convolution import _PADE_THETA, expm
-from cstarconv.sampling import (
-    random_functional,
-    random_generating_functional,
-    random_state,
-)
+from cstarconv.sampling import random_functional, random_generating_functional
 
-from conftest import hermitian_defect, min_hermitian_eigenvalue, on_table_kernel
+from conftest import hermitian_defect, min_hermitian_eigenvalue, on_table_kernel, random_state
 
 GRID = (0.0, 2.0**-6, 0.25, 1.0, 4.0)
 

@@ -1,9 +1,11 @@
-"""The public surface: ``cstarconv.__all__`` holds only names that callers use.
+"""The public surface: ``cstarconv.__all__``, and every public top-level
+function and class of a ``cstarconv`` module, hold only names that callers use.
 
 A caller is the package itself (outside ``__init__``), a demo or the
-benchmark harness; tests are not callers.  The few names exported for the
-paper alone, with no caller yet, are listed in ``PAPER_OBJECTS``.  Every
-``tol`` with a default on that surface defaults to ``DEFAULT_TOL``.
+benchmark harness; tests are not callers, so a helper only tests call lives
+in ``tests/conftest.py``.  The few names exported for the paper alone, with
+no caller yet, are listed in ``PAPER_OBJECTS``.  Every ``tol`` with a
+default on that surface defaults to ``DEFAULT_TOL``.
 """
 
 import ast
@@ -14,6 +16,7 @@ from pathlib import Path
 import cstarconv as cc
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path(cc.__file__).resolve().parent
 
 PAPER_OBJECTS = {
     "compound_poisson": "the independent cross-check of convolution_exp",
@@ -23,8 +26,7 @@ PAPER_OBJECTS = {
 
 
 def _caller_files() -> list[Path]:
-    package = Path(cc.__file__).resolve().parent
-    files = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     for folder in ("demos", "perfbench"):
         files.extend((ROOT / folder).rglob("*.py"))
     return sorted(files)
@@ -50,10 +52,28 @@ def _exported() -> set[str]:
     }
 
 
+def _used() -> set[str]:
+    return set().union(*map(_referenced_names, _caller_files()))
+
+
+def _public_definitions():
+    """``(module, name)`` of each public top-level function and class of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield path.stem, node.name
+
+
 def test_every_export_has_a_caller_or_is_a_paper_object():
     assert set(PAPER_OBJECTS) <= _exported()
-    used = set().union(*map(_referenced_names, _caller_files()))
-    assert sorted(_exported() - used - set(PAPER_OBJECTS)) == []
+    assert sorted(_exported() - _used() - set(PAPER_OBJECTS)) == []
+
+
+def test_every_public_definition_has_a_caller_or_is_a_paper_object():
+    used = _used() | set(PAPER_OBJECTS)
+    definitions = list(_public_definitions())
+    assert ("sampling", "random_functional") in definitions
+    assert [f"{m}.{name}" for m, name in definitions if name not in used] == []
 
 
 def _tolerance_defaults():
