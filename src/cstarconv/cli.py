@@ -41,20 +41,12 @@ from .bialgebra import (
     group_cstar_bialgebra,
     validate_bialgebra,
 )
-from .convolution import generating_functional
 from .errors import ConstructionError, PreconditionError, SchemaError
 from .groups import SemigroupTable, builtin_group, builtin_irreps, builtin_name, builtin_table
-from . import io as io_schemas
-from .groupfun import guichardet_constant, guichardet_via_gns
-from .sampling import random_duals
-from .semigroup import (
-    associated_semigroup,
-    commutation_residual,
-    is_completely_positive,
-    recover_functional,
-    unitality_residual,
-    weak_invariance_residual,
-)
+
+# The layers that not every command runs (file schemas, sampling, convolution
+# and semigroup, groupfun) are imported where a command first needs them, so
+# that a process loads only what its command uses.
 
 
 def _fmt(x: float) -> str:
@@ -152,6 +144,8 @@ def _smoke_checks(label: str, b: Bialgebra, rng, tol: float) -> list[dict]:
     # sample s is the triple (lam[s], mu[s], nu[s]), drawn in that order; its
     # residual is divided by max(1, product of its input norms).  A check's
     # residual is the max over the samples and 0, nan if a sample's is
+    from .sampling import random_duals
+
     draws = random_duals(b.algebra, rng, 3 * SMOKE_SAMPLES)
     lam, mu, nu = draws.reshape(SMOKE_SAMPLES, 3, -1).swapaxes(0, 1)
     conv, eps, norm = b.convolve, b.counit_coords, partial(functional_norms, b.algebra)
@@ -201,6 +195,8 @@ def _resolve_validate_targets(paths: list[str]) -> list[tuple[str, Bialgebra]]:
             targets.append((f"group_cstar[{path}]", _builtin_group_cstar(name, table)))
             last_group = (path, table)
             continue
+        from . import io as io_schemas
+
         data = io_schemas.load_document(path)
         if "table" in data:
             table = io_schemas.load_semigroup(data)
@@ -244,6 +240,8 @@ def _resolve_bialgebra(ref: str) -> Bialgebra:
         name, dual = builtin
         table = builtin_table(name)
         return _builtin_group_cstar(name, table) if dual else function_bialgebra(table)
+    from . import io as io_schemas
+
     data = io_schemas.load_document(ref)
     if "table" in data:
         return function_bialgebra(io_schemas.load_semigroup(data))
@@ -269,6 +267,17 @@ def _norm_bound_grid(t_max: float, generator_norm: float, tol: float) -> list[fl
 
 
 def cmd_evolve(args) -> tuple[dict, int]:
+    from . import io as io_schemas
+    from .convolution import generating_functional
+    from .semigroup import (
+        associated_semigroup,
+        commutation_residual,
+        is_completely_positive,
+        recover_functional,
+        unitality_residual,
+        weak_invariance_residual,
+    )
+
     tol = args.tol
     b = _resolve_bialgebra(args.bialgebra)
     gamma = io_schemas.load_functional(b.algebra, args.gamma)
@@ -332,6 +341,9 @@ def cmd_evolve(args) -> tuple[dict, int]:
 
 
 def cmd_guichardet(args) -> tuple[dict, int]:
+    from . import io as io_schemas
+    from .groupfun import guichardet_constant, guichardet_via_gns
+
     tol = args.tol
     builtin = builtin_name(args.group)
     if builtin:

@@ -12,17 +12,16 @@ from .algebra import Algebra, Functional, functional_norm
 from .bialgebra import Bialgebra, discrete_type_decomposition
 
 
-def _gaussian_coords(
-    algebra: Algebra, rng: np.random.Generator, count: int, dual: bool
-) -> np.ndarray:
-    """``(count, dim)`` standard complex Gaussian coordinates from one draw.
+def random_duals(algebra: Algebra, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Dual vectors, shape ``(count, dim)``, of ``count`` random functionals.
 
-    Each row takes ``2 * dim`` values in turn, per block the ``n * n`` real
-    parts and then the ``n * n`` imaginary parts of its matrix, row-major.
-    One draw of ``count`` rows thus gives the same numbers, and leaves the
-    generator in the same state, as ``count`` draws of one row.  With
-    ``dual`` the matrices are read as dual blocks ``rho_i``, whose transposes
-    fill the dual vector.
+    Their entries are independent standard complex Gaussians.  Each row takes
+    ``2 * dim`` values in turn, per block the ``n * n`` real parts and then
+    the ``n * n`` imaginary parts of its dual matrix ``rho_i``, row-major;
+    the transposes of these matrices fill the dual vector.  One draw of
+    ``count`` rows thus gives the functionals that ``count`` calls of
+    :func:`random_functional` would return, in order, and leaves the
+    generator in the same state.
     """
     draw = rng.standard_normal((count, 2 * algebra.dim))
     out = np.empty((count, algebra.dim), dtype=np.complex128)
@@ -31,17 +30,8 @@ def _gaussian_coords(
         # and 2 off_i + n * n + r (imaginary)
         real = idx + idx[:, :1]
         mats = (draw[:, real] + 1j * draw[:, real + n * n]).reshape(count, -1, n, n)
-        out[:, idx] = (mats.swapaxes(-1, -2) if dual else mats).reshape(count, -1, n * n)
+        out[:, idx] = mats.swapaxes(-1, -2).reshape(count, -1, n * n)
     return out
-
-
-def random_duals(algebra: Algebra, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Dual vectors, shape ``(count, dim)``, of ``count`` random functionals.
-
-    They are the functionals that ``count`` calls of :func:`random_functional`
-    would return, in order, drawn in one call of the generator.
-    """
-    return _gaussian_coords(algebra, rng, count, dual=True)
 
 
 def random_functional(algebra: Algebra, rng: np.random.Generator) -> Functional:

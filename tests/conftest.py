@@ -6,7 +6,7 @@ import pytest
 
 import cstarconv as cc
 from cstarconv.bialgebra import _TableBialgebra
-from cstarconv.sampling import _gaussian_coords, random_functional
+from cstarconv.sampling import random_functional
 
 SEED = 20260810
 
@@ -21,8 +21,18 @@ os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYT
 
 
 def random_element(algebra: cc.Algebra, rng: np.random.Generator) -> cc.Element:
-    """Element with independent standard complex Gaussian entries."""
-    return algebra.from_coords(_gaussian_coords(algebra, rng, 1, dual=False))
+    """Element with independent standard complex Gaussian entries.
+
+    It takes ``2 * dim`` values in turn, per block the ``n * n`` real parts
+    and then the ``n * n`` imaginary parts of its matrix, row-major.
+    """
+    draw = rng.standard_normal(2 * algebra.dim)
+    mats, start = [], 0
+    for n in algebra.blocks:
+        real, imag = draw[start : start + n * n], draw[start + n * n : start + 2 * n * n]
+        mats.append((real + 1j * imag).reshape(n, n))
+        start += 2 * n * n
+    return algebra.element(mats)
 
 
 def random_state(algebra: cc.Algebra, rng: np.random.Generator) -> cc.Functional:

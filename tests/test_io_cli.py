@@ -588,7 +588,7 @@ def test_cli_guichardet_refuses_bad_irreps_before_the_kernel_route(
 ):
     """A ``Z_3`` irrep with ``chi(1) = i`` is refused (exit 2) before the
     kernel route's eigendecomposition runs."""
-    from cstarconv import cli
+    from cstarconv import cli, groupfun
 
     group = tmp_path / "z3.json"
     table = cc.cyclic_group(3).table.tolist()
@@ -603,8 +603,8 @@ def test_cli_guichardet_refuses_bad_irreps_before_the_kernel_route(
         for chi in characters
     ]}))
     calls = []
-    constant = cli.guichardet_constant
-    monkeypatch.setattr(cli, "guichardet_constant", lambda *a: calls.append(a) or constant(*a))
+    constant = groupfun.guichardet_constant
+    monkeypatch.setattr(groupfun, "guichardet_constant", lambda *a: calls.append(a) or constant(*a))
     assert cli.main(["guichardet", str(group), str(psi), "--irreps", str(irreps)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

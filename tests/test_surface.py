@@ -10,6 +10,9 @@ default on that surface defaults to ``DEFAULT_TOL``.
 
 import ast
 import inspect
+import json
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -17,6 +20,31 @@ import cstarconv as cc
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(cc.__file__).resolve().parent
+
+# the package surface: 78 objects and the 8 submodules ``__init__`` lists
+SUBMODULES = {
+    "algebra", "bialgebra", "convolution", "errors", "groupfun", "groups", "maps", "semigroup"
+}
+OBJECTS = set("""
+Algebra AssociatedSemigroup Bialgebra CompletePositivityReport ConstructionError
+DEFAULT_TOL DiscreteDecomposition Element Functional GNSData GeneratingFunctional
+GuichardetCertificate GuichardetViaGNS IrrepTable LinearMap NormContinuityBound
+PreconditionError SCHOENBERG_GRID SchemaError SemigroupTable ShapeError StateCheck
+ValidationReport associated_semigroup builtin_group commutation_residual
+compound_poisson continuity_moduli convolution_exp convolve convolve_measures
+cyclic_group cyclic_irreps d4_group d4_irreps discrete_type_decomposition
+element_norm fourier_matrices function_bialgebra function_from_functional
+functional_from_function functional_norm functional_norms generating_functional
+generator_pairing_residual gns group_cstar_bialgebra guichardet_constant
+guichardet_via_gns hermitian_spectrum is_cocommutative is_completely_positive
+is_conditionally_positive_definite is_hermitian_function is_positive_definite
+is_positive_functional is_probability is_right_convolution_operator kernel_matrix
+left_convolution_operator left_multiplication_matrix mixing_permutation
+norm_continuity_bound q8_group q8_irreps recover_functional
+right_convolution_operator s3_group s3_irreps s3_sign schoenberg_exp state_check
+strong_invariance_residual tensor_algebra unitality_residual validate_bialgebra
+weak_invariance_residual within
+""".split())
 
 PAPER_OBJECTS = {
     "compound_poisson": "the independent cross-check of convolution_exp",
@@ -95,3 +123,39 @@ def test_every_tolerance_defaults_to_default_tol():
     defaults = dict(_tolerance_defaults())
     assert "validate_bialgebra" in defaults and "is_cocommutative" in defaults
     assert {q: d for q, d in defaults.items() if d != cc.DEFAULT_TOL} == {}
+
+
+FRESH_IMPORT = """
+import json, sys
+import cstarconv
+listed = dir(cstarconv)
+loaded = sorted(m for m in sys.modules if m.startswith("cstarconv."))
+print(json.dumps({"all": cstarconv.__all__, "dir": listed, "loaded": loaded}))
+"""
+
+
+def test_the_package_surface_is_whole():
+    assert len(OBJECTS) == 78 and len(SUBMODULES) == 8
+    assert set(cc.__all__) == OBJECTS | SUBMODULES and len(cc.__all__) == 86
+    for name in cc.__all__:
+        value = getattr(cc, name)
+        assert isinstance(value, types.ModuleType) == (name in SUBMODULES), name
+        if name in SUBMODULES:
+            assert value.__name__ == f"cstarconv.{name}"
+    star = {}
+    exec("from cstarconv import *", star)
+    assert set(star) - {"__builtins__"} == set(cc.__all__)
+    assert all(star[name] is getattr(cc, name) for name in cc.__all__)
+
+
+def test_dir_lists_the_surface_before_any_lazy_name_loads(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-c", FRESH_IMPORT], capture_output=True, text=True, cwd=tmp_path
+    )
+    assert result.returncode == 0, result.stderr
+    fresh = json.loads(result.stdout)
+    assert set(fresh["all"]) == OBJECTS | SUBMODULES
+    assert OBJECTS | SUBMODULES <= set(fresh["dir"])
+    assert {"convolution", "groupfun", "semigroup"}.isdisjoint(
+        name.removeprefix("cstarconv.") for name in fresh["loaded"]
+    )
