@@ -18,14 +18,14 @@ import cstarconv as cc
 z2 = cc.cyclic_group(2)
 b = cc.function_bialgebra(z2)
 gamma = b.algebra.functional([[[-1.0]], [[1.0]]])
+flow = cc.associated_semigroup(b, gamma)
 
 print("generator diagnostics:", cc.generating_functional(b, gamma))
 print()
 print("  t      mass at g      closed form     |lambda_t - eps|   1-exp(-2t)")
 for t in (0.0, 0.125, 0.5, 1.0, 2.0, 4.0):
-    lam = cc.convolution_exp(b, gamma, t)
-    mass = lam.dual_blocks[1][0, 0].real
-    modulus = cc.continuity_moduli(b, gamma, [t])[0]
+    mass = flow.functional_at(t).dual_blocks[1][0, 0].real
+    modulus = flow.moduli([t])[0]
     print(
         f"  {t:<5g}  {mass:<13.10f}  {(1 - math.exp(-2 * t)) / 2:<14.10f} "
         f"{modulus:<18.10f} {1 - math.exp(-2 * t):.10f}"
@@ -33,14 +33,13 @@ for t in (0.0, 0.125, 0.5, 1.0, 2.0, 4.0):
 
 print()
 print("associated semigroup at t = 1 acts on function coordinates as")
-sg = cc.associated_semigroup(b, gamma)
-print(np.round(sg.operator_at(1.0).matrix.real, 6))
+print(np.round(flow.operator_at(1.0).matrix.real, 6))
 print("(a symmetric stochastic matrix: the chain's transition kernel)")
 
 print()
 grid = [2.0**-k for k in range(0, 35)]
-bound = cc.norm_continuity_bound(b, gamma, grid)
+bound = flow.norm_bound(grid)
 print(
-    f"norm bound: |gamma| = {bound.generator_norm} <= 2 * C = {2 * bound.c_hat}"
+    f"norm bound: |gamma| = {cc.functional_norm(gamma)} <= 2 * C = {2 * bound.c_hat}"
     f"  (C estimated as {bound.c_hat})"
 )

@@ -1,18 +1,18 @@
 """Convolution semigroups of states on finite-dimensional C*-bialgebras.
 
-The package realizes, at desk scale, the interplay between three pictures
-of a noncommutative stochastic flow on a multi-matrix bialgebra:
+The paper's three results are the three commands of the CLI
+(``python -m cstarconv``), and the names here serve them:
 
-* the convolution Banach algebra of functionals, with unit the counit;
-* one-parameter convolution semigroups of states and their generating
-  functionals (Hermitian, conditionally positive, vanishing at the unit);
-* the induced operator semigroups on the algebra, cut out among all
-  semigroups by commutation/invariance identities and recovered from
-  their generators by exponentiation.
-
-Classical specializations (functions on finite monoids, group C*-algebras
-of finite groups, positive-definite functions and the Guichardet shift)
-are included, along with a small CLI (``python -m cstarconv``).
+* ``evolve``: a generating functional (Hermitian, conditionally positive,
+  vanishing at the unit), its convolution semigroup of states and the
+  associated operator semigroup on the algebra, all read from one
+  :class:`AssociatedSemigroup`, with the automatic norm continuity bound on
+  discrete type;
+* ``guichardet``: conditionally positive-definite functions on a finite
+  group, shifted to positive-definite ones by a kernel route and an
+  independent GNS route;
+* ``validate``: the C*-bialgebra axioms beneath both, on functions on a
+  finite monoid and on the group C*-algebra of a finite group.
 
 ``import cstarconv`` loads the five foundation modules every command needs:
 ``algebra``, ``bialgebra``, ``errors``, ``groups`` and ``maps``.  The names
@@ -36,7 +36,6 @@ from .algebra import (
     gns,
     hermitian_spectrum,
     is_positive_functional,
-    left_multiplication_matrix,
     mixing_permutation,
     state_check,
     tensor_algebra,
@@ -50,7 +49,6 @@ from .bialgebra import (
     function_bialgebra,
     fourier_matrices,
     group_cstar_bialgebra,
-    is_cocommutative,
     validate_bialgebra,
 )
 from .errors import ConstructionError, PreconditionError, SchemaError, ShapeError
@@ -73,7 +71,6 @@ from .maps import LinearMap
 # module -> the names it exports, each imported on first access
 _LAZY = {
     "convolution": (
-        "SCHOENBERG_GRID",
         "AssociatedSemigroup",
         "GeneratingFunctional",
         "NormContinuityBound",
@@ -81,7 +78,6 @@ _LAZY = {
         "convolution_exp",
         "convolve",
         "generating_functional",
-        "left_convolution_operator",
         "norm_continuity_bound",
         "right_convolution_operator",
     ),
@@ -90,7 +86,6 @@ _LAZY = {
         "GuichardetViaGNS",
         "compound_poisson",
         "convolve_measures",
-        "function_from_functional",
         "functional_from_function",
         "guichardet_constant",
         "guichardet_via_gns",
@@ -99,7 +94,6 @@ _LAZY = {
         "is_positive_definite",
         "is_probability",
         "kernel_matrix",
-        "schoenberg_exp",
     ),
     "semigroup": (
         "CompletePositivityReport",
@@ -107,7 +101,6 @@ _LAZY = {
         "commutation_residual",
         "generator_pairing_residual",
         "is_completely_positive",
-        "is_right_convolution_operator",
         "recover_functional",
         "strong_invariance_residual",
         "unitality_residual",

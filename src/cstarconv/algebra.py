@@ -107,8 +107,6 @@ class Algebra:
     ----------
     dim : int
         Coordinate dimension ``sum(n_i ** 2)`` (number of matrix units).
-    rep_dim : int
-        Dimension ``sum(n_i)`` of the faithful block-diagonal representation.
     """
 
     blocks: tuple[int, ...]
@@ -122,10 +120,6 @@ class Algebra:
     @cached_property
     def dim(self) -> int:
         return int(sum(n * n for n in self.blocks))
-
-    @cached_property
-    def rep_dim(self) -> int:
-        return int(sum(self.blocks))
 
     @cached_property
     def coord_offsets(self) -> tuple[int, ...]:
@@ -193,10 +187,6 @@ class Algebra:
 
     def unit(self) -> "Element":
         return Element(self, self.unit_coords)
-
-    def basis(self) -> list["Element"]:
-        """All matrix units in canonical (block, row-major) order."""
-        return [Element(self, row) for row in np.eye(self.dim)]
 
     # -- coordinates -------------------------------------------------------
 
@@ -294,9 +284,6 @@ class Element:
     def _new(self, coords) -> "Element":
         return Element(self.algebra, coords)
 
-    def adjoint(self) -> "Element":
-        return self._new(self.coords[self.algebra.star_perm].conj())
-
     def __add__(self, other: "Element") -> "Element":
         return self._new(self.coords + other.coords)
 
@@ -341,10 +328,6 @@ class Functional:
     def __call__(self, a: Element) -> complex:
         self.algebra._require(a)
         return complex(self.dual @ a.coords)
-
-    def adjoint(self) -> "Functional":
-        """The functional ``a -> conj(mu(a*))``; fixed points are Hermitian."""
-        return self._new(self.dual[self.algebra.star_perm].conj())
 
     def __add__(self, other: "Functional") -> "Functional":
         return self._new(self.dual + other.dual)
@@ -535,9 +518,9 @@ class GNSData:
     """Cyclic representation of a positive functional, held as its quotient map.
 
     The representation is ``pi(a) = to_space @ L_a @ from_space``, where
-    ``L_a`` is the coordinate matrix of ``b -> a * b``
-    (:func:`left_multiplication_matrix`).  No representing matrix is
-    formed: a caller reads what it needs from the two factors.
+    ``L_a`` is the coordinate matrix of left multiplication ``b -> a * b``.
+    No representing matrix is formed: a caller reads what it needs from the
+    two factors.
 
     Attributes
     ----------
@@ -559,12 +542,6 @@ class GNSData:
     cyclic_vector: np.ndarray
 
 
-def left_multiplication_matrix(algebra: Algebra, a: Element) -> np.ndarray:
-    """Coordinate matrix of ``b -> a * b``."""
-    algebra._require(a)
-    return algebra.multiply(a.coords, np.eye(algebra.dim)).T
-
-
 def gns(algebra: Algebra, omega: Functional, tol: float = DEFAULT_TOL) -> GNSData:
     """GNS construction for a positive functional.
 
@@ -575,7 +552,8 @@ def gns(algebra: Algebra, omega: Functional, tol: float = DEFAULT_TOL) -> GNSDat
     numerical null space (eigenvalues below ``GNS_RANK_TOL * max_eigenvalue``)
     onto an orthonormal basis.  It stops there: :class:`GNSData` holds the
     quotient map and its right inverse, from which ``pi(a)`` is
-    ``to_space @ L_a @ from_space``.
+    ``to_space @ L_a @ from_space``, with ``L_a`` the coordinate matrix of
+    left multiplication by ``a``.
 
     Parameters
     ----------

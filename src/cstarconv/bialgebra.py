@@ -427,7 +427,7 @@ def fourier_matrices(group: SemigroupTable, irreps: IrrepTable):
 
 
 # ---------------------------------------------------------------------------
-# Discrete-type decomposition and symmetry predicates
+# Discrete-type decomposition
 # ---------------------------------------------------------------------------
 
 
@@ -435,13 +435,12 @@ def fourier_matrices(group: SemigroupTable, irreps: IrrepTable):
 class DiscreteDecomposition:
     """Splitting of a discrete-type bialgebra at the counit block.
 
-    ``omega`` is the unit of the unique one-dimensional block supporting the
-    counit and ``ideal_unit = 1 - omega`` the unit of the kernel ideal of
-    the counit.
+    ``omega_index`` is the position of the unique one-dimensional block
+    supporting the counit, and ``ideal_unit``, the unit with that block
+    zeroed, is the unit of the kernel ideal of the counit.
     """
 
     omega_index: int
-    omega: Element
     ideal_unit: Element
 
 
@@ -465,12 +464,6 @@ def discrete_type_decomposition(b: Bialgebra) -> DiscreteDecomposition:
         carrier = i
     if carrier is None:
         raise ConstructionError("counit vanishes everywhere")
-    mats = [np.zeros((n, n)) for n in alg.blocks]
-    mats[carrier] = np.array([[1.0]])
-    omega = alg.element(mats)
-    return DiscreteDecomposition(carrier, omega, alg.unit() - omega)
-
-
-def is_cocommutative(b: Bialgebra, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the coproduct is invariant under the tensor flip."""
-    return bool(within(b.cocommutativity_residual(), tol))
+    mats = [np.eye(n) for n in alg.blocks]
+    mats[carrier] = np.zeros((1, 1))
+    return DiscreteDecomposition(carrier, alg.element(mats))

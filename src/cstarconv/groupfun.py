@@ -38,11 +38,19 @@ from .groups import IrrepTable, SemigroupTable
 # ---------------------------------------------------------------------------
 
 
-def _require_group(group: SemigroupTable) -> np.ndarray:
+def _require_group(group: SemigroupTable, values) -> tuple[np.ndarray, np.ndarray]:
+    """The group's inverses and the values of a function on it, as complex.
+
+    The one place that validates a group function: the table must be a
+    group's and ``values`` must hold one value per element.
+    """
     inv = group.inverses
     if inv is None:
         raise ConstructionError("operation requires a group (some inverses missing)")
-    return inv
+    values = np.asarray(values, dtype=np.complex128)
+    if values.shape != (group.order,):
+        raise PreconditionError(f"expected {group.order} values, got shape {values.shape}")
+    return inv, values
 
 
 def kernel_matrix(group: SemigroupTable, values) -> np.ndarray:
@@ -51,12 +59,7 @@ def kernel_matrix(group: SemigroupTable, values) -> np.ndarray:
     Every row is a permutation of the value vector, so all row sums equal
     the total sum of the function.
     """
-    inv = _require_group(group)
-    values = np.asarray(values, dtype=np.complex128)
-    if values.shape != (group.order,):
-        raise PreconditionError(
-            f"expected {group.order} values, got shape {values.shape}"
-        )
+    inv, values = _require_group(group, values)
     return values[group.table[inv, :]]
 
 
@@ -67,8 +70,7 @@ def is_positive_definite(group: SemigroupTable, values, tol: float = DEFAULT_TOL
 
 def is_hermitian_function(group: SemigroupTable, values, tol: float = DEFAULT_TOL) -> bool:
     """Whether ``f(g^{-1}) == conj(f(g))`` for every group element."""
-    inv = _require_group(group)
-    values = np.asarray(values, dtype=np.complex128)
+    inv, values = _require_group(group, values)
     return bool(within(np.max(np.abs(values[inv] - values.conj())), tol))
 
 
@@ -84,12 +86,6 @@ def is_conditionally_positive_definite(
     m = group.order
     proj = np.eye(m) - np.ones((m, m)) / m
     return bool(psd_within(*hermitian_spectrum(proj @ kernel @ proj), tol))
-
-
-def schoenberg_exp(group: SemigroupTable, values, t: float) -> np.ndarray:
-    """Pointwise exponential ``g -> exp(t f(g))`` of a group function."""
-    _require_group(group)
-    return np.exp(t * np.asarray(values, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +201,6 @@ def functional_from_function(
         raise PreconditionError(f"expected {m} values, got shape {values.shape}")
     _, fourier = fourier_matrices(group, irreps)
     return Algebra(irreps.dims).functional_from_dual_coords(values @ fourier)
-
-
-def function_from_functional(
-    group: SemigroupTable, irreps: IrrepTable, omega: Functional
-) -> np.ndarray:
-    """Evaluate a functional on all translation unitaries."""
-    lam, _ = fourier_matrices(group, irreps)
-    return Algebra(irreps.dims).dual_coords(omega) @ lam
 
 
 # ---------------------------------------------------------------------------

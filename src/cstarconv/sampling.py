@@ -63,29 +63,3 @@ def random_generating_functional(
             gamma = gamma * (norm / current)
     return gamma
 
-
-def corrupted_generating_functional(
-    b: Bialgebra,
-    rng: np.random.Generator,
-    violation: float = 1e-2,
-) -> Functional:
-    """Hermitian functional vanishing at the unit but not conditionally positive.
-
-    Starts from a valid unit-norm generator and pushes one eigenvalue of a
-    non-counit dual block down to exactly ``-violation``, compensating the
-    trace on the counit block so the value at the unit stays zero.
-    """
-    dec = discrete_type_decomposition(b)
-    gamma = random_generating_functional(b, rng, norm=1.0)
-    candidates = [i for i in range(len(b.algebra.blocks)) if i != dec.omega_index]
-    target = int(rng.choice(candidates))
-    blocks = [np.array(blk) for blk in gamma.dual_blocks]
-    rho = (blocks[target] + blocks[target].conj().T) / 2
-    eigvals, eigvecs = np.linalg.eigh(rho)
-    vec = eigvecs[:, 0]
-    shift = eigvals[0] + violation
-    rho = rho - shift * np.outer(vec, vec.conj())
-    trace_change = (rho - blocks[target]).trace().real
-    blocks[target] = rho
-    blocks[dec.omega_index] = blocks[dec.omega_index] - trace_change
-    return b.algebra.functional(blocks)

@@ -59,7 +59,7 @@ def commutation_residual(b: Bialgebra, t_map: LinearMap) -> float:
 #: ``(id (x) T) delta`` is ``M @ T[k]``, so this is the residual of
 #: :func:`commutation_residual`, which ``evolve`` reports once as
 #: ``commutation[t]``.  The alias is kept only for the benchmark replay
-#: (``perfbench/replay.py``) and the demos that call it by this name.
+#: (``perfbench/replay.py``), which calls it by this name.
 strong_invariance_residual = commutation_residual
 
 
@@ -71,13 +71,6 @@ def weak_invariance_residual(b: Bialgebra, t_map: LinearMap) -> float:
     """
     reconstructed = right_convolution_operator(b, recover_functional(b, t_map))
     return float(np.max(np.abs(t_map.matrix - reconstructed.matrix)))
-
-
-def is_right_convolution_operator(
-    b: Bialgebra, t_map: LinearMap, tol: float = DEFAULT_TOL
-) -> bool:
-    """Whether ``t_map`` is the right-convolution operator of some functional."""
-    return bool(within(weak_invariance_residual(b, t_map), tol))
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +87,6 @@ class CompletePositivityReport:
     """
 
     min_choi_eigenvalues: tuple[float, ...]
-    hermitian_defects: tuple[float, ...]
     violation: float
     cp: bool
 
@@ -138,7 +130,7 @@ def is_completely_positive(
     # np.max so that a nan piece makes the violation nan
     violation = float(np.max(psd_violation(defects, min_eigs)))
     return CompletePositivityReport(
-        tuple(min_eigs.tolist()), tuple(defects.tolist()), violation, bool(within(violation, tol))
+        tuple(min_eigs.tolist()), violation, bool(within(violation, tol))
     )
 
 

@@ -6,9 +6,13 @@ import pytest
 
 import cstarconv as cc
 from cstarconv.bialgebra import _TableBialgebra
-from cstarconv.sampling import random_functional
+from cstarconv.sampling import random_functional, random_generating_functional
 
 SEED = 20260810
+
+#: Time grid of the Schoenberg-style state checks: it covers both the
+#: short-time (generator) and long-time (ergodic) regimes.
+SCHOENBERG_GRID = tuple(2.0**k for k in range(-10, 4))
 
 # a loop of order 5: every row and column is a permutation and 0 is a
 # two-sided unit, but 36 triples are not associative, e.g. (1*1)*2 = 2 and
@@ -43,6 +47,60 @@ def random_state(algebra: cc.Algebra, rng: np.random.Generator) -> cc.Functional
         blocks.append(x @ x.conj().T + 1e-3 * np.eye(n))
     total = sum(np.trace(b).real for b in blocks)
     return algebra.functional([b / total for b in blocks])
+
+
+def basis(algebra: cc.Algebra) -> list[cc.Element]:
+    """All matrix units in canonical (block, row-major) order."""
+    return [cc.Element(algebra, row) for row in np.eye(algebra.dim)]
+
+
+def adjoint(a: cc.Element) -> cc.Element:
+    """The adjoint ``a*``: each block conjugate-transposed."""
+    return cc.Element(a.algebra, a.coords[a.algebra.star_perm].conj())
+
+
+def left_multiplication_matrix(algebra: cc.Algebra, a: cc.Element) -> np.ndarray:
+    """Coordinate matrix of ``b -> a * b``."""
+    return algebra.multiply(a.coords, np.eye(algebra.dim)).T
+
+
+def left_convolution(b, mu: cc.Functional) -> cc.LinearMap:
+    """The operator ``a -> (mu (x) id)(delta a)`` on the algebra.
+
+    Composing with the counit recovers the functional:
+    ``epsilon(L(a)) = mu(a)``.  The transpose of its matrix is the matrix of
+    left convolution ``nu -> mu * nu`` on dual coordinates.
+    """
+    return cc.LinearMap(b.algebra, b.algebra, b.left_matrix(b.algebra.dual_coords(mu)))
+
+
+def function_values(group, irreps, omega: cc.Functional) -> np.ndarray:
+    """The values ``omega(lam_g)`` of a functional on the translation unitaries."""
+    lam, _ = cc.fourier_matrices(group, irreps)
+    return cc.Algebra(irreps.dims).dual_coords(omega) @ lam
+
+
+def corrupted_generating_functional(b, rng, violation: float = 1e-2) -> cc.Functional:
+    """Hermitian functional vanishing at the unit but not conditionally positive.
+
+    Starts from a valid unit-norm generator and pushes one eigenvalue of a
+    non-counit dual block down to exactly ``-violation``, compensating the
+    trace on the counit block so the value at the unit stays zero.
+    """
+    dec = cc.discrete_type_decomposition(b)
+    gamma = random_generating_functional(b, rng, norm=1.0)
+    candidates = [i for i in range(len(b.algebra.blocks)) if i != dec.omega_index]
+    target = int(rng.choice(candidates))
+    blocks = [np.array(blk) for blk in gamma.dual_blocks]
+    rho = (blocks[target] + blocks[target].conj().T) / 2
+    eigvals, eigvecs = np.linalg.eigh(rho)
+    vec = eigvecs[:, 0]
+    shift = eigvals[0] + violation
+    rho = rho - shift * np.outer(vec, vec.conj())
+    trace_change = (rho - blocks[target]).trace().real
+    blocks[target] = rho
+    blocks[dec.omega_index] = blocks[dec.omega_index] - trace_change
+    return b.algebra.functional(blocks)
 
 
 def hermitian_defect(matrix: np.ndarray) -> float:

@@ -13,8 +13,11 @@ from cstarconv.algebra import GNS_RANK_TOL, psd_violation, psd_within
 from cstarconv.sampling import random_functional, random_generating_functional
 
 from conftest import (
+    adjoint,
+    basis,
     functional_norm_witness,
     hermitian_defect,
+    left_multiplication_matrix,
     min_hermitian_eigenvalue,
     random_element,
     random_state,
@@ -26,7 +29,6 @@ from conftest import (
 def test_algebra_shape_data():
     alg = cc.Algebra((2, 3))
     assert alg.dim == 13
-    assert alg.rep_dim == 5
     assert alg.coord_offsets == (0, 4)
     with pytest.raises(cc.ShapeError):
         cc.Algebra((2, 0))
@@ -59,7 +61,7 @@ def test_cstar_identity_random(rng):
     for _ in range(25):
         a = random_element(alg, rng)
         norm = cc.element_norm(alg, a)
-        star_prod = a.adjoint() * a
+        star_prod = adjoint(a) * a
         top = max(np.linalg.eigvalsh(blk).max() for blk in star_prod.blocks)
         assert abs(cc.element_norm(alg, star_prod) - norm**2) < 1e-9
         assert abs(top - norm**2) < 1e-9
@@ -155,8 +157,8 @@ def test_state_predicate_and_cauchy_schwarz(rng):
     assert cc.is_positive_functional(mu)
     for _ in range(25):
         a, b = random_element(alg, rng), random_element(alg, rng)
-        lhs = abs(mu(a.adjoint() * b)) ** 2
-        rhs = mu(a.adjoint() * a).real * mu(b.adjoint() * b).real
+        lhs = abs(mu(adjoint(a) * b)) ** 2
+        rhs = mu(adjoint(a) * a).real * mu(adjoint(b) * b).real
         assert lhs <= rhs + 1e-9
     not_state = mu - alg.functional(
         [np.zeros((2, 2)), np.diag([1e-3, 0.0, 0.0])]
@@ -175,8 +177,8 @@ def test_tensor_algebra_shapes():
 @pytest.mark.parametrize("blocks", [(1,), (3,), (1, 2), (2, 1, 3), (1, 1, 1, 1), (2, 2)])
 def test_product_table_multiplies_matrix_units_in_the_representation(blocks):
     alg = cc.Algebra(blocks)
-    # each matrix unit as a rep_dim x rep_dim matrix of the block-diagonal representation
-    units = np.zeros((alg.dim, alg.rep_dim, alg.rep_dim))
+    # each matrix unit as a matrix of the faithful block-diagonal representation
+    units = np.zeros((alg.dim, sum(blocks), sum(blocks)))
     x, start = 0, 0
     for n in blocks:
         for r in range(n):
@@ -229,8 +231,8 @@ def test_tensor_state_is_state(rng):
 
 
 def _gram_rank(alg, omega, tol=1e-9):
-    basis = alg.basis()
-    gram = np.array([[omega(x.adjoint() * y) for y in basis] for x in basis])
+    units = basis(alg)
+    gram = np.array([[omega(adjoint(x) * y) for y in units] for x in units])
     svals = np.linalg.svd(gram, compute_uv=False)
     return int((svals > tol * svals.max()).sum()) if svals.max() > 0 else 0
 
@@ -261,15 +263,15 @@ def test_gns_character_is_one_dimensional():
     data = cc.gns(alg, omega)
     assert data.dimension == 1
     # the representation is the projection onto the chosen coordinate
-    e0, e1 = alg.basis()
+    e0, e1 = basis(alg)
     assert abs(_represent(data, alg, e0)[0, 0] - 1.0) < 1e-12
     assert abs(_represent(data, alg, e1)[0, 0]) < 1e-12
 
 
 def _represent(data, alg, a):
-    """``pi(a) = to_space @ L_a @ from_space``, with ``L_a`` from the public
-    left-multiplication matrix rather than the product table."""
-    return data.to_space @ cc.left_multiplication_matrix(alg, a) @ data.from_space
+    """``pi(a) = to_space @ L_a @ from_space``, with ``L_a`` formed by
+    ``Algebra.multiply`` rather than read from the product table."""
+    return data.to_space @ left_multiplication_matrix(alg, a) @ data.from_space
 
 
 def test_gns_reproduces_functional_and_is_star_homomorphism(rng):
@@ -277,13 +279,13 @@ def test_gns_reproduces_functional_and_is_star_homomorphism(rng):
     omega = random_state(alg, rng)
     data = cc.gns(alg, omega)
     eta = data.cyclic_vector
-    basis = alg.basis()
-    for ex in basis:
+    units = basis(alg)
+    for ex in units:
         pix = _represent(data, alg, ex)
         assert abs(np.vdot(eta, pix @ eta) - omega(ex)) < 1e-8
-        star = _represent(data, alg, ex.adjoint())
+        star = _represent(data, alg, adjoint(ex))
         assert np.abs(star - pix.conj().T).max() < 1e-8
-        for ey in basis:
+        for ey in units:
             lhs = pix @ _represent(data, alg, ey)
             rhs = _represent(data, alg, ex * ey)
             assert np.abs(lhs - rhs).max() < 1e-8
@@ -349,7 +351,7 @@ def test_gns_equals_the_basis_product_tensor_bit_for_bit(source, rng):
         assert np.array_equal(data.to_space, to_space)
         assert np.array_equal(data.from_space, from_space)
         assert np.array_equal(data.cyclic_vector, eta)
-        rebuilt = [_represent(data, alg, ex) for ex in alg.basis()]
+        rebuilt = [_represent(data, alg, ex) for ex in basis(alg)]
         assert np.array_equal(np.reshape(rebuilt, reps.shape), reps)
 
 
@@ -393,7 +395,7 @@ def test_gns_of_a_faithful_state_stays_small_on_many_blocks():
 def test_multiplication_matrices(rng):
     alg = cc.Algebra((2, 3))
     a, b = random_element(alg, rng), random_element(alg, rng)
-    left = cc.left_multiplication_matrix(alg, a) @ alg.to_coords(b)
+    left = left_multiplication_matrix(alg, a) @ alg.to_coords(b)
     assert np.allclose(left, alg.to_coords(a * b), atol=1e-12)
 
 
@@ -511,7 +513,7 @@ def test_cstar_identity_hypothesis(re, im):
     mat = (np.array(re) + 1j * np.array(im)).reshape(2, 2, 2)
     a = alg.element([mat[0] + mat[1] @ mat[1]])
     norm = cc.element_norm(alg, a)
-    assert abs(cc.element_norm(alg, a.adjoint() * a) - norm**2) <= 1e-9 * max(1.0, norm**2)
+    assert abs(cc.element_norm(alg, adjoint(a) * a) - norm**2) <= 1e-9 * max(1.0, norm**2)
 
 
 @settings(max_examples=30, deadline=None)

@@ -13,6 +13,7 @@ from cstarconv.io import complex_matrix_to_json, load_bialgebra
 from conftest import (
     SEED,
     axiom_residuals,
+    basis,
     on_table_kernel,
     tensor_element,
     tensor_flip,
@@ -143,10 +144,10 @@ def test_cyclic_self_duality(n):
 def test_flip_and_cocommutativity(z2_functions, s3_functions, s3_dual):
     sigma = tensor_flip(s3_dual.algebra)
     assert np.array_equal(sigma @ sigma, np.eye(len(sigma)))
-    assert cc.is_cocommutative(s3_dual)
-    assert not cc.is_cocommutative(s3_functions)
-    assert cc.is_cocommutative(z2_functions)
-    assert cc.is_cocommutative(cc.function_bialgebra(cc.cyclic_group(3)))
+    assert s3_dual.cocommutativity_residual() <= cc.DEFAULT_TOL
+    assert s3_functions.cocommutativity_residual() > cc.DEFAULT_TOL
+    assert z2_functions.cocommutativity_residual() == 0.0
+    assert cc.function_bialgebra(cc.cyclic_group(3)).cocommutativity_residual() == 0.0
     # residual through the flip matrix agrees with the structure-tensor route
     for b in (s3_functions, s3_dual):
         sigma = tensor_flip(b.algebra)
@@ -157,12 +158,17 @@ def test_flip_and_cocommutativity(z2_functions, s3_functions, s3_dual):
 def test_discrete_type_decomposition(z2_functions, s3_dual):
     dec = cc.discrete_type_decomposition(z2_functions)
     assert dec.omega_index == 0  # the identity element's block
-    assert abs(z2_functions.epsilon(dec.omega) - 1.0) < 1e-14
+    omega = z2_functions.algebra.unit() - dec.ideal_unit
+    assert abs(z2_functions.epsilon(omega) - 1.0) < 1e-14
     dec3 = cc.discrete_type_decomposition(s3_dual)
     assert s3_dual.algebra.blocks[dec3.omega_index] == 1
-    assert abs(s3_dual.epsilon(dec3.omega) - 1.0) < 1e-14
+    omega3 = s3_dual.algebra.unit() - dec3.ideal_unit
+    assert abs(s3_dual.epsilon(omega3) - 1.0) < 1e-14
+    # omega is the unit of the counit's block alone
+    carrier = s3_dual.algebra.coord_offsets[dec3.omega_index]
+    assert np.flatnonzero(omega3.coords).tolist() == [carrier]
     # compressions by the ideal unit are killed by the counit
-    for a in s3_dual.algebra.basis():
+    for a in basis(s3_dual.algebra):
         compressed = dec3.ideal_unit * a * dec3.ideal_unit
         assert abs(s3_dual.epsilon(compressed)) <= 1e-12
 

@@ -7,13 +7,17 @@ import scipy.linalg
 import cstarconv as cc
 from cstarconv import cli
 from cstarconv.convolution import _PADE_THETA, _PHI1_COEFFS, _pade_expm, expm
-from cstarconv.sampling import (
-    corrupted_generating_functional,
-    random_functional,
-    random_generating_functional,
-)
+from cstarconv.sampling import random_functional, random_generating_functional
 
-from conftest import SEED, functional_norm_witness, random_state
+from conftest import (
+    SCHOENBERG_GRID,
+    SEED,
+    corrupted_generating_functional,
+    function_values,
+    functional_norm_witness,
+    left_convolution,
+    random_state,
+)
 
 
 def dual_basis_functional(b, k):
@@ -57,17 +61,27 @@ def test_convolution_is_pointwise_product_on_group_dual(s3, s3_irreps, s3_dual, 
     for _ in range(5):
         lam = random_functional(b.algebra, rng)
         mu = random_functional(b.algebra, rng)
-        conv_values = cc.function_from_functional(s3, s3_irreps, cc.convolve(b, lam, mu))
-        pointwise = cc.function_from_functional(s3, s3_irreps, lam) * cc.function_from_functional(
-            s3, s3_irreps, mu
-        )
+        conv_values = function_values(s3, s3_irreps, cc.convolve(b, lam, mu))
+        pointwise = function_values(s3, s3_irreps, lam) * function_values(s3, s3_irreps, mu)
         assert np.abs(conv_values - pointwise).max() < 1e-10
+
+
+def test_group_dual_flow_is_the_pointwise_exponential(s3, s3_irreps, s3_dual):
+    """On the translation unitaries the C*(S3) flow of ``psi = sign - 1`` is
+    ``exp(t psi) = (1 + e^{-2t})/2 + (1 - e^{-2t})/2 sign``."""
+    sign = cc.s3_sign()
+    flow = cc.associated_semigroup(s3_dual, cc.functional_from_function(s3, s3_irreps, sign - 1.0))
+    lam_g, _ = cc.fourier_matrices(s3, s3_irreps)
+    for t in (0.0, 0.25, 1.0, 4.0):
+        values = flow.functional_at(t).dual @ lam_g
+        expected = (1 + math.exp(-2 * t)) / 2 + (1 - math.exp(-2 * t)) / 2 * sign
+        assert np.abs(values - expected).max() < 1e-12, t
 
 
 def test_translation_operators_of_counit_are_identity(s3_dual):
     b = s3_dual
     eye = np.eye(b.algebra.dim)
-    assert np.abs(cc.left_convolution_operator(b, b.epsilon).matrix - eye).max() < 1e-12
+    assert np.abs(left_convolution(b, b.epsilon).matrix - eye).max() < 1e-12
     assert np.abs(cc.right_convolution_operator(b, b.epsilon).matrix - eye).max() < 1e-12
 
 
@@ -88,7 +102,7 @@ def test_functional_recovered_from_translations(s3_dual, rng):
     eps = b.algebra.dual_coords(b.epsilon)
     for _ in range(20):
         mu = random_functional(b.algebra, rng)
-        for op in (cc.left_convolution_operator(b, mu), cc.right_convolution_operator(b, mu)):
+        for op in (left_convolution(b, mu), cc.right_convolution_operator(b, mu)):
             recovered = b.algebra.functional_from_dual_coords(eps @ op.matrix)
             assert cc.functional_norm(recovered - mu) < 1e-10
 
@@ -99,7 +113,7 @@ def test_left_right_translations_commute_with_common_expression(s3_dual, rng):
     for _ in range(10):
         mu = random_functional(b.algebra, rng)
         nu = random_functional(b.algebra, rng)
-        lmat = cc.left_convolution_operator(b, mu).matrix
+        lmat = left_convolution(b, mu).matrix
         rmat = cc.right_convolution_operator(b, nu).matrix
         dmu = b.algebra.dual_coords(mu)
         dnu = b.algebra.dual_coords(nu)
@@ -125,7 +139,7 @@ def test_translation_norm_brackets_functional_norm(s3_dual, rng):
     b = s3_dual
     for _ in range(10):
         mu = random_functional(b.algebra, rng)
-        lop = cc.left_convolution_operator(b, mu)
+        lop = left_convolution(b, mu)
         bound = cc.functional_norm(mu)
         for _ in range(50):
             a = b.algebra.from_coords(
@@ -411,7 +425,7 @@ def test_schoenberg_forward(s3_dual, q8_dual, rng):
         for _ in range(10):
             gamma = random_generating_functional(b, rng)
             assert cc.generating_functional(b, gamma).valid
-            for t in cc.SCHOENBERG_GRID:
+            for t in SCHOENBERG_GRID:
                 assert cc.within(cc.state_check(cc.convolution_exp(b, gamma, t)).violation(), 1e-9)
 
 
@@ -449,7 +463,7 @@ def test_schoenberg_reverse(s3_dual, q8_dual, rng):
             assert not diag.conditionally_positive
             worst = max(
                 cc.state_check(cc.convolution_exp(b, gamma, t)).violation()
-                for t in cc.SCHOENBERG_GRID
+                for t in SCHOENBERG_GRID
             )
             assert worst > 1e-9
 
@@ -465,23 +479,22 @@ def test_norm_bound_zero_generator(s3_dual):
     zero = s3_dual.algebra.functional([np.zeros((n, n)) for n in s3_dual.algebra.blocks])
     bound = cc.norm_continuity_bound(s3_dual, zero, [0.5, 1.0, 2.0])
     assert bound.c_hat == 0.0
-    assert bound.generator_norm == 0.0
-    assert bound.satisfied
+    assert bound.residual == 0.0
 
 
 def test_norm_bound_z2_closed_form(z2_functions, z2_rate_functional):
     bound = cc.norm_continuity_bound(z2_functions, z2_rate_functional, REFINED_GRID)
     assert abs(bound.c_hat - 1.0) < 1e-9
-    assert bound.generator_norm == pytest.approx(2.0, abs=1e-12)
-    assert bound.residual == bound.generator_norm - 2.0 * bound.c_hat
-    assert bound.satisfied
+    assert cc.functional_norm(z2_rate_functional) == pytest.approx(2.0, abs=1e-12)
+    assert bound.residual == cc.functional_norm(z2_rate_functional) - 2.0 * bound.c_hat
+    assert cc.within(bound.residual, cc.DEFAULT_TOL)
 
 
 def test_norm_bound_random_generators(s3_dual, rng):
     for _ in range(20):
         gamma = random_generating_functional(s3_dual, rng, norm=1.0)
         bound = cc.norm_continuity_bound(s3_dual, gamma, REFINED_GRID)
-        assert bound.satisfied
+        assert cc.within(bound.residual, cc.DEFAULT_TOL)
 
 
 @pytest.mark.parametrize("name", ["zn:8", "dual:s3", "dual:q8"])
@@ -495,7 +508,7 @@ def test_norm_bound_holds_at_every_norm_and_grid_max(name):
         for t_max in (8.0, 1e-300):
             grid = cli._norm_bound_grid(t_max, cc.functional_norm(gamma), 1e-9)
             bound = cc.norm_continuity_bound(b, gamma, grid)
-            assert bound.satisfied, (k, t_max, bound)
+            assert cc.within(bound.residual, cc.DEFAULT_TOL), (k, t_max, bound)
 
 
 def test_norm_bound_rejects_invalid(s3_dual):

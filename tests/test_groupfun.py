@@ -5,7 +5,13 @@ import pytest
 
 import cstarconv as cc
 
-from conftest import random_state, translation_unitary
+from conftest import (
+    SCHOENBERG_GRID,
+    function_values,
+    left_multiplication_matrix,
+    random_state,
+    translation_unitary,
+)
 
 
 def gram_built_function(group, rng, dim=3):
@@ -116,9 +122,8 @@ def test_schur_product(s3, rng):
 
 def test_schoenberg_exponential(s3):
     psi = cc.s3_sign() - 1.0
-    assert np.allclose(cc.schoenberg_exp(s3, psi, 0.0), np.ones(6))
     for t in (0.125, 0.5, 1.0, 4.0):
-        values = cc.schoenberg_exp(s3, psi, t)
+        values = np.exp(t * psi)
         expected = (1 + math.exp(-2 * t)) / 2 + (1 - math.exp(-2 * t)) / 2 * cc.s3_sign()
         assert np.abs(values - expected).max() < 1e-12
         assert cc.is_positive_definite(s3, values)
@@ -133,8 +138,8 @@ def test_schoenberg_exponential_fails_without_conditional_positivity(s3):
     assert not cc.is_conditionally_positive_definite(s3, psi)
     violations = [
         t
-        for t in cc.SCHOENBERG_GRID
-        if not cc.is_positive_definite(s3, cc.schoenberg_exp(s3, psi, t))
+        for t in SCHOENBERG_GRID
+        if not cc.is_positive_definite(s3, np.exp(t * psi))
     ]
     assert violations
 
@@ -194,6 +199,31 @@ def test_guichardet_preconditions_name_a_nan_value_at_the_identity(s3):
         cc.guichardet_constant(s3, psi)
 
 
+@pytest.mark.parametrize("length", [3, 7])
+@pytest.mark.parametrize(
+    "routine",
+    [
+        cc.is_hermitian_function,
+        cc.is_conditionally_positive_definite,
+        cc.is_positive_definite,
+        cc.guichardet_constant,
+        lambda group, values: cc.guichardet_via_gns(group, cc.s3_irreps(), values),
+    ],
+    ids=[
+        "is_hermitian_function",
+        "is_conditionally_positive_definite",
+        "is_positive_definite",
+        "guichardet_constant",
+        "guichardet_via_gns",
+    ],
+)
+def test_group_function_routines_refuse_a_wrong_length(s3, routine, length):
+    """A function with one value too few or too many for S3 is refused by name,
+    not by a broadcast or index error."""
+    with pytest.raises(cc.PreconditionError, match=rf"expected 6 values, got shape \({length},\)"):
+        routine(s3, np.zeros(length))
+
+
 # ---------------------------------------------------------------------------
 # Function <-> functional correspondence
 # ---------------------------------------------------------------------------
@@ -210,7 +240,7 @@ def test_indicator_of_identity_gives_normalized_trace(s3, s3_irreps):
     omega = cc.functional_from_function(s3, s3_irreps, indicator)
     for d, block in zip(s3_irreps.dims, omega.dual_blocks):
         assert np.abs(block - (d / 6) * np.eye(d)).max() < 1e-12
-    values = cc.function_from_functional(s3, s3_irreps, omega)
+    values = function_values(s3, s3_irreps, omega)
     assert np.abs(values - indicator).max() < 1e-10
 
 
@@ -219,11 +249,11 @@ def test_correspondence_roundtrips(s3, s3_irreps, rng):
     for _ in range(10):
         values = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         omega = cc.functional_from_function(s3, s3_irreps, values)
-        back = cc.function_from_functional(s3, s3_irreps, omega)
+        back = function_values(s3, s3_irreps, omega)
         assert np.abs(back - values).max() < 1e-10
     for _ in range(10):
         omega = random_state(alg, rng)
-        values = cc.function_from_functional(s3, s3_irreps, omega)
+        values = function_values(s3, s3_irreps, omega)
         rebuilt = cc.functional_from_function(s3, s3_irreps, values)
         assert cc.functional_norm(rebuilt - omega) < 1e-10
 
@@ -236,7 +266,7 @@ def test_positivity_transfers_both_ways(s3, s3_irreps, rng):
         assert cc.is_positive_functional(omega, tol=1e-8)
     for _ in range(10):
         omega = random_state(alg, rng)
-        values = cc.function_from_functional(s3, s3_irreps, omega)
+        values = function_values(s3, s3_irreps, omega)
         assert cc.is_positive_definite(s3, values, tol=1e-8)
 
 
@@ -368,12 +398,12 @@ def test_guichardet_routes_agree_on_z4(rng):
 def _vector_values_per_element(irreps, data):
     """``<eta, pi(lam_g) eta>`` one group element at a time: the representing
     matrix ``to_space @ L @ from_space`` of each translation unitary, with
-    ``L`` its public left-multiplication matrix, then ``vdot``."""
+    ``L`` its left-multiplication matrix from ``Algebra.multiply``, then ``vdot``."""
     alg = cc.Algebra(irreps.dims)
     eta = data.cyclic_vector
     values = []
     for g in range(irreps.matrices[0].shape[0]):
-        left = cc.left_multiplication_matrix(alg, translation_unitary(irreps, g))
+        left = left_multiplication_matrix(alg, translation_unitary(irreps, g))
         rep = data.to_space @ left @ data.from_space
         values.append(complex(np.vdot(eta, rep @ eta)))
     return np.array(values)

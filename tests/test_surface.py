@@ -1,5 +1,6 @@
-"""The public surface: ``cstarconv.__all__``, and every public top-level
-function and class of a ``cstarconv`` module, hold only names that callers use.
+"""The public surface: ``cstarconv.__all__``, every public top-level
+function and class of a ``cstarconv`` module, and every public member of such
+a class, hold only names that callers use.
 
 A caller is the package itself (outside ``__init__``), a demo or the
 benchmark harness; tests are not callers, so a helper only tests call lives
@@ -21,27 +22,26 @@ import cstarconv as cc
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(cc.__file__).resolve().parent
 
-# the package surface: 78 objects and the 8 submodules ``__init__`` lists
+# the package surface: 71 objects and the 8 submodules ``__init__`` lists
 SUBMODULES = {
     "algebra", "bialgebra", "convolution", "errors", "groupfun", "groups", "maps", "semigroup"
 }
 OBJECTS = set("""
 Algebra AssociatedSemigroup Bialgebra CompletePositivityReport ConstructionError
-DEFAULT_TOL DiscreteDecomposition Element Functional GNSData GeneratingFunctional
-GuichardetCertificate GuichardetViaGNS IrrepTable LinearMap NormContinuityBound
-PreconditionError SCHOENBERG_GRID SchemaError SemigroupTable ShapeError StateCheck
-ValidationReport associated_semigroup builtin_group commutation_residual
-compound_poisson continuity_moduli convolution_exp convolve convolve_measures
-cyclic_group cyclic_irreps d4_group d4_irreps discrete_type_decomposition
-element_norm fourier_matrices function_bialgebra function_from_functional
+DEFAULT_TOL DiscreteDecomposition Element Functional GNSData
+GeneratingFunctional GuichardetCertificate GuichardetViaGNS IrrepTable LinearMap
+NormContinuityBound PreconditionError SchemaError SemigroupTable ShapeError
+StateCheck ValidationReport associated_semigroup builtin_group
+commutation_residual compound_poisson continuity_moduli convolution_exp convolve
+convolve_measures cyclic_group cyclic_irreps d4_group d4_irreps
+discrete_type_decomposition element_norm fourier_matrices function_bialgebra
 functional_from_function functional_norm functional_norms generating_functional
 generator_pairing_residual gns group_cstar_bialgebra guichardet_constant
-guichardet_via_gns hermitian_spectrum is_cocommutative is_completely_positive
+guichardet_via_gns hermitian_spectrum is_completely_positive
 is_conditionally_positive_definite is_hermitian_function is_positive_definite
-is_positive_functional is_probability is_right_convolution_operator kernel_matrix
-left_convolution_operator left_multiplication_matrix mixing_permutation
+is_positive_functional is_probability kernel_matrix mixing_permutation
 norm_continuity_bound q8_group q8_irreps recover_functional
-right_convolution_operator s3_group s3_irreps s3_sign schoenberg_exp state_check
+right_convolution_operator s3_group s3_irreps s3_sign state_check
 strong_invariance_residual tensor_algebra unitality_residual validate_bialgebra
 weak_invariance_residual within
 """.split())
@@ -92,6 +92,37 @@ def _public_definitions():
                 yield path.stem, node.name
 
 
+def _read_members() -> set[str]:
+    """Every attribute read (``x.name``, not one only assigned) and keyword
+    argument name in the caller files."""
+    names = set()
+    for path in _caller_files():
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg is not None:
+                names.add(node.arg)
+    return names
+
+
+def _public_members():
+    """``(module, class, member)`` of each public method, property and annotated
+    field of a public top-level class of the package; dunders are not public."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    name = item.name
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield path.stem, node.name, name
+
+
 def test_every_export_has_a_caller_or_is_a_paper_object():
     assert set(PAPER_OBJECTS) <= _exported()
     assert sorted(_exported() - _used() - set(PAPER_OBJECTS)) == []
@@ -102,6 +133,14 @@ def test_every_public_definition_has_a_caller_or_is_a_paper_object():
     definitions = list(_public_definitions())
     assert ("sampling", "random_functional") in definitions
     assert [f"{m}.{name}" for m, name in definitions if name not in used] == []
+
+
+def test_every_public_member_is_read_by_a_caller():
+    members = list(_public_members())
+    assert ("convolution", "AssociatedSemigroup", "norm_bound") in members
+    assert ("bialgebra", "DiscreteDecomposition", "ideal_unit") in members
+    read = _read_members()
+    assert [f"{m}.{cls}.{name}" for m, cls, name in members if name not in read] == []
 
 
 def _tolerance_defaults():
@@ -121,7 +160,7 @@ def _tolerance_defaults():
 
 def test_every_tolerance_defaults_to_default_tol():
     defaults = dict(_tolerance_defaults())
-    assert "validate_bialgebra" in defaults and "is_cocommutative" in defaults
+    assert "validate_bialgebra" in defaults and "is_positive_definite" in defaults
     assert {q: d for q, d in defaults.items() if d != cc.DEFAULT_TOL} == {}
 
 
@@ -135,8 +174,8 @@ print(json.dumps({"all": cstarconv.__all__, "dir": listed, "loaded": loaded}))
 
 
 def test_the_package_surface_is_whole():
-    assert len(OBJECTS) == 78 and len(SUBMODULES) == 8
-    assert set(cc.__all__) == OBJECTS | SUBMODULES and len(cc.__all__) == 86
+    assert len(OBJECTS) == 71 and len(SUBMODULES) == 8
+    assert set(cc.__all__) == OBJECTS | SUBMODULES and len(cc.__all__) == 79
     for name in cc.__all__:
         value = getattr(cc, name)
         assert isinstance(value, types.ModuleType) == (name in SUBMODULES), name

@@ -25,7 +25,8 @@ import pytest
 import cstarconv as cc
 from cstarconv import cli
 from cstarconv import io as schemas
-from cstarconv.sampling import corrupted_generating_functional
+
+from conftest import corrupted_generating_functional
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(cc.__file__).parent
@@ -146,9 +147,10 @@ def test_evolve_choi_check_fails_on_a_hermitian_defect(repro_dir, monkeypatch):
     choi = next(c for c in out["checks"] if c["name"] == "choi_psd[t=0.5]")
     b = cli._resolve_bialgebra("zn:2")
     p_t = cc.associated_semigroup(b, schemas.load_functional(b.algebra, "gamma.json"))
-    defects = cc.is_completely_positive(p_t.operator_at(0.5), TOL).hermitian_defects
-    assert choi["residual"] == max(defects) == pytest.approx(0.3384, abs=1e-4)
+    report = cc.is_completely_positive(p_t.operator_at(0.5), TOL)
+    assert choi["residual"] == report.violation == pytest.approx(0.3384, abs=1e-4)
     assert choi["pass"] is False
+    # every Choi eigenvalue is positive, so the violation is the Hermitian defect
     assert 0.3 < min(out["times"][0]["choi_min_eigenvalues"]) < choi["residual"]
     assert code == 1
 
