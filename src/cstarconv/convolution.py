@@ -216,12 +216,14 @@ class AssociatedSemigroup:
         """``(s, u)`` with ``u[k] = (M / s)^k dual(gamma)`` for the terms of
         the ``phi_1`` series, ``M`` the convolution matrix and ``s`` a power of
         two at or above its 1-norm, so no power overflows and the scaling
-        is exact."""
+        is exact.  The list stops at the first zero vector, past which every
+        term is zero: ``gamma = 0`` has ``M = 0`` and ``s = 1``, where the
+        weights ``t^k`` of later terms would overflow to ``inf * 0``."""
         norm = self._convolution_norm
         scale = float(np.ldexp(1.0, int(np.frexp(norm)[1]))) if norm > 0 else 1.0
         scaled = self.convolution_matrix / scale
         powers = [self.dual_gamma]
-        for _ in range(1, len(_PHI1_COEFFS)):
+        while len(powers) < len(_PHI1_COEFFS) and powers[-1].any():
             powers.append(scaled @ powers[-1])
         return scale, np.array(powers)
 
@@ -242,7 +244,8 @@ class AssociatedSemigroup:
         alg = self.bialgebra.algebra
         if t * self._convolution_norm <= _PADE_THETA[3]:
             scale, powers = self._krylov
-            weights = _PHI1_COEFFS * (t * scale) ** np.arange(len(_PHI1_COEFFS))
+            k = np.arange(len(powers))
+            weights = _PHI1_COEFFS[k] * (t * scale) ** k
             return alg.functional_from_dual_coords(weights @ powers)
         dim = alg.dim
         aug = np.zeros((dim + 1, dim + 1), dtype=np.complex128)
@@ -307,7 +310,6 @@ class GeneratingFunctional:
     ``within(violation, tol)``: the conjunction of the three conditions.
     """
 
-    functional: Functional
     hermitian: bool
     vanishes_at_unit: bool
     conditionally_positive: bool
@@ -335,9 +337,7 @@ def generating_functional(
     cond = bool(np.all(within(off_counit, tol)))
     # np.max so that a nan diagnostic makes the violation nan
     violation = float(np.max(np.concatenate([defects, [unit_defect], off_counit])))
-    return GeneratingFunctional(
-        gamma, hermitian, vanishes, cond, violation, bool(within(violation, tol))
-    )
+    return GeneratingFunctional(hermitian, vanishes, cond, violation, bool(within(violation, tol)))
 
 
 def continuity_moduli(b: Bialgebra, gamma: Functional, times) -> list[float]:

@@ -195,10 +195,7 @@ def functional_from_function(
     the correspondence a bijection, and positive-definite functions map to
     positive functionals.
     """
-    values = np.asarray(values, dtype=np.complex128)
-    m = group.order
-    if values.shape != (m,):
-        raise PreconditionError(f"expected {m} values, got shape {values.shape}")
+    _, values = _require_group(group, values)
     _, fourier = fourier_matrices(group, irreps)
     return Algebra(irreps.dims).functional_from_dual_coords(values @ fourier)
 

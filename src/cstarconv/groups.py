@@ -3,7 +3,8 @@
 Shipped fixtures: cyclic groups Z_n, the symmetric group S3, the dihedral
 group of the square D4 (order 8) and the quaternion group Q8, each with a
 complete table of unitary irreps.  No irrep-finding algorithm is attempted;
-the nonabelian tables are hard-coded.
+each nonabelian group is written once, as the exact matrices of a faithful
+representation, and its Cayley table is read off their products.
 """
 
 from __future__ import annotations
@@ -183,6 +184,24 @@ def cyclic_irreps(n: int) -> IrrepTable:
     )
 
 
+def _cayley_table(mats: np.ndarray) -> SemigroupTable:
+    """The table of the group of exact matrices ``mats``, the identity first.
+
+    ``table[x, y]`` is the index of the one matrix equal to ``mats[x] @ mats[y]``.
+
+    Raises
+    ------
+    ConstructionError
+        Unless every product equals exactly one listed matrix.
+    """
+    m = len(mats)
+    products = (mats[:, None] @ mats).reshape(m, m, 1, -1)
+    hits = (products == mats.reshape(m, -1)).all(axis=-1)  # hits[x, y, z]: x y == z
+    if not (hits.sum(axis=-1) == 1).all():
+        raise ConstructionError("the matrices are not closed under products")
+    return SemigroupTable(hits.argmax(axis=-1), 0)
+
+
 _S3_PERMS = (
     (0, 1, 2),
     (1, 2, 0),
@@ -193,14 +212,14 @@ _S3_PERMS = (
 )
 
 
+def _s3_permutation_matrices() -> np.ndarray:
+    """The matrix of each permutation ``sigma``, sending ``e_j`` to ``e_sigma(j)``:
+    the transpose of ``eye[sigma]``, whose row ``j`` is ``e_sigma(j)``."""
+    return np.eye(3)[list(_S3_PERMS)].transpose(0, 2, 1)
+
+
 def s3_group() -> SemigroupTable:
-    index = {p: i for i, p in enumerate(_S3_PERMS)}
-    m = len(_S3_PERMS)
-    table = np.empty((m, m), dtype=np.intp)
-    for i, sigma in enumerate(_S3_PERMS):
-        for j, tau in enumerate(_S3_PERMS):
-            table[i, j] = index[tuple(sigma[tau[x]] for x in range(3))]
-    return SemigroupTable(table, 0)
+    return _cayley_table(_s3_permutation_matrices())
 
 
 def s3_sign() -> np.ndarray:
@@ -221,27 +240,17 @@ def s3_irreps() -> IrrepTable:
         ]
     )
     std = np.empty((m, 2, 2), dtype=np.complex128)
-    for i, sigma in enumerate(_S3_PERMS):
-        perm_mat = np.zeros((3, 3))
-        for j in range(3):
-            perm_mat[sigma[j], j] = 1.0
+    for i, perm_mat in enumerate(_s3_permutation_matrices()):
         std[i] = basis.T @ perm_mat @ basis
     return IrrepTable((triv, sign, std))
 
 
 def d4_group() -> SemigroupTable:
-    # elements r^a s^b indexed a + 4*b; s r s = r^{-1}
-    def mul(x, y):
-        a1, b1 = x % 4, x // 4
-        a2, b2 = y % 4, y // 4
-        a = (a1 + (a2 if b1 == 0 else -a2)) % 4
-        return a + 4 * ((b1 + b2) % 2)
-
-    table = np.array([[mul(x, y) for y in range(8)] for x in range(8)])
-    return SemigroupTable(table, 0)
+    return _cayley_table(d4_irreps().matrices[-1])  # the 2-dim irrep is faithful
 
 
 def d4_irreps() -> IrrepTable:
+    # elements r^a s^b indexed a + 4*b; s r s = r^{-1}
     rot = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=np.complex128)
     ref = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
     two = np.empty((8, 2, 2), dtype=np.complex128)
@@ -258,49 +267,21 @@ def d4_irreps() -> IrrepTable:
     return IrrepTable((*chars, two))
 
 
-_Q8_NAMES = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-
-
 def q8_group() -> SemigroupTable:
-    unit = {"1": 1, "-1": -1, "i": 1, "-i": -1, "j": 1, "-j": -1, "k": 1, "-k": -1}
-    base = {n: n.lstrip("-") for n in _Q8_NAMES}
-    prod = {
-        ("1", "1"): ("1", 1), ("1", "i"): ("i", 1), ("1", "j"): ("j", 1), ("1", "k"): ("k", 1),
-        ("i", "1"): ("i", 1), ("j", "1"): ("j", 1), ("k", "1"): ("k", 1),
-        ("i", "i"): ("1", -1), ("j", "j"): ("1", -1), ("k", "k"): ("1", -1),
-        ("i", "j"): ("k", 1), ("j", "i"): ("k", -1),
-        ("j", "k"): ("i", 1), ("k", "j"): ("i", -1),
-        ("k", "i"): ("j", 1), ("i", "k"): ("j", -1),
-    }
-    index = {n: x for x, n in enumerate(_Q8_NAMES)}
-    table = np.empty((8, 8), dtype=np.intp)
-    for x, gx in enumerate(_Q8_NAMES):
-        for y, gy in enumerate(_Q8_NAMES):
-            b, s = prod[(base[gx], base[gy])]
-            s *= unit[gx] * unit[gy]
-            table[x, y] = index[b if s == 1 else "-" + b]
-    return SemigroupTable(table, 0)
+    return _cayley_table(q8_irreps().matrices[-1])  # the 2-dim irrep is faithful
 
 
 def q8_irreps() -> IrrepTable:
-    two_gens = {
-        "1": np.eye(2, dtype=np.complex128),
-        "i": np.array([[1j, 0], [0, -1j]]),
-        "j": np.array([[0.0, 1.0], [-1.0, 0.0]]),
-        "k": np.array([[0.0, 1j], [1j, 0.0]]),
-    }
-    two = np.empty((8, 2, 2), dtype=np.complex128)
-    for x, name in enumerate(_Q8_NAMES):
-        sign = -1.0 if name.startswith("-") else 1.0
-        two[x] = sign * two_gens[name.lstrip("-")]
+    # the 2-dim irrep, generated by i and j with k = i j, on the elements
+    # 1, -1, i, -i, j, -j, k, -k in this order
+    i = np.array([[1j, 0], [0, -1j]])
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    k = np.array([[0.0, 1j], [1j, 0.0]])  # i @ j, written out: the product's corner is -0.0
+    two = np.array([sign * u for u in (np.eye(2), i, j, k) for sign in (1.0, -1.0)])
     chars = []
     for ci, cj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        values = {"1": 1, "i": ci, "j": cj, "k": ci * cj}
-        chars.append(
-            np.array(
-                [values[n.lstrip("-")] for n in _Q8_NAMES], dtype=np.complex128
-            ).reshape(8, 1, 1)
-        )
+        # 1, i, j and k take the values 1, ci, cj and ci * cj, as do their negatives
+        chars.append(np.repeat([1, ci, cj, ci * cj], 2).astype(np.complex128).reshape(8, 1, 1))
     return IrrepTable((*chars, two))
 
 
@@ -309,12 +290,6 @@ _NAMED_GROUPS = {
     "d4": (d4_group, d4_irreps),
     "q8": (q8_group, q8_irreps),
 }
-
-
-def is_builtin_group(name: str) -> bool:
-    """Whether ``name`` is ``zn:<anything>`` or a key of ``_NAMED_GROUPS``."""
-    key = name.strip().lower()
-    return key.startswith("zn:") or key in _NAMED_GROUPS
 
 
 def builtin_name(name: str) -> tuple[str, bool] | None:
@@ -337,7 +312,7 @@ def builtin_name(name: str) -> tuple[str, bool] | None:
     key = key.removeprefix("dual:").strip()
     order = _cyclic_order(key)
     key = key if order is None else f"zn:{order}"
-    return (key, dual) if is_builtin_group(key) else None
+    return (key, dual) if key.startswith("zn:") or key in _NAMED_GROUPS else None
 
 
 def _cyclic_order(key: str) -> int | None:

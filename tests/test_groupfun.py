@@ -208,6 +208,7 @@ def test_guichardet_preconditions_name_a_nan_value_at_the_identity(s3):
         cc.is_positive_definite,
         cc.guichardet_constant,
         lambda group, values: cc.guichardet_via_gns(group, cc.s3_irreps(), values),
+        lambda group, values: cc.functional_from_function(group, cc.s3_irreps(), values),
     ],
     ids=[
         "is_hermitian_function",
@@ -215,6 +216,7 @@ def test_guichardet_preconditions_name_a_nan_value_at_the_identity(s3):
         "is_positive_definite",
         "guichardet_constant",
         "guichardet_via_gns",
+        "functional_from_function",
     ],
 )
 def test_group_function_routines_refuse_a_wrong_length(s3, routine, length):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cstarconv as cc
-from cstarconv.groups import _generators, builtin_name, is_builtin_group
+from cstarconv.groups import _S3_PERMS, _cayley_table, _generators, builtin_name
 
 from conftest import LOOP_5, SEED
 
@@ -18,14 +18,56 @@ def test_builtin_tables_are_groups(name):
 
 
 def test_fixture_names_are_the_resolvers_names():
-    """``is_builtin_group`` holds exactly where ``builtin_group`` knows the name
-    (a malformed ``zn:`` order is a fixture name with a bad order)."""
+    """``builtin_name`` names a fixture exactly where ``builtin_group`` knows the
+    name (a malformed ``zn:`` order is a fixture name with a bad order)."""
     for name in ("s3", " D4 ", "Q8", "zn:5", "ZN:3", "zn:abc", "zn:0"):
-        assert is_builtin_group(name)
+        assert builtin_name(name) == (name.strip().lower(), False)
+    for name in ("s4", "psi.json", "zn", "dual:dual:s3"):
+        assert builtin_name(name) is None
     for name in ("s4", "dual:s3", "psi.json", "", "zn"):
-        assert not is_builtin_group(name)
         with pytest.raises(cc.ConstructionError, match="unknown built-in group"):
             cc.builtin_group(name)
+
+
+def test_s3_table_is_the_composition_of_its_permutations():
+    """``table[x, y]`` is the index of ``sigma o tau``, ``(sigma o tau)(i) = sigma(tau(i))``."""
+    index = {p: i for i, p in enumerate(_S3_PERMS)}
+    expected = [
+        [index[tuple(sigma[tau[i]] for i in range(3))] for tau in _S3_PERMS] for sigma in _S3_PERMS
+    ]
+    assert np.array_equal(cc.s3_group().table, expected)
+
+
+def test_d4_table_is_the_dihedral_law():
+    """``r^a s^b`` at index ``a + 4 b``: ``r^a1 s^b1 r^a2 s^b2 = r^(a1 +- a2) s^(b1 + b2)``,
+    the sign minus exactly when ``b1 = 1``, since ``s r s = r^-1``."""
+    expected = [
+        [(x % 4 + (-1) ** (x // 4) * (y % 4)) % 4 + 4 * ((x // 4 + y // 4) % 2) for y in range(8)]
+        for x in range(8)
+    ]
+    assert np.array_equal(cc.d4_group().table, expected)
+
+
+def test_q8_table_is_the_quaternion_law():
+    """With the elements 1, -1, i, -i, j, -j, k, -k at indices 0..7:
+    ``i^2 = j^2 = k^2 = ijk = -1``, and ``-1`` is central of order 2."""
+    t = cc.q8_group().table
+    one, minus, i, j, k = 0, 1, 2, 4, 6
+    assert t[i, i] == t[j, j] == t[k, k] == t[t[i, j], k] == minus
+    assert t[i, j] == k and t[minus, minus] == one
+    for x in range(0, 8, 2):  # each element's negative follows it
+        assert t[minus, x] == t[x, minus] == x + 1
+
+
+def test_cayley_table_refuses_matrices_not_closed_under_products():
+    eye = np.eye(2)
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    with pytest.raises(cc.ConstructionError, match="not closed under products"):
+        _cayley_table(np.array([eye, rot]))
+    with pytest.raises(cc.ConstructionError, match="not closed under products"):
+        _cayley_table(np.array([eye, eye]))  # every product equals two listed matrices
+    table = _cayley_table(np.array([eye, rot, -eye, -rot]))
+    assert np.array_equal(table.table, [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]])
 
 
 def test_builtin_names_read_the_dual_prefix_like_fixture_names():

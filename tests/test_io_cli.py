@@ -444,6 +444,28 @@ def test_cli_evolve_norm_bound_fails_a_broken_flow_at_any_grid_max(
     assert check["residual"] == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "bialgebra, blocks", [("zn:1", [1]), ("zn:2", [1, 1]), ("dual:s3", [1, 1, 2])]
+)
+def test_cli_evolve_zero_generator_stays_at_the_counit_at_every_time(
+    tmp_path, capsys, bialgebra, blocks
+):
+    """``gamma = 0`` is a valid generator with ``lambda_t = epsilon`` and
+    difference quotient exactly 0 at every finite time: ``c_hat`` and every
+    ``distance_to_counit`` read 0 at ``t = 1e300`` and ``--grid-max 1e300``,
+    where the quotient's series weights ``t^k`` overflow."""
+    from cstarconv import cli
+
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"dual_blocks": [[[[0, 0]] * n] * n for n in blocks]}))
+    argv = ["evolve", bialgebra, str(path), "--grid-max", "1e300", "--times", "0,1,1e300"]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is True
+    assert report["norm_bound"]["c_hat"] == 0
+    assert [t["distance_to_counit"] for t in report["times"]] == [0, 0, 0]
+
+
 def test_cli_evolve_invalid_generator(tmp_path):
     # the counit itself: hermitian and conditionally positive but unit value 1
     gamma_path = tmp_path / "eps.json"

@@ -92,35 +92,50 @@ def _public_definitions():
                 yield path.stem, node.name
 
 
-def _read_members() -> set[str]:
-    """Every attribute read (``x.name``, not one only assigned) and keyword
-    argument name in the caller files."""
-    names = set()
+def _read_members() -> tuple[set[str], set[str]]:
+    """``(read, values)`` over the caller files: ``read`` holds every attribute
+    read (``x.name``, not one only assigned) and keyword argument name, and
+    ``values`` the attribute reads that are not immediately called, the only
+    reads of a field or a property (``Algebra.functional(...)`` calls a method
+    and reads no ``functional`` field)."""
+    read, values = set(), set()
     for path in _caller_files():
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
-                names.add(node.attr)
+                read.add(node.attr)
+                if id(node) not in callees:
+                    values.add(node.attr)
             elif isinstance(node, ast.keyword) and node.arg is not None:
-                names.add(node.arg)
-    return names
+                read.add(node.arg)
+    return read, values
+
+
+def _is_property(item: ast.FunctionDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id in ("property", "cached_property")
+        for d in item.decorator_list
+    )
 
 
 def _public_members():
-    """``(module, class, member)`` of each public method, property and annotated
-    field of a public top-level class of the package; dunders are not public."""
+    """``(module, class, member, is_value)`` of each public method, property and
+    annotated field of a public top-level class of the package; ``is_value``
+    marks a property or a field.  Dunders are not public."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
             if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
                 continue
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
-                    name = item.name
+                    name, is_value = item.name, _is_property(item)
                 elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    name = item.target.id
+                    name, is_value = item.target.id, True
                 else:
                     continue
                 if not name.startswith("_"):
-                    yield path.stem, node.name, name
+                    yield path.stem, node.name, name, is_value
 
 
 def test_every_export_has_a_caller_or_is_a_paper_object():
@@ -136,11 +151,20 @@ def test_every_public_definition_has_a_caller_or_is_a_paper_object():
 
 
 def test_every_public_member_is_read_by_a_caller():
+    """A method is read by any ``x.name`` or keyword; a field or a property
+    only by a read as a value, so a method of the same name hides neither."""
     members = list(_public_members())
-    assert ("convolution", "AssociatedSemigroup", "norm_bound") in members
-    assert ("bialgebra", "DiscreteDecomposition", "ideal_unit") in members
-    read = _read_members()
-    assert [f"{m}.{cls}.{name}" for m, cls, name in members if name not in read] == []
+    assert ("convolution", "AssociatedSemigroup", "norm_bound", False) in members
+    assert ("convolution", "AssociatedSemigroup", "dual_gamma", True) in members
+    assert ("bialgebra", "DiscreteDecomposition", "ideal_unit", True) in members
+    assert ("groups", "SemigroupTable", "order", True) in members
+    read, values = _read_members()
+    unread = [
+        f"{m}.{cls}.{name}"
+        for m, cls, name, is_value in members
+        if name not in (values if is_value else read)
+    ]
+    assert unread == []
 
 
 def _tolerance_defaults():
