@@ -96,10 +96,6 @@ def render_text(obj, prefix: str = "") -> list[str]:
     return [f"{prefix} = {obj if text is None else text}"]
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def _digest(source: str, may_be_builtin: bool) -> dict:
     """``source`` and the sha256 of a file's bytes or of a built-in's folded name."""
     builtin = builtin_name(source) if may_be_builtin else None
@@ -319,11 +315,9 @@ def cmd_evolve(args) -> tuple[dict, int]:
         entries.append(
             {
                 "t": float(t),
-                "dual_blocks": [
-                    io_schemas.complex_matrix_to_json(blk) for blk in lam.dual_blocks
-                ],
+                "dual_blocks": [io_schemas.to_pairs(blk) for blk in lam.dual_blocks],
                 "state_min_eigenvalue": state.min_eigenvalue,
-                "state_unit_value": _complex_pair(state.unit_value),
+                "state_unit_value": io_schemas.to_pairs(state.unit_value),
                 "state_hermitian_defect": state.hermitian_defect,
                 "distance_to_counit": modulus,
                 "choi_min_eigenvalues": list(cp.min_choi_eigenvalues),
@@ -380,7 +374,7 @@ def cmd_guichardet(args) -> tuple[dict, int]:
         return _report(args, [args.group], files, body, [_check("preconditions", np.nan, tol)])
     body = {
         "constant": cert.constant,
-        "shifted_values": [_complex_pair(v) for v in cert.shifted_values],
+        "shifted_values": io_schemas.to_pairs(cert.shifted_values),
         "certificate": {
             "min_eigenvalue": cert.min_eigenvalue,
             "ones_residual": cert.ones_residual,

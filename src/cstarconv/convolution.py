@@ -216,11 +216,14 @@ class AssociatedSemigroup:
         """``(s, u)`` with ``u[k] = (M / s)^k dual(gamma)`` for the terms of
         the ``phi_1`` series, ``M`` the convolution matrix and ``s`` a power of
         two at or above its 1-norm, so no power overflows and the scaling
-        is exact.  The list stops at the first zero vector, past which every
-        term is zero: ``gamma = 0`` has ``M = 0`` and ``s = 1``, where the
-        weights ``t^k`` of later terms would overflow to ``inf * 0``."""
+        is exact.  ``s`` is at least ``2**-1023``: below it ``1 / s`` overflows,
+        and numpy's complex division by ``s`` with it.  The list stops at the
+        first zero vector, past which every term is zero: ``gamma = 0`` has
+        ``M = 0`` and ``s = 1``, where the weights ``t^k`` of later terms
+        would overflow to ``inf * 0``."""
         norm = self._convolution_norm
-        scale = float(np.ldexp(1.0, int(np.frexp(norm)[1]))) if norm > 0 else 1.0
+        exponent = max(int(np.frexp(norm)[1]), -1023) if norm > 0 else 0
+        scale = float(np.ldexp(1.0, exponent))
         scaled = self.convolution_matrix / scale
         powers = [self.dual_gamma]
         while len(powers) < len(_PHI1_COEFFS) and powers[-1].any():

@@ -1,7 +1,6 @@
 """Structured-text (JSON) schemas for tables, irreps, bialgebras and functions.
 
-Complex numbers are ``[re, im]`` pairs; matrices are row-major nested lists
-in canonical basis order.  Schemas:
+Matrices are row-major nested lists in canonical basis order.  Schemas:
 
 * semigroup file:   ``{"order": m, "identity": e, "table": [[...]]}``
 * irrep file:       ``{"irreps": [{"dim": d, "matrices": [[[...]]]}]}``
@@ -13,6 +12,12 @@ in canonical basis order.  Schemas:
 * group function:   ``{"group": <ref>, "values": [[re, im], ...]}``
 
 A ``<ref>`` is a built-in fixture name (``zn:<n>``, ``s3``, ``d4``, ``q8``).
+
+Complex numbers are ``[re, im]`` pairs, and one codec reads and writes
+them.  :func:`_decode` reads pairs nested ``rank`` lists deep: rank 1 for
+group-function values, 2 for a matrix and 3 for an irrep's stack of
+matrices; a malformed array is refused at its first defect, by path.
+:func:`to_pairs` writes an array of any rank.
 """
 
 from __future__ import annotations
@@ -40,12 +45,6 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _as_complex(value, path: str) -> complex:
-    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_number, value)):
-        _fail(path, f"expected a [re, im] pair, got {value!r}")
-    return complex(_as_finite(value[0], path), _as_finite(value[1], path))
-
-
 def _as_int(value, path: str) -> int:
     # int() would truncate 0.7 and parse "0"
     if not (_is_number(value) and isinstance(value, int)):
@@ -65,40 +64,27 @@ def _as_finite(value: int | float, path: str) -> float:
     return number
 
 
-def _as_complex_matrix(value, path: str) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        _fail(path, "expected a non-empty nested list (matrix)")
-    matrix = _decode_pairs(value)
-    if matrix is not None:
-        return matrix
-    rows = []
-    width = None
-    for r, row in enumerate(value):
-        if not isinstance(row, list):
-            _fail(f"{path}[{r}]", "expected a list (matrix row)")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            _fail(f"{path}[{r}]", f"ragged row: {len(row)} entries, expected {width}")
-        rows.append([_as_complex(v, f"{path}[{r}][{c}]") for c, v in enumerate(row)])
-    return np.array(rows, dtype=np.complex128)
+def _decode(value, rank: int, path: str) -> np.ndarray:
+    """``value`` by the fast path, or by the walk where the fast path refuses."""
+    array = _decode_fast(value, rank)
+    return _walk(value, rank, path) if array is None else array
 
 
-def _decode_pairs(value: list) -> np.ndarray | None:
-    """A well-formed matrix of ``[re, im]`` pairs in one ``np.array`` call.
-
-    ``None`` when the value is anything else (ragged, non-numeric, a
-    boolean, a wrong pair length, non-finite, past float range), so that
-    the per-entry walk in :func:`_as_complex_matrix` reports it.
-    """
+def _decode_fast(value, rank: int) -> np.ndarray | None:
+    """A well-formed value in one ``np.array`` call, else ``None``: a
+    boolean, a string, a wrong pair length, a ragged level, a non-finite
+    number or an integer past float range all go to :func:`_walk`."""
     try:
         array = np.array(value)
-    except (ValueError, OverflowError):
+    except (ValueError, OverflowError):  # ragged, or an integer past every dtype
         return None
-    if array.dtype.kind not in "iuf" or array.ndim != 3 or array.shape[2] != 2:
+    if array.dtype.kind not in "iuf" or array.shape[rank:] != (2,):
         return None
+    scalars = value
+    for _ in range(rank):
+        scalars = chain.from_iterable(scalars)
     # numpy reads a boolean beside numbers as 0 or 1; the type scan runs in C
-    if bool in set(map(type, chain.from_iterable(chain.from_iterable(value)))):
+    if bool in set(map(type, scalars)):
         return None
     pairs = np.ascontiguousarray(array, dtype=np.float64)
     if not np.isfinite(pairs).all():
@@ -106,10 +92,35 @@ def _decode_pairs(value: list) -> np.ndarray | None:
     return pairs.view(np.complex128)[..., 0]
 
 
-def complex_matrix_to_json(matrix: np.ndarray) -> list:
-    return [
-        [[float(v.real), float(v.imag)] for v in row] for row in np.asarray(matrix)
-    ]
+def _walk(value, rank: int, path: str) -> np.ndarray:
+    """:func:`_decode` entry by entry, where rank 0 is one pair; a rank-1
+    list may be empty, and the matrices of a rank-3 stack agree in shape."""
+    if rank == 0:
+        pair = isinstance(value, (list, tuple)) and len(value) == 2
+        if not (pair and all(map(_is_number, value))):
+            _fail(path, f"expected a [re, im] pair, got {value!r}")
+        return np.complex128(_as_finite(value[0], path), _as_finite(value[1], path))
+    if rank > 1 and (not isinstance(value, list) or not value):
+        what = "nested list (matrix)" if rank == 2 else "list of matrices"
+        _fail(path, f"expected a non-empty {what}")
+    parts = []
+    for i, part in enumerate(value):
+        where = f"{path}[{i}]"
+        if rank == 2 and not isinstance(part, list):
+            _fail(where, "expected a list (matrix row)")
+        if rank == 2 and len(part) != len(value[0]):
+            _fail(where, f"ragged row: {len(part)} entries, expected {len(value[0])}")
+        parts.append(_walk(part, rank - 1, where))
+    # rows agree by now; matrices are compared once all of them are read
+    for i, part in enumerate(parts):
+        if part.shape != parts[0].shape:
+            _fail(f"{path}[{i}]", f"shape {part.shape} differs from matrices[0] {parts[0].shape}")
+    return np.array(parts, dtype=np.complex128)
+
+
+def to_pairs(array) -> list:
+    """``array`` as nested ``[re, im]`` pairs, the format :func:`_decode` reads."""
+    return np.stack([array.real, array.imag], -1).tolist()
 
 
 def load_document(source) -> dict:
@@ -168,24 +179,10 @@ def load_irreps(source) -> IrrepTable:
         if not isinstance(entry, dict) or "dim" not in entry or "matrices" not in entry:
             _fail(prefix, "each irrep needs 'dim' and 'matrices'")
         d = _as_int(entry["dim"], f"{prefix}.dim")
-        matrices = entry["matrices"]
-        # a non-empty string or object fails entry by entry below
-        if not matrices or isinstance(matrices, (int, float)):
-            _fail(f"{prefix}.matrices", "expected a non-empty list of matrices")
-        stack = [
-            _as_complex_matrix(m, f"{prefix}.matrices[{g}]")
-            for g, m in enumerate(matrices)
-        ]
-        for g, m in enumerate(stack):
-            if m.shape != stack[0].shape:
-                _fail(
-                    f"{prefix}.matrices[{g}]",
-                    f"shape {m.shape} differs from matrices[0] {stack[0].shape}",
-                )
-        arr = np.stack(stack)
-        if arr.shape[1:] != (d, d):
-            _fail(prefix, f"matrices have shape {arr.shape[1:]}, declared dim {d}")
-        mats.append(arr)
+        stack = _decode(entry["matrices"], 3, f"{prefix}.matrices")
+        if stack.shape[1:] != (d, d):
+            _fail(prefix, f"matrices have shape {stack.shape[1:]}, declared dim {d}")
+        mats.append(stack)
     try:
         return IrrepTable(tuple(mats))
     except ValueError as exc:
@@ -208,40 +205,43 @@ def load_bialgebra(source) -> Bialgebra:
         algebra = Algebra(blocks)
     except ValueError as exc:
         raise SchemaError(f"at $.blocks: {exc}") from exc
-    delta = _as_complex_matrix(data["delta"], "$.delta")
+    delta = _decode(data["delta"], 2, "$.delta")
     square = tensor_algebra(algebra, algebra)
     if delta.shape != (square.dim, algebra.dim):
         _fail(
             "$.delta",
             f"expected shape ({square.dim}, {algebra.dim}), got {delta.shape}",
         )
-    eps = load_functional(algebra, {"epsilon": data["epsilon"]}, key="epsilon")
+    epsilon = data["epsilon"]
+    if not isinstance(epsilon, list):
+        _fail("$.epsilon", "expected a list of dual blocks")
+    dual = [_decode(m, 2, f"$.epsilon[{i}]") for i, m in enumerate(epsilon)]
+    try:
+        eps = algebra.functional(dual)
+    except ValueError as exc:
+        raise SchemaError(f"at $.epsilon: {exc}") from exc
     try:
         return Bialgebra(algebra, LinearMap(algebra, square, delta), eps)
     except ValueError as exc:
         raise SchemaError(f"at $: {exc}") from exc
 
 
-def load_functional(algebra: Algebra, source, key: str = "dual_blocks") -> Functional:
+def load_functional(algebra: Algebra, source) -> Functional:
     data = load_document(source)
-    if key not in data or not isinstance(data[key], list):
-        _fail("$", f"functional file must contain a list under {key!r}")
-    mats = [
-        _as_complex_matrix(m, f"$.{key}[{i}]") for i, m in enumerate(data[key])
-    ]
+    if "dual_blocks" not in data or not isinstance(data["dual_blocks"], list):
+        _fail("$", "functional file must contain a list under 'dual_blocks'")
+    blocks = [_decode(m, 2, f"$.dual_blocks[{i}]") for i, m in enumerate(data["dual_blocks"])]
     try:
-        return algebra.functional(mats)
+        return algebra.functional(blocks)
     except ValueError as exc:
-        raise SchemaError(f"at $.{key}: {exc}") from exc
+        raise SchemaError(f"at $.dual_blocks: {exc}") from exc
 
 
 def load_group_function(source) -> tuple[str | None, np.ndarray]:
     data = load_document(source)
     if "values" not in data or not isinstance(data["values"], list):
         _fail("$", "group function file must contain a list under 'values'")
-    values = np.array(
-        [_as_complex(v, f"$.values[{i}]") for i, v in enumerate(data["values"])]
-    )
+    values = _decode(data["values"], 1, "$.values")
     group_ref = data.get("group")
     if group_ref is not None and not isinstance(group_ref, str):
         _fail("$.group", "expected a built-in group name")

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import cstarconv as cc
-from cstarconv.io import complex_matrix_to_json, load_bialgebra
+from cstarconv.io import load_bialgebra, to_pairs
 
 from conftest import on_table_kernel
 
@@ -150,8 +150,8 @@ def test_harness_bialgebra_reads_resolve_on_every_construction(tmp_path):
     payload = {
         "blocks": list(table_built.algebra.blocks),
         "mode": "hom",
-        "delta": complex_matrix_to_json(table_built.delta.matrix),
-        "epsilon": [complex_matrix_to_json(blk) for blk in table_built.epsilon.dual_blocks],
+        "delta": to_pairs(table_built.delta.matrix),
+        "epsilon": [to_pairs(blk) for blk in table_built.epsilon.dual_blocks],
     }
     (tmp_path / "z5.json").write_text(json.dumps(payload))
     file_loaded = load_bialgebra(str(tmp_path / "z5.json"))

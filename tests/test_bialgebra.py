@@ -8,7 +8,7 @@ import pytest
 
 import cstarconv as cc
 from cstarconv import bialgebra, cli
-from cstarconv.io import complex_matrix_to_json, load_bialgebra
+from cstarconv.io import load_bialgebra, to_pairs
 
 from conftest import (
     SEED,
@@ -542,7 +542,7 @@ def test_group_cstar_from_files_selects_dense_kernel(tmp_path):
     (tmp_path / "z3.json").write_text(
         json.dumps({"order": 3, "identity": 0, "table": table.table.tolist()})
     )
-    stacks = [[complex_matrix_to_json(m) for m in stack] for stack in irreps.matrices]
+    stacks = [[to_pairs(m) for m in stack] for stack in irreps.matrices]
     (tmp_path / "irr.json").write_text(
         json.dumps({"irreps": [{"dim": 1, "matrices": mats} for mats in stacks]})
     )
@@ -550,8 +550,8 @@ def test_group_cstar_from_files_selects_dense_kernel(tmp_path):
     payload = {
         "blocks": list(dense.algebra.blocks),
         "mode": "hom",
-        "delta": complex_matrix_to_json(dense.delta.matrix),
-        "epsilon": [complex_matrix_to_json(blk) for blk in dense.epsilon.dual_blocks],
+        "delta": to_pairs(dense.delta.matrix),
+        "epsilon": [to_pairs(blk) for blk in dense.epsilon.dual_blocks],
     }
     (tmp_path / "cstar_z3.json").write_text(json.dumps(payload))
     paths = [str(tmp_path / name) for name in ("z3.json", "irr.json", "cstar_z3.json")]

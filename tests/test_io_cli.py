@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cstarconv as cc
 from cstarconv import io as schemas
@@ -56,7 +58,7 @@ def test_irrep_schema_roundtrip(tmp_path):
     irreps = cc.cyclic_irreps(3)
     payload = {
         "irreps": [
-            {"dim": 1, "matrices": [schemas.complex_matrix_to_json(m) for m in stack]}
+            {"dim": 1, "matrices": [schemas.to_pairs(m) for m in stack]}
             for stack in irreps.matrices
         ]
     }
@@ -71,8 +73,8 @@ def test_bialgebra_schema_roundtrip(tmp_path, z2_functions):
     payload = {
         "blocks": list(b.algebra.blocks),
         "mode": "hom",
-        "delta": schemas.complex_matrix_to_json(b.delta.matrix),
-        "epsilon": [schemas.complex_matrix_to_json(blk) for blk in b.epsilon.dual_blocks],
+        "delta": schemas.to_pairs(b.delta.matrix),
+        "epsilon": [schemas.to_pairs(blk) for blk in b.epsilon.dual_blocks],
     }
     path = tmp_path / "z2_bialgebra.json"
     path.write_text(json.dumps(payload))
@@ -124,29 +126,85 @@ MATRIX_TEXTS = {
     "empty-second-row": ("[[[1, 0]], []]", False),
     "empty": ("[]", False),
 }
+# group-function values (rank 1) and irrep stacks (rank 3), in the same form
+VALUE_TEXTS = {
+    "ints": ("[[1, 2], [3, -4]]", True),
+    "floats": ("[[-0.0, 5e-324], [1.7976931348623157e308, -1e-320]]", True),
+    "int-past-2^53": ("[[9007199254740993, 0]]", True),
+    "empty": ("[]", False),
+    "bool": ("[[0, 0], [true, 0]]", False),
+    "nan": ("[[0, 0], [NaN, 0]]", False),
+    "int-past-float": ("[[1" + "0" * 400 + ", 0]]", False),
+    "string": ('[["1", 0]]', False),
+    "null": ("[null]", False),
+    "triple": ("[[1, 0], [1, 2, 3]]", False),
+    "numbers": ("[1.0, 2.0]", False),
+    "nested-pairs": ("[[[1, 0]]]", False),
+}
+STACK_TEXTS = {
+    "ints": ("[[[[1, 0]]], [[[0, 1]]]]", True),
+    "floats": ("[[[[-0.0, 1.5], [0, 0]], [[0, 0], [1e-320, -0.0]]]]", True),
+    "empty": ("[]", False),
+    "object": ('{"a": 1}', False),
+    "string": ('"abc"', False),
+    "number": ("5", False),
+    "empty-matrix": ("[[]]", False),
+    "empty-rows": ("[[[]]]", False),
+    "bool": ("[[[[1, 0]]], [[[false, 0]]]]", False),
+    "ragged-matrix": ("[[[[1, 0], [0, 0]], [[1, 0]]]]", False),
+    "mixed-shapes": ("[[[[1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]", False),
+    "nan-after-mixed-shapes": (
+        "[[[[1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[NaN, 0]]]]", False
+    ),
+}
+DECODE_TEXTS = {
+    **{name: (2, text, fast) for name, (text, fast) in MATRIX_TEXTS.items()},
+    **{f"values-{name}": (1, text, fast) for name, (text, fast) in VALUE_TEXTS.items()},
+    **{f"stack-{name}": (3, text, fast) for name, (text, fast) in STACK_TEXTS.items()},
+}
 
 
-@pytest.mark.parametrize("text, fast", MATRIX_TEXTS.values(), ids=MATRIX_TEXTS.keys())
-def test_matrix_decoding_matches_per_entry_walk(monkeypatch, text, fast):
+@pytest.mark.parametrize("rank, text, fast", DECODE_TEXTS.values(), ids=DECODE_TEXTS.keys())
+def test_matrix_decoding_matches_per_entry_walk(rank, text, fast):
     value = json.loads(text)
-    assert (schemas._decode_pairs(value) is not None) == fast
+    assert (schemas._decode_fast(value, rank) is not None) == fast
 
-    def decode(walk_only):
-        with monkeypatch.context() as patch:
-            if walk_only:
-                patch.setattr(schemas, "_decode_pairs", lambda value: None)
-            try:
-                return schemas._as_complex_matrix(value, "$.m")
-            except cc.SchemaError as exc:
-                return str(exc)
+    def outcome(decode):
+        try:
+            return decode(value, rank, "$.m")
+        except cc.SchemaError as exc:
+            return str(exc)
 
-    walked, decoded = decode(walk_only=True), decode(walk_only=False)
+    walked, decoded = outcome(schemas._walk), outcome(schemas._decode)
     if isinstance(walked, str):
         assert decoded == walked
     else:
         assert decoded.dtype == walked.dtype == np.complex128
         assert decoded.shape == walked.shape
         assert decoded.tobytes() == walked.tobytes()  # signed zeros included
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.79e308, -1.79e308, 1.0]
+
+
+@st.composite
+def complex_arrays(draw):
+    """``(rank, array)``: a complex array of rank 1 to 3 with edge-case parts."""
+    rank = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=rank, max_size=rank)))
+    part = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    size = 2 * math.prod(shape)
+    parts = draw(st.lists(part, min_size=size, max_size=size))
+    return rank, np.array(parts).view(np.complex128).reshape(shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(complex_arrays())
+def test_to_pairs_round_trips_through_json_bit_for_bit(case):
+    rank, array = case
+    decoded = schemas._decode(json.loads(json.dumps(schemas.to_pairs(array))), rank, "$")
+    assert decoded.dtype == np.complex128 and decoded.shape == array.shape
+    assert decoded.tobytes() == array.tobytes()
 
 
 def _bialgebra_doc(blocks):
@@ -163,7 +221,7 @@ def _semigroup_doc(order, identity, table):
 
 def _s3_irrep_doc(first_dim):
     irreps = [
-        {"dim": m.shape[1], "matrices": [schemas.complex_matrix_to_json(g) for g in m]}
+        {"dim": m.shape[1], "matrices": [schemas.to_pairs(g) for g in m]}
         for m in cc.s3_irreps().matrices
     ]
     irreps[0]["dim"] = first_dim
@@ -212,6 +270,12 @@ BROKEN_STRUCTURE_FILES = {
         _irrep_doc([[[[1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]),
         "$.irreps[0].matrices[1]",
     ),
+    # every matrix is read before the shapes are compared
+    "nan-after-mixed-irrep-shapes": (
+        "irreps",
+        _irrep_doc([[[[1, 0]]], [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[math.nan, 0]]]]),
+        "$.irreps[0].matrices[2][0][0]",
+    ),
     # "hom" is the only mode, read before the coproduct
     **{
         f"mode-{case}-{command}": (command, {"blocks": [1]} | ONE_POINT | change, "$.mode")
@@ -224,6 +288,16 @@ BROKEN_STRUCTURE_FILES = {
         for command in ("validate", "evolve")
     },
 }
+
+
+def _guichardet_s3_file_argv(tmp_path, irreps):
+    """``guichardet`` on an S3 table file with ``--irreps irreps``."""
+    group = tmp_path / "s3.json"
+    s3 = cc.s3_group()
+    group.write_text(json.dumps({"order": 6, "identity": s3.identity, "table": s3.table.tolist()}))
+    psi = tmp_path / "psi.json"
+    psi.write_text(json.dumps({"values": [[0.0, 0.0]] + [[-1.0, 0.0]] * 5}))
+    return ["guichardet", str(group), str(psi), "--irreps", str(irreps)]
 
 
 @pytest.mark.parametrize(
@@ -239,14 +313,7 @@ def test_cli_rejects_broken_structure_files(tmp_path, capsys, kind, doc, where):
     elif kind == "evolve":
         argv = ["evolve", str(path), str(GOLDEN / "gamma_zn2.json")]
     else:
-        group = tmp_path / "s3.json"
-        s3 = cc.s3_group()
-        group.write_text(
-            json.dumps({"order": 6, "identity": s3.identity, "table": s3.table.tolist()})
-        )
-        psi = tmp_path / "psi.json"
-        psi.write_text(json.dumps({"values": [[0.0, 0.0]] + [[-1.0, 0.0]] * 5}))
-        argv = ["guichardet", str(group), str(psi), "--irreps", str(path)]
+        argv = _guichardet_s3_file_argv(tmp_path, path)
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
@@ -286,6 +353,45 @@ def test_cli_rejects_boolean_numbers(tmp_path, capsys, command, doc, where):
     assert f"error: at {where}:" in captured.err
 
 
+# (command, file, message): a refusal of a whole array names the array
+WHOLE_ARRAY_REFUSALS = {
+    "irrep-dim": (
+        "irreps",
+        {"irreps": [{"dim": 2, "matrices": [[[[1, 0]]]] * 6}]},
+        "at $.irreps[0]: matrices have shape (1, 1), declared dim 2",
+    ),
+    # the entries of an object or a string are not matrices[0], [1], ...
+    "irrep-matrices-object": (
+        "irreps",
+        _irrep_doc({"e": [[[1, 0]]]}),
+        "at $.irreps[0].matrices: expected a non-empty list of matrices",
+    ),
+    "irrep-matrices-string": (
+        "irreps",
+        _irrep_doc("[[[1, 0]]]"),
+        "at $.irreps[0].matrices: expected a non-empty list of matrices",
+    ),
+    "no-values": ("guichardet", {"values": []}, "at $.values: expected 6 values, got 0"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, doc, message", WHOLE_ARRAY_REFUSALS.values(), ids=WHOLE_ARRAY_REFUSALS.keys()
+)
+def test_cli_refuses_a_whole_array_at_its_path(tmp_path, capsys, kind, doc, message):
+    from cstarconv import cli
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    if kind == "irreps":
+        argv = _guichardet_s3_file_argv(tmp_path, path)
+    else:
+        argv = ["guichardet", "s3", str(path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines()[0] == f"error: {message}"
+
+
 # ---------------------------------------------------------------------------
 # CLI: exit codes and report content
 # ---------------------------------------------------------------------------
@@ -308,7 +414,7 @@ def test_cli_validate_corrupted_delta(tmp_path, z2_functions):
     payload = {
         "blocks": [1, 1],
         "mode": "hom",
-        "delta": schemas.complex_matrix_to_json(delta),
+        "delta": schemas.to_pairs(delta),
         "epsilon": [[[[1.0, 0.0]]], [[[0.0, 0.0]]]],
     }
     path = tmp_path / "corrupted.json"
@@ -331,7 +437,7 @@ def test_cli_validate_hyper_bialgebra_file(tmp_path):
     payload = {
         "blocks": [1, 1, 1],
         "mode": "hyper",
-        "delta": schemas.complex_matrix_to_json(s3_class_hyperbialgebra().delta.matrix),
+        "delta": schemas.to_pairs(s3_class_hyperbialgebra().delta.matrix),
         "epsilon": [[[[1.0, 0.0]]], [[[0.0, 0.0]]], [[[0.0, 0.0]]]],
     }
     path = tmp_path / "hyper.json"
@@ -369,7 +475,7 @@ def test_cli_validate_semigroup_plus_irreps(tmp_path):
         json.dumps(
             {
                 "irreps": [
-                    {"dim": 1, "matrices": [schemas.complex_matrix_to_json(m) for m in stack]}
+                    {"dim": 1, "matrices": [schemas.to_pairs(m) for m in stack]}
                     for stack in irreps.matrices
                 ]
             }
@@ -466,6 +572,23 @@ def test_cli_evolve_zero_generator_stays_at_the_counit_at_every_time(
     assert [t["distance_to_counit"] for t in report["times"]] == [0, 0, 0]
 
 
+@pytest.mark.parametrize("rate", [1e-309, 5e-324])
+def test_cli_evolve_subnormal_generator_has_finite_bound_and_moduli(tmp_path, capsys, rate):
+    """``gamma = rate (delta_1 - delta_e)`` on ``Z_2`` with a subnormal rate,
+    where the power of two at the convolution matrix's 1-norm has an
+    infinite reciprocal: ``c_hat`` reads ``rate`` and ``|lambda_1 - epsilon|``
+    reads ``2 rate`` to first order, both to the precision of a subnormal."""
+    from cstarconv import cli
+
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps({"dual_blocks": [[[[-rate, 0.0]]], [[[rate, 0.0]]]]}))
+    assert cli.main(["evolve", "zn:2", str(path), "--times", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is True
+    assert abs(report["norm_bound"]["c_hat"] / rate - 1) < 1e-9
+    assert abs(report["times"][0]["distance_to_counit"] / (2 * rate) - 1) < 1e-9
+
+
 def test_cli_evolve_invalid_generator(tmp_path):
     # the counit itself: hermitian and conditionally positive but unit value 1
     gamma_path = tmp_path / "eps.json"
@@ -486,7 +609,7 @@ def test_cli_evolve_dual_group(tmp_path):
 
     gamma = random_generating_functional(b, rng)
     gamma_path = tmp_path / "gamma_s3.json"
-    blocks = [schemas.complex_matrix_to_json(rho) for rho in gamma.dual_blocks]
+    blocks = [schemas.to_pairs(rho) for rho in gamma.dual_blocks]
     gamma_path.write_text(json.dumps({"dual_blocks": blocks}))
     result = run_cli("evolve", "dual:s3", str(gamma_path), "--times", "0.5,2")
     assert result.returncode == 0
@@ -504,7 +627,7 @@ def test_cli_evolve_dual_cyclic_group_matches_the_dense_route(tmp_path, monkeypa
     dense = cc.group_cstar_bialgebra(table, irreps)
     gamma = random_generating_functional(dense, np.random.default_rng(8))
     gamma_path = tmp_path / "gamma_z8.json"
-    blocks = [schemas.complex_matrix_to_json(rho) for rho in gamma.dual_blocks]
+    blocks = [schemas.to_pairs(rho) for rho in gamma.dual_blocks]
     gamma_path.write_text(json.dumps({"dual_blocks": blocks}))
     argv = ["evolve", "dual:zn:8", str(gamma_path), "--times", "0,0.5,2"]
 
@@ -530,7 +653,7 @@ def test_cli_evolve_builds_one_flow(tmp_path, monkeypatch, capsys):
     b = cli._resolve_bialgebra("zn:64")
     gamma = random_generating_functional(b, np.random.default_rng(1))
     path = tmp_path / "gamma.json"
-    blocks = [cc.io.complex_matrix_to_json(rho) for rho in gamma.dual_blocks]
+    blocks = [cc.io.to_pairs(rho) for rho in gamma.dual_blocks]
     path.write_text(json.dumps({"dual_blocks": blocks}))
     calls = []
     kernel = type(b).left_matrix
@@ -621,7 +744,7 @@ def test_cli_guichardet_refuses_bad_irreps_before_the_kernel_route(
     characters = [[1, 1, 1], [1, omega, omega**2], [1, 1j, -1]]
     irreps = tmp_path / "irreps.json"
     irreps.write_text(json.dumps({"irreps": [
-        {"dim": 1, "matrices": [schemas.complex_matrix_to_json(np.array([[c]])) for c in chi]}
+        {"dim": 1, "matrices": [schemas.to_pairs(np.array([[c]])) for c in chi]}
         for chi in characters
     ]}))
     calls = []
@@ -665,7 +788,7 @@ def test_cli_guichardet_file_group(tmp_path):
         json.dumps(
             {
                 "irreps": [
-                    {"dim": 1, "matrices": [schemas.complex_matrix_to_json(m) for m in stack]}
+                    {"dim": 1, "matrices": [schemas.to_pairs(m) for m in stack]}
                     for stack in irreps.matrices
                 ]
             }

@@ -57,7 +57,7 @@ def invalid_generator() -> dict:
     conditionally positive: one eigenvalue of a block off the counit's is -1e-2."""
     b = cli._resolve_bialgebra("dual:s3")
     gamma = corrupted_generating_functional(b, np.random.default_rng(0))
-    return {"dual_blocks": [schemas.complex_matrix_to_json(rho) for rho in gamma.dual_blocks]}
+    return {"dual_blocks": [schemas.to_pairs(rho) for rho in gamma.dual_blocks]}
 
 
 def run_cli(argv):
