@@ -29,6 +29,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -120,6 +121,18 @@ def _check(name: str, residual: float, tol: float) -> dict:
     }
 
 
+@contextmanager
+def _naming_irrep_file(path: str | None, table: SemigroupTable):
+    """Prefix ``at <path>:`` to a refusal of the irrep file ``path`` (``None``:
+    built-in irreps) validated inside; a ``table`` that is not a group is not its fault."""
+    try:
+        yield
+    except ConstructionError as exc:
+        if path is None or not table.is_group:
+            raise
+        raise ConstructionError(f"at {path}: {exc}") from exc
+
+
 def _report(args, refs: list, files: list, body: dict, checks: list) -> tuple[dict, int]:
     """Header, body, checks and verdict of every report, with its exit code.
 
@@ -204,12 +217,9 @@ def _resolve_validate_targets(paths: list[str]) -> list[tuple[str, Bialgebra]]:
                     f"at {path}: irrep file must follow a group (built-in or semigroup file)"
                 )
             irreps = io_schemas.load_irreps(data)
-            targets.append(
-                (
-                    f"group_cstar[{last_group[0]}+{path}]",
-                    group_cstar_bialgebra(last_group[1], irreps),
-                )
-            )
+            with _naming_irrep_file(path, last_group[1]):
+                b = group_cstar_bialgebra(last_group[1], irreps)
+            targets.append((f"group_cstar[{last_group[0]}+{path}]", b))
         elif "blocks" in data:
             targets.append((f"bialgebra[{path}]", io_schemas.load_bialgebra(data)))
         else:
@@ -224,7 +234,7 @@ def cmd_validate(args) -> tuple[dict, int]:
     for label, b in _resolve_validate_targets(args.specs):
         checks.extend(
             _check(f"{label}:{name}", residual, tol)
-            for name, residual, _ in validate_bialgebra(b, tol).checks(tol)
+            for name, residual in validate_bialgebra(b, tol).checks()
         )
         checks.extend(_smoke_checks(label, b, rng, tol))
     return _report(args, args.specs, [], {}, checks)
@@ -363,11 +373,12 @@ def cmd_guichardet(args) -> tuple[dict, int]:
         )
     files = [args.psi] + ([args.irreps] if args.irreps is not None else [])
     try:
-        # the GNS route checks the same preconditions, then validates the
-        # irreps, so a refused irrep table costs no kernel eigendecomposition
-        via_gns = (
-            guichardet_via_gns(table, irreps, values, tol) if irreps is not None else None
-        )
+        # the GNS route validates the irreps first, so a refused irrep table
+        # costs no kernel work; each route decides its hypotheses itself
+        with _naming_irrep_file(args.irreps, table):
+            via_gns = (
+                guichardet_via_gns(table, irreps, values, tol) if irreps is not None else None
+            )
         cert = guichardet_constant(table, values, tol)
     except PreconditionError as exc:
         body = {"precondition_failures": str(exc).split("; ")}
@@ -383,7 +394,7 @@ def cmd_guichardet(args) -> tuple[dict, int]:
         },
         "gns": None,
     }
-    checks = [_check(name, residual, tol) for name, residual, _ in cert.checks(tol)]
+    checks = [_check(name, residual, tol) for name, residual in cert.checks()]
     if via_gns is not None:
         body["gns"] = {
             "dimension": via_gns.gns_data.dimension,

@@ -8,7 +8,10 @@ positive-definite functions vanishing at the identity are exactly the
 logarithmic derivatives of pointwise-exponential semigroups.  The
 Guichardet decomposition ``psi = phi - phi(e)`` is produced in closed form
 with an eigenvalue certificate and cross-checked through an independent
-GNS-based construction.  Compound Poisson semigroups of measures on a
+GNS-based construction; each route decides conditional positivity once,
+with its own numbers.  Every row and column of a translation kernel ``K``
+sums to ``sum(psi)``, so ``P K P = K - mean(psi) J`` for ``P = I - J/|G|``
+and no projection is formed.  Compound Poisson semigroups of measures on a
 finite monoid close the commutative circle.
 """
 
@@ -25,6 +28,7 @@ from .algebra import (
     GNSData,
     gns,
     hermitian_spectrum,
+    is_positive_functional,
     psd_violation,
     psd_within,
     within,
@@ -77,15 +81,10 @@ def is_hermitian_function(group: SemigroupTable, values, tol: float = DEFAULT_TO
 def is_conditionally_positive_definite(
     group: SemigroupTable, values, tol: float = DEFAULT_TOL
 ) -> bool:
-    """PSD of the kernel compressed to vectors with zero coordinate sum.
-
-    The compression is by the orthogonal projection ``P = I - J/|G|``; the
-    compressed kernel must be Hermitian and PSD within tol.
-    """
-    kernel = kernel_matrix(group, values)
-    m = group.order
-    proj = np.eye(m) - np.ones((m, m)) / m
-    return bool(psd_within(*hermitian_spectrum(proj @ kernel @ proj), tol))
+    """Whether the kernel compressed by ``P = I - J/|G|``, the kernel of
+    ``values - mean(values)``, is Hermitian and PSD within tol."""
+    _, values = _require_group(group, values)
+    return bool(psd_within(*hermitian_spectrum(kernel_matrix(group, values - values.mean())), tol))
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +111,12 @@ class GuichardetCertificate:
     minimality_delta: float
     minimality_min_eigenvalue: float
 
-    def checks(self, tol: float = DEFAULT_TOL) -> list[tuple[str, float, bool]]:
-        """``(fact, residual, within(residual, tol))`` for each certified fact.
+    def checks(self) -> list[tuple[str, float]]:
+        """``(fact, residual)`` for each certified fact; ``within`` decides them.
 
         The residual of ``kernel_psd_after_shift`` is the shifted kernel's
-        :func:`~cstarconv.algebra.psd_violation`; its Hermitian defect is the
-        input's, which the preconditions bound by ``tol``.
+        :func:`~cstarconv.algebra.psd_violation`, the number the conditional
+        positivity hypothesis was decided on.
         """
         order = len(self.shifted_values)
         named = (
@@ -125,14 +124,14 @@ class GuichardetCertificate:
             ("ones_vector_annihilated", self.ones_residual),
             ("shift_minimality", self.minimality_min_eigenvalue + self.minimality_delta * order),
         )
-        return [(name, float(r), bool(within(r, tol))) for name, r in named]
+        return [(name, float(r)) for name, r in named]
 
 
-def _check_guichardet_preconditions(group, values, tol):
+def _check_guichardet_preconditions(group, values, conditionally_positive, tol):
     problems = []
     if not is_hermitian_function(group, values, tol):
         problems.append("function is not Hermitian")
-    if not is_conditionally_positive_definite(group, values, tol):
+    if not conditionally_positive:
         problems.append("function is not conditionally positive-definite")
     if not within(abs(values[group.identity]), tol):
         problems.append(
@@ -155,8 +154,9 @@ def guichardet_constant(
     all-ones vector in the kernel of the shifted translation kernel exactly
     there, conditional positivity gives PSD on its orthogonal complement,
     and any smaller constant makes the ones-vector Rayleigh quotient
-    negative.  The returned certificate re-verifies all three facts with
-    eigenvalue computations rather than trusting the closed form.
+    negative.  The certificate re-verifies all three facts by eigenvalues,
+    and its spectrum decides conditional positivity too: the shifted
+    kernel is ``P K P`` but for ``i Im(mean) J``.
 
     Raises
     ------
@@ -164,15 +164,15 @@ def guichardet_constant(
         Listing each violated hypothesis (Hermitian, conditionally
         positive-definite, vanishing at the identity).
     """
-    values = np.asarray(values, dtype=np.complex128)
-    _check_guichardet_preconditions(group, values, tol)
+    _, values = _require_group(group, values)
     m = group.order
     constant = float(-np.mean(values).real)
     shifted = values + constant
     kernel = kernel_matrix(group, shifted)
-    lowered = kernel_matrix(group, shifted - MINIMALITY_DELTA)
+    lowered = kernel - MINIMALITY_DELTA
     spectra = hermitian_spectrum(np.stack([kernel, lowered]))
     (defect, _), (min_eig, lowered_min) = (a.tolist() for a in spectra)
+    _check_guichardet_preconditions(group, values, psd_within(defect, min_eig, tol), tol)
     # the ones vector is tested against the matrix whose spectrum is certified
     ones_residual = float(np.linalg.norm((kernel + kernel.conj().T) / 2 @ np.ones(m)))
     return GuichardetCertificate(
@@ -303,24 +303,26 @@ def guichardet_via_gns(
     translation unitaries, is a positive-definite function differing from
     the input by the constant ``omega(1)``.  The result must agree with
     :func:`guichardet_constant`, which proceeds through kernel eigenvalues
-    instead; the two constructions share no code path past the Fourier
-    transform.  The counit of the group C*-algebra is the trivial irrep, so
-    it lives on block ``irreps.trivial_index`` of a validated table.
+    instead; the two share their input only, and this one forms no kernel.
+    The counit of the group C*-algebra is the trivial irrep, so it lives on
+    block ``irreps.trivial_index`` of the table, validated before any
+    hypothesis is decided.  The other dual blocks are the compressed
+    kernel's, scaled by ``d_pi / |G|``, so the gate of ``gns``, ``omega``
+    positive, decides conditional positivity.
     """
-    values = np.asarray(values, dtype=np.complex128)
-    _check_guichardet_preconditions(group, values, tol)
+    _, values = _require_group(group, values)
     irreps.validate(group)
     alg = Algebra(irreps.dims)
-    gamma = functional_from_function(group, irreps, values)
+    lam, fourier = fourier_matrices(group, irreps)
 
-    # compress away the (1x1) counit block: the remaining dual blocks are PSD
-    dual = np.array(gamma.dual)
+    # functional_from_function, with the (1x1) counit block compressed away
+    dual = values @ fourier
     dual[alg.coord_offsets[irreps.trivial_index]] = 0.0
     omega = alg.functional_from_dual_coords(dual)
+    _check_guichardet_preconditions(group, values, is_positive_functional(omega, tol), tol)
     constant = omega(alg.unit()).real
 
     data = gns(alg, omega, tol)
-    lam, _ = fourier_matrices(group, irreps)
     # <eta, pi(a) eta> is linear in a: read it on the basis, then on every lam_g;
     # on e_k it is u @ L_k @ v, and (L_k v)[z[k, y]] = v[y] for the product table z
     eta = data.cyclic_vector

@@ -31,6 +31,10 @@ CASES = {
     "evolve_zn2": ["evolve", "zn:2", "gamma_zn2.json", "--times", "0,0.5,1"],
     "evolve_dual_s3": ["evolve", "dual:s3", "gamma_dual_s3.json"],
     "guichardet_s3": ["guichardet", "s3", "psi_s3.json"],
+    "guichardet_s3_not_cpd": ["guichardet", "s3", "psi_s3_spike.json"],
+    "guichardet_s3_file_irreps": [
+        "guichardet", "s3_table.json", "psi_s3_mixed.json", "--irreps", "s3_irreps.json"
+    ],
 }
 
 

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import cstarconv as cc
+from cstarconv.algebra import psd_within
 
 from conftest import (
     SCHOENBERG_GRID,
@@ -155,7 +157,7 @@ def test_guichardet_z2_by_hand(z2):
     kernel = cc.kernel_matrix(z2, cert.shifted_values)
     assert np.allclose(kernel.real, [[1.0, -1.0], [-1.0, 1.0]])
     assert np.allclose(np.linalg.eigvalsh(kernel), [0.0, 2.0], atol=1e-12)
-    assert all(ok for *_, ok in cert.checks(1e-9))
+    assert all(cc.within(r, 1e-9) for _, r in cert.checks())
 
 
 def test_guichardet_s3_sign(s3):
@@ -163,13 +165,13 @@ def test_guichardet_s3_sign(s3):
     cert = cc.guichardet_constant(s3, psi)
     assert abs(cert.constant - 1.0) <= 1e-12
     assert np.abs(cert.shifted_values - cc.s3_sign()).max() < 1e-12
-    assert all(ok for *_, ok in cert.checks(1e-9))
+    assert all(cc.within(r, 1e-9) for _, r in cert.checks())
 
 
 def test_guichardet_zero_function(s3):
     cert = cc.guichardet_constant(s3, np.zeros(6))
     assert cert.constant == 0.0
-    assert all(ok for *_, ok in cert.checks(1e-9))
+    assert all(cc.within(r, 1e-9) for _, r in cert.checks())
 
 
 def test_guichardet_minimality(s3, rng):
@@ -373,7 +375,7 @@ def test_guichardet_via_gns_gates_positivity_at_the_callers_tolerance(s3, s3_irr
     odd = cc.s3_sign() < 0
     psi = np.where(np.arange(6) == s3.identity, 0.0, -1.0) + (1 / 3 + 1e-11) * odd
     kernel_route = cc.guichardet_constant(s3, psi, tol)
-    assert all(ok for *_, ok in kernel_route.checks(tol))
+    assert all(cc.within(r, tol) for _, r in kernel_route.checks())
     gns_route = cc.guichardet_via_gns(s3, s3_irreps, psi, tol)
     assert abs(gns_route.constant - kernel_route.constant) <= tol
     assert gns_route.function_deviation <= tol
@@ -448,3 +450,147 @@ def test_gns_vector_state_matches_the_per_element_evaluation(build, rng):
         assert np.abs(result.shifted_values - want).max() <= 1e-12
         assert result.function_deviation < 1e-9
     assert result.gns_data.dimension == 0  # psi = 0 leaves an empty representation
+
+
+# ---------------------------------------------------------------------------
+# Each route decides each hypothesis once
+# ---------------------------------------------------------------------------
+
+
+def _projected_kernel(group, values):
+    """The compressed kernel ``P K P`` with the projection ``P = I - J/|G|`` formed."""
+    m = group.order
+    proj = np.eye(m) - np.ones((m, m)) / m
+    return proj @ cc.kernel_matrix(group, values) @ proj
+
+
+def _projected_verdict(group, values, tol=1e-9):
+    return bool(psd_within(*cc.hermitian_spectrum(_projected_kernel(group, values)), tol))
+
+
+ROUTE_GROUPS = ("zn:5", "s3", "d4", "q8")
+
+
+def _battery(group, rng):
+    """Functions on either side of conditional positive-definiteness, away from its margin."""
+    m, e = group.order, group.identity
+    valid = random_valid_kernel_function(group, rng)
+    spike = np.zeros(m, dtype=complex)
+    spike[[1, group.inverses[1]]] = 5.0
+    skew = valid.copy()
+    skew[1] += 1j
+    return [valid, 3.0 * valid + 2.0, -valid, spike, skew, valid + 1e-3j, np.zeros(m)]
+
+
+@pytest.mark.parametrize("name", ROUTE_GROUPS)
+def test_compressed_kernel_is_the_mean_shifted_kernel(name, rng):
+    """``P K P = K - mean(f) J``: rows and columns of a translation kernel
+    all sum to ``sum(f)``."""
+    group, _ = cc.builtin_group(name)
+    for _ in range(10):
+        values = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
+        values *= 10.0 ** rng.integers(-3, 4)
+        oracle = _projected_kernel(group, values)
+        shifted = cc.kernel_matrix(group, values - values.mean())
+        assert np.abs(shifted - oracle).max() <= 1e-12 * max(1.0, np.abs(values).max())
+
+
+@pytest.mark.parametrize("name", ROUTE_GROUPS)
+def test_conditional_positivity_agrees_with_the_projected_kernel(name, rng):
+    group, _ = cc.builtin_group(name)
+    verdicts = []
+    for values in _battery(group, rng):
+        verdict = cc.is_conditionally_positive_definite(group, values)
+        assert verdict == _projected_verdict(group, values)
+        verdicts.append(verdict)
+    assert verdicts == [True, True, False, False, False, True, True]
+
+
+def _counting(monkeypatch, module, name, record):
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        record.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_one_guichardet_run_forms_one_kernel_spectrum(tmp_path, monkeypatch, capsys):
+    """The CLI runs both routes; only the kernel route's certificate takes the
+    spectrum of |G| x |G| matrices, the irreps are validated once and the GNS
+    route transforms the function once."""
+    from cstarconv import algebra, cli, groupfun
+
+    psi = tmp_path / "psi.json"
+    values = cc.s3_sign() - 1.0
+    psi.write_text(json.dumps({"group": "s3", "values": [[v, 0.0] for v in values]}))
+    spectra, validations, transforms = [], [], []
+    for module in (algebra, groupfun):
+        _counting(monkeypatch, module, "hermitian_spectrum", spectra)
+    _counting(monkeypatch, cc.IrrepTable, "validate", validations)
+    _counting(monkeypatch, groupfun, "fourier_matrices", transforms)
+    assert cli.main(["guichardet", "s3", str(psi)]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    kernel_spectra = [a for (a,) in spectra if np.shape(a)[-2:] == (6, 6)]
+    assert len(kernel_spectra) == 1 and np.shape(kernel_spectra[0]) == (2, 6, 6)
+    assert len(validations) == 1
+    assert len(transforms) == 1
+
+
+@pytest.mark.parametrize("name", ROUTE_GROUPS)
+def test_gns_route_forms_no_translation_kernel(name, rng, monkeypatch):
+    from cstarconv import groupfun
+
+    group, irreps = cc.builtin_group(name)
+    kernels = []
+    _counting(monkeypatch, groupfun, "kernel_matrix", kernels)
+    for values in _battery(group, rng):
+        try:
+            cc.guichardet_via_gns(group, irreps, values, tol=1e-8)
+        except cc.PreconditionError:
+            pass
+    assert kernels == []
+
+
+def _refusal(route, *args):
+    with pytest.raises(cc.PreconditionError) as info:
+        route(*args)
+    return str(info.value)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("name", ["s3", "q8", "zn:8"])
+def test_both_routes_list_the_same_violated_hypotheses(name, rng):
+    group, irreps = cc.builtin_group(name)
+    m, e = group.order, group.identity
+    valid = random_valid_kernel_function(group, rng)
+    spike = np.zeros(m, dtype=complex)
+    spike[[1, group.inverses[1]]] = 5.0
+    skew = valid.copy()
+    skew[2] += 1j
+    lifted = valid.copy()
+    lifted[e] += 0.1
+    undefined = valid.copy()
+    undefined[e] = np.nan
+    cases = {
+        "spike": (spike, ["function is not conditionally positive-definite"]),
+        "skew": (
+            skew,
+            ["function is not Hermitian", "function is not conditionally positive-definite"],
+        ),
+        "lifted": (lifted, ["function does not vanish at the identity"]),
+        "undefined": (
+            undefined,
+            [
+                "function is not Hermitian",
+                "function is not conditionally positive-definite",
+                "function does not vanish at the identity",
+            ],
+        ),
+    }
+    for label, (values, expected) in cases.items():
+        kernel_route = _refusal(cc.guichardet_constant, group, values)
+        gns_route = _refusal(cc.guichardet_via_gns, group, irreps, values)
+        assert kernel_route == gns_route, label
+        assert [p.split(" (value")[0] for p in kernel_route.split("; ")] == expected, label

@@ -753,9 +753,94 @@ def test_cli_guichardet_refuses_bad_irreps_before_the_kernel_route(
     assert cli.main(["guichardet", str(group), str(psi), "--irreps", str(irreps)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: irrep 2 violates the homomorphism law at (1, 2)\n" in captured.err
+    assert f"error: at {irreps}: irrep 2 violates the homomorphism law at (1, 2)\n" in captured.err
     assert calls == []
 
+
+
+def _s3_irreps_broken(kind):
+    """The S3 irreps with one defect of ``kind``, and the refusal it draws."""
+    mats = [np.array(m) for m in cc.s3_irreps().matrices]
+    if kind == "count":
+        mats[2] = mats[2][:5]
+        return mats, "irrep 2 has 5 matrices, expected 6"
+    if kind == "identity":
+        mats[2][0] = -mats[2][0]
+        return mats, "irrep 2 does not map the identity to 1"
+    if kind == "unitarity":
+        mats[2][1:] *= 2.0
+        return mats, "irrep 2 is not unitary at element 1"
+    if kind == "homomorphism":
+        mats[2][[1, 2]] = mats[2][[2, 1]]
+        return mats, "irrep 2 violates the homomorphism law at (1, 3)"
+    if kind == "dimensions":
+        return mats[:2], "irrep dimensions (1, 1) do not satisfy sum(d^2) == |G| == 6"
+    if kind == "trivial":
+        mats[0] = mats[1]
+        return mats, "irrep table must contain the trivial representation"
+    assert kind == "orthogonality"
+    mats[1] = mats[0]
+    return mats, "matrix coefficients violate Schur orthogonality"
+
+
+def _write_irreps(path, mats):
+    path.write_text(json.dumps({"irreps": [
+        {"dim": int(m.shape[1]), "matrices": schemas.to_pairs(m)} for m in mats
+    ]}))
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["count", "identity", "unitarity", "homomorphism", "dimensions", "trivial", "orthogonality"],
+)
+def test_cli_names_the_irrep_file_it_refuses(tmp_path, capsys, kind):
+    """Each refusal of ``IrrepTable.validate`` names the irrep file, from
+    ``guichardet --irreps`` and from ``validate``, and exits 2.  The irreps
+    are validated before any hypothesis on the function is decided, so a
+    function that is not conditionally positive-definite draws the same
+    refusal."""
+    from cstarconv import cli
+
+    s3 = cc.s3_group()
+    group = tmp_path / "S3.json"
+    group.write_text(json.dumps({"order": 6, "identity": 0, "table": s3.table.tolist()}))
+    valid, spike = tmp_path / "psi.json", tmp_path / "spike.json"
+    valid.write_text(json.dumps({"values": [[v - 1.0, 0.0] for v in cc.s3_sign()]}))
+    spike.write_text(json.dumps({"values": [[5.0 * (g == 3), 0.0] for g in range(6)]}))
+    mats, message = _s3_irreps_broken(kind)
+    irreps = tmp_path / "f.json"
+    _write_irreps(irreps, mats)
+    for argv in (["guichardet", str(group), str(valid), "--irreps", str(irreps)],
+                 ["guichardet", str(group), str(spike), "--irreps", str(irreps)],
+                 ["validate", str(group), str(irreps)]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: at {irreps}: {message}\n"
+
+
+def test_cli_does_not_blame_the_irrep_file_for_a_group_file(tmp_path, capsys):
+    """A monoid that is not a group is refused with the parent's messages,
+    which name no irrep file."""
+    from cstarconv import cli
+
+    monoid = tmp_path / "monoid.json"
+    monoid.write_text(json.dumps(
+        {"order": 3, "identity": 0, "table": [[0, 1, 2], [1, 2, 2], [2, 2, 2]]}
+    ))
+    psi = tmp_path / "psi.json"
+    psi.write_text(json.dumps({"values": [[0.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]]}))
+    irreps = tmp_path / "f.json"
+    _write_irreps(irreps, cc.cyclic_irreps(3).matrices)
+    runs = {
+        "error: irrep tables require a group\n": ["validate", str(monoid), str(irreps)],
+        "error: operation requires a group (some inverses missing)\n": [
+            "guichardet", str(monoid), str(psi), "--irreps", str(irreps)
+        ],
+    }
+    for err, argv in runs.items():
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == err
 
 def test_cli_guichardet_rejects_nonvanishing(tmp_path):
     psi_path = tmp_path / "psi.json"
