@@ -19,7 +19,8 @@ Reports go to stdout as JSON (default) or flattened ``key = value`` text.
 All numbers are serialized with 17 significant digits, a non-finite one as
 null, and the output is byte-deterministic for fixed inputs and seed;
 wall-clock timing goes to stderr only.  Exit codes: 0 all checks pass, 1 some check failed, 2 input
-could not be parsed.
+could not be parsed: each file is read inside :func:`cstarconv.io.at`, so a
+refusal of its content is ``error: at <file>: <reason>``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import hashlib
 import json
 import sys
 import time
-from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -121,18 +121,6 @@ def _check(name: str, residual: float, tol: float) -> dict:
     }
 
 
-@contextmanager
-def _naming_irrep_file(path: str | None, table: SemigroupTable):
-    """Prefix ``at <path>:`` to a refusal of the irrep file ``path`` (``None``:
-    built-in irreps) validated inside; a ``table`` that is not a group is not its fault."""
-    try:
-        yield
-    except ConstructionError as exc:
-        if path is None or not table.is_group:
-            raise
-        raise ConstructionError(f"at {path}: {exc}") from exc
-
-
 def _report(args, refs: list, files: list, body: dict, checks: list) -> tuple[dict, int]:
     """Header, body, checks and verdict of every report, with its exit code.
 
@@ -206,24 +194,26 @@ def _resolve_validate_targets(paths: list[str]) -> list[tuple[str, Bialgebra]]:
             continue
         from . import io as io_schemas
 
-        data = io_schemas.load_document(path)
-        if "table" in data:
-            table = io_schemas.load_semigroup(data)
-            targets.append((f"functions[{path}]", function_bialgebra(table)))
-            last_group = (path, table)
-        elif "irreps" in data:
-            if last_group is None:
-                raise SchemaError(
-                    f"at {path}: irrep file must follow a group (built-in or semigroup file)"
-                )
-            irreps = io_schemas.load_irreps(data)
-            with _naming_irrep_file(path, last_group[1]):
-                b = group_cstar_bialgebra(last_group[1], irreps)
-            targets.append((f"group_cstar[{last_group[0]}+{path}]", b))
-        elif "blocks" in data:
-            targets.append((f"bialgebra[{path}]", io_schemas.load_bialgebra(data)))
-        else:
-            raise SchemaError(f"at {path}: unrecognized schema (no table/irreps/blocks key)")
+        irreps = None
+        with io_schemas.at(path):
+            data = io_schemas.load_document(path)
+            if "table" in data:
+                table = io_schemas.load_semigroup(data)
+                targets.append((f"functions[{path}]", function_bialgebra(table)))
+                last_group = (path, table)
+            elif "irreps" in data:
+                if last_group is None:
+                    raise SchemaError("irrep file must follow a group (built-in or semigroup file)")
+                irreps = io_schemas.load_irreps(data)
+            elif "blocks" in data:
+                targets.append((f"bialgebra[{path}]", io_schemas.load_bialgebra(data)))
+            else:
+                raise SchemaError("unrecognized schema (no table/irreps/blocks key)")
+        if irreps is not None:
+            group, table = last_group
+            with io_schemas.at(path if table.is_group else group):
+                b = group_cstar_bialgebra(table, irreps)
+            targets.append((f"group_cstar[{group}+{path}]", b))
     return targets
 
 
@@ -248,12 +238,13 @@ def _resolve_bialgebra(ref: str) -> Bialgebra:
         return _builtin_group_cstar(name, table) if dual else function_bialgebra(table)
     from . import io as io_schemas
 
-    data = io_schemas.load_document(ref)
-    if "table" in data:
-        return function_bialgebra(io_schemas.load_semigroup(data))
-    if "blocks" in data:
-        return io_schemas.load_bialgebra(data)
-    raise SchemaError(f"at {ref}: unrecognized bialgebra schema")
+    with io_schemas.at(ref):
+        data = io_schemas.load_document(ref)
+        if "table" in data:
+            return function_bialgebra(io_schemas.load_semigroup(data))
+        if "blocks" in data:
+            return io_schemas.load_bialgebra(data)
+        raise SchemaError("unrecognized bialgebra schema")
 
 
 def _norm_bound_grid(t_max: float, generator_norm: float, tol: float) -> list[float]:
@@ -286,7 +277,8 @@ def cmd_evolve(args) -> tuple[dict, int]:
 
     tol = args.tol
     b = _resolve_bialgebra(args.bialgebra)
-    gamma = io_schemas.load_functional(b.algebra, args.gamma)
+    with io_schemas.at(args.gamma):
+        gamma = io_schemas.load_functional(b.algebra, args.gamma)
     times = args.times
     diag = generating_functional(b, gamma, tol)
     sg = associated_semigroup(b, gamma)
@@ -360,26 +352,28 @@ def cmd_guichardet(args) -> tuple[dict, int]:
             )
         table, irreps = builtin_group(builtin[0])
     else:
-        table = io_schemas.load_semigroup(args.group)
-        irreps = io_schemas.load_irreps(args.irreps) if args.irreps is not None else None
-    ref, values = io_schemas.load_group_function(args.psi)
-    if ref is not None and builtin and (not ref.strip() or builtin_name(ref) != builtin):
-        raise SchemaError(
-            f"at $.group: function file names group {ref!r}, command got {args.group!r}"
-        )
-    if values.shape != (table.order,):
-        raise SchemaError(
-            f"at $.values: expected {table.order} values, got {values.shape[0]}"
-        )
+        with io_schemas.at(args.group):
+            table = io_schemas.load_semigroup(args.group)
+        with io_schemas.at(args.irreps):
+            irreps = io_schemas.load_irreps(args.irreps) if args.irreps is not None else None
+    with io_schemas.at(args.psi):
+        ref, values = io_schemas.load_group_function(args.psi)
+        if ref is not None and builtin and (not ref.strip() or builtin_name(ref) != builtin):
+            with io_schemas.at("$.group"):
+                raise SchemaError(f"function file names group {ref!r}, command got {args.group!r}")
+        if values.shape != (table.order,):
+            with io_schemas.at("$.values"):
+                raise SchemaError(f"expected {table.order} values, got {values.shape[0]}")
     files = [args.psi] + ([args.irreps] if args.irreps is not None else [])
     try:
         # the GNS route validates the irreps first, so a refused irrep table
-        # costs no kernel work; each route decides its hypotheses itself
-        with _naming_irrep_file(args.irreps, table):
+        # costs no kernel work; each route decides its hypotheses itself.  A
+        # table that is not a group is its own file's fault
+        with io_schemas.at(args.irreps if table.is_group else args.group):
             via_gns = (
                 guichardet_via_gns(table, irreps, values, tol) if irreps is not None else None
             )
-        cert = guichardet_constant(table, values, tol)
+            cert = guichardet_constant(table, values, tol)
     except PreconditionError as exc:
         body = {"precondition_failures": str(exc).split("; ")}
         return _report(args, [args.group], files, body, [_check("preconditions", np.nan, tol)])

@@ -156,7 +156,8 @@ def guichardet_constant(
     and any smaller constant makes the ones-vector Rayleigh quotient
     negative.  The certificate re-verifies all three facts by eigenvalues,
     and its spectrum decides conditional positivity too: the shifted
-    kernel is ``P K P`` but for ``i Im(mean) J``.
+    kernel is ``P K P = K - mean J`` but for ``i Im(mean) J``, which leaves
+    the Hermitian part alone, so only the Hermitian defect is ``P K P``'s.
 
     Raises
     ------
@@ -164,15 +165,19 @@ def guichardet_constant(
         Listing each violated hypothesis (Hermitian, conditionally
         positive-definite, vanishing at the identity).
     """
-    _, values = _require_group(group, values)
+    inv, values = _require_group(group, values)
     m = group.order
-    constant = float(-np.mean(values).real)
+    mean = np.mean(values)
+    constant = float(-mean.real)
     shifted = values + constant
     kernel = kernel_matrix(group, shifted)
     lowered = kernel - MINIMALITY_DELTA
     spectra = hermitian_spectrum(np.stack([kernel, lowered]))
     (defect, _), (min_eig, lowered_min) = (a.tolist() for a in spectra)
-    _check_guichardet_preconditions(group, values, psd_within(defect, min_eig, tol), tol)
+    # the entries of K - mean J are those of values - mean: compare g with g^-1
+    centred = values - mean
+    centred_defect = np.abs(centred - centred[inv].conj()).max()
+    _check_guichardet_preconditions(group, values, psd_within(centred_defect, min_eig, tol), tol)
     # the ones vector is tested against the matrix whose spectrum is certified
     ones_residual = float(np.linalg.norm((kernel + kernel.conj().T) / 2 @ np.ones(m)))
     return GuichardetCertificate(

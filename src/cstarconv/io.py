@@ -12,6 +12,9 @@ Matrices are row-major nested lists in canonical basis order.  Schemas:
 * group function:   ``{"group": <ref>, "values": [[re, im], ...]}``
 
 A ``<ref>`` is a built-in fixture name (``zn:<n>``, ``s3``, ``d4``, ``q8``).
+The loaders refuse by JSON path through :func:`at`, the one frame that
+prefixes a refusal; read inside ``at(path)``, a file's refusals are
+``at <path>: at <JSON path>: <reason>``.
 
 Complex numbers are ``[re, im]`` pairs, and one codec reads and writes
 them.  :func:`_decode` reads pairs nested ``rank`` lists deep: rank 1 for
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
@@ -31,13 +35,27 @@ import numpy as np
 
 from .algebra import Algebra, Functional, tensor_algebra
 from .bialgebra import Bialgebra
-from .errors import SchemaError
+from .errors import PreconditionError, SchemaError
 from .groups import IrrepTable, SemigroupTable
 from .maps import LinearMap
 
 
+@contextmanager
+def at(where: str | None):
+    """Refuse a ``ValueError`` or ``OverflowError`` raised inside as the
+    :class:`SchemaError` ``at <where>: <reason>``, ``where`` a file or JSON path."""
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        # a precondition is a verdict, and None or a blank path names no file
+        if isinstance(exc, PreconditionError) or not str(where or "").strip():
+            raise
+        raise SchemaError(f"at {where}: {exc}") from exc
+
+
 def _fail(path: str, message: str):
-    raise SchemaError(f"at {path}: {message}")
+    with at(path):
+        raise SchemaError(message)
 
 
 def _is_number(value) -> bool:
@@ -133,9 +151,9 @@ def load_document(source) -> dict:
     except (ValueError, RecursionError) as exc:
         # JSONDecodeError, UnicodeDecodeError, integers past the digit limit
         # and too deep nesting
-        raise SchemaError(f"at {source}: invalid JSON ({exc})") from exc
+        raise SchemaError(f"invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
-        raise SchemaError(f"at {source}: top level must be an object")
+        raise SchemaError("top level must be an object")
     return data
 
 
@@ -158,15 +176,13 @@ def load_semigroup(source) -> SemigroupTable:
             _as_int(v, f"$.table[{r}][{c}]")
     if not 0 <= identity < order:
         _fail("$.identity", f"identity index {identity} out of range")
-    try:
-        return SemigroupTable(np.array(table), identity)
-    except (ValueError, OverflowError) as exc:  # an entry past the index range, or a law
-        # SemigroupTable checks the entries, then the identity, then associativity
-        unit = list(range(order))
-        indices = all(0 <= v < order for row in table for v in row)
-        not_unit = table[identity] != unit or [row[identity] for row in table] != unit
-        where = "$.identity" if indices and not_unit else "$.table"
-        raise SchemaError(f"at {where}: {exc}") from exc
+    # SemigroupTable checks the entries, then the identity, then associativity
+    array = np.array(table)  # of object dtype for an entry past every integer dtype
+    unit = np.arange(order)
+    indices = array.dtype.kind == "i" and 0 <= array.min() and array.max() < order
+    is_unit = np.array_equal(array[identity], unit) and np.array_equal(array[:, identity], unit)
+    with at("$.table" if is_unit or not indices else "$.identity"):
+        return SemigroupTable(array, identity)
 
 
 def load_irreps(source) -> IrrepTable:
@@ -183,10 +199,8 @@ def load_irreps(source) -> IrrepTable:
         if stack.shape[1:] != (d, d):
             _fail(prefix, f"matrices have shape {stack.shape[1:]}, declared dim {d}")
         mats.append(stack)
-    try:
+    with at("$.irreps"):
         return IrrepTable(tuple(mats))
-    except ValueError as exc:
-        raise SchemaError(f"at $.irreps: {exc}") from exc
 
 
 def load_bialgebra(source) -> Bialgebra:
@@ -201,10 +215,8 @@ def load_bialgebra(source) -> Bialgebra:
     if not isinstance(blocks, list):
         _fail("$.blocks", "expected a list of integers")
     blocks = tuple(_as_int(n, f"$.blocks[{i}]") for i, n in enumerate(blocks))
-    try:
+    with at("$.blocks"):
         algebra = Algebra(blocks)
-    except ValueError as exc:
-        raise SchemaError(f"at $.blocks: {exc}") from exc
     delta = _decode(data["delta"], 2, "$.delta")
     square = tensor_algebra(algebra, algebra)
     if delta.shape != (square.dim, algebra.dim):
@@ -216,14 +228,10 @@ def load_bialgebra(source) -> Bialgebra:
     if not isinstance(epsilon, list):
         _fail("$.epsilon", "expected a list of dual blocks")
     dual = [_decode(m, 2, f"$.epsilon[{i}]") for i, m in enumerate(epsilon)]
-    try:
+    with at("$.epsilon"):
         eps = algebra.functional(dual)
-    except ValueError as exc:
-        raise SchemaError(f"at $.epsilon: {exc}") from exc
-    try:
+    with at("$"):
         return Bialgebra(algebra, LinearMap(algebra, square, delta), eps)
-    except ValueError as exc:
-        raise SchemaError(f"at $: {exc}") from exc
 
 
 def load_functional(algebra: Algebra, source) -> Functional:
@@ -231,10 +239,8 @@ def load_functional(algebra: Algebra, source) -> Functional:
     if "dual_blocks" not in data or not isinstance(data["dual_blocks"], list):
         _fail("$", "functional file must contain a list under 'dual_blocks'")
     blocks = [_decode(m, 2, f"$.dual_blocks[{i}]") for i, m in enumerate(data["dual_blocks"])]
-    try:
+    with at("$.dual_blocks"):
         return algebra.functional(blocks)
-    except ValueError as exc:
-        raise SchemaError(f"at $.dual_blocks: {exc}") from exc
 
 
 def load_group_function(source) -> tuple[str | None, np.ndarray]:

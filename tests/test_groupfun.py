@@ -574,6 +574,11 @@ def test_both_routes_list_the_same_violated_hypotheses(name, rng):
     undefined = valid.copy()
     undefined[e] = np.nan
     cases = {
+        # conditionally positive-definite: i a J vanishes on zero-sum vectors
+        "imaginary-constant": (
+            valid + 1e-3j,
+            ["function is not Hermitian", "function does not vanish at the identity"],
+        ),
         "spike": (spike, ["function is not conditionally positive-definite"]),
         "skew": (
             skew,

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -317,7 +318,7 @@ def test_cli_rejects_broken_structure_files(tmp_path, capsys, kind, doc, where):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
-    assert f"error: at {where}:" in captured.err
+    assert captured.err.startswith(f"error: at {path}: at {where}: ")
 
 
 # (command, file, path in the message): a JSON boolean in a [re, im] pair was
@@ -350,7 +351,7 @@ def test_cli_rejects_boolean_numbers(tmp_path, capsys, command, doc, where):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
-    assert f"error: at {where}:" in captured.err
+    assert captured.err.startswith(f"error: at {path}: at {where}: ")
 
 
 # (command, file, message): a refusal of a whole array names the array
@@ -389,7 +390,7 @@ def test_cli_refuses_a_whole_array_at_its_path(tmp_path, capsys, kind, doc, mess
         argv = ["guichardet", "s3", str(path)]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.splitlines()[0] == f"error: {message}"
+    assert captured.out == "" and captured.err.splitlines()[0] == f"error: at {path}: {message}"
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +431,7 @@ def test_cli_validate_corrupted_delta(tmp_path, z2_functions):
 def test_cli_validate_hyper_bialgebra_file(tmp_path):
     """The S3 class-hypergroup coproduct is completely positive and unital but
     not multiplicative: with ``"mode": "hyper"`` both commands refuse the file
-    (exit 2, naming ``$.mode``), and with ``"hom"`` it fails the homomorphism
+    (exit 2, naming the file and ``$.mode``), and with ``"hom"`` it fails the homomorphism
     law alone."""
     from test_bialgebra import s3_class_hyperbialgebra
 
@@ -447,7 +448,7 @@ def test_cli_validate_hyper_bialgebra_file(tmp_path):
     for argv in (["validate", str(path)], ["evolve", str(path), str(gamma)]):
         result = run_cli(*argv)
         assert result.returncode == 2 and result.stdout == ""
-        assert result.stderr.startswith("error: at $.mode: ")
+        assert result.stderr.startswith(f"error: at {path}: at $.mode: ")
         assert "*-homomorphism" in result.stderr and "Traceback" not in result.stderr
     payload["mode"] = "hom"
     path.write_text(json.dumps(payload))
@@ -820,8 +821,8 @@ def test_cli_names_the_irrep_file_it_refuses(tmp_path, capsys, kind):
 
 
 def test_cli_does_not_blame_the_irrep_file_for_a_group_file(tmp_path, capsys):
-    """A monoid that is not a group is refused with the parent's messages,
-    which name no irrep file."""
+    """A monoid that is not a group is refused as the group file's fault,
+    never the irrep file's."""
     from cstarconv import cli
 
     monoid = tmp_path / "monoid.json"
@@ -833,14 +834,155 @@ def test_cli_does_not_blame_the_irrep_file_for_a_group_file(tmp_path, capsys):
     irreps = tmp_path / "f.json"
     _write_irreps(irreps, cc.cyclic_irreps(3).matrices)
     runs = {
-        "error: irrep tables require a group\n": ["validate", str(monoid), str(irreps)],
-        "error: operation requires a group (some inverses missing)\n": [
+        f"error: at {monoid}: irrep tables require a group\n": [
+            "validate", str(monoid), str(irreps)
+        ],
+        f"error: at {monoid}: operation requires a group (some inverses missing)\n": [
             "guichardet", str(monoid), str(psi), "--irreps", str(irreps)
         ],
     }
     for err, argv in runs.items():
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == err
+
+# the files a refusal case reads: valid ones, and one defect each
+NAMED_FILES = {
+    "z2": _semigroup_doc(2, 0, Z2_TABLE),
+    "bad_table": _semigroup_doc(2, 0, [[0, 5], [1, 0]]),
+    "monoid": _semigroup_doc(3, 0, [[0, 1, 2], [1, 2, 2], [2, 2, 2]]),
+    "bad_bialgebra": _bialgebra_doc([1, -1]),
+    "unknown": {"rows": []},
+    "gamma": {"dual_blocks": [[[[-1.0, 0.0]]], [[[1.0, 0.0]]]]},
+    "one_block": {"dual_blocks": [[[[-1.0, 0.0]]]]},
+    "psi": {"values": [[0.0, 0.0]] + [[-1.0, 0.0]] * 5},
+    "psi3": {"values": [[0.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]]},
+    "five_values": {"values": [[0.0, 0.0]] + [[-1.0, 0.0]] * 4},
+    "zn6_psi": {"group": "zn:6", "values": [[0.0, 0.0]] + [[-1.0, 0.0]] * 5},
+    "not_json": "{oops",
+}
+
+# (argv, refused file, start of its reason): one case per schema and command
+# that reads it, the file refused among valid ones
+NAMED_REFUSALS = {
+    "validate-second-table": (
+        ["validate", "{z2}", "{bad_table}"], "bad_table",
+        "at $.table: table entries must be element indices",
+    ),
+    "validate-bialgebra": (
+        ["validate", "{z2}", "{bad_bialgebra}"], "bad_bialgebra",
+        "at $.blocks: block dimensions must be positive, got (1, -1)",
+    ),
+    "validate-irreps-after-builtin": (
+        ["validate", "s3", "{bad_irreps}"], "bad_irreps", "irrep 2 has 5 matrices, expected 6"
+    ),
+    "validate-orphan-irreps": (
+        ["validate", "{irreps}", "{z2}"], "irreps",
+        "irrep file must follow a group (built-in or semigroup file)",
+    ),
+    "validate-unknown-schema": (
+        ["validate", "{z2}", "{unknown}"], "unknown",
+        "unrecognized schema (no table/irreps/blocks key)",
+    ),
+    "validate-not-json": (["validate", "{z2}", "{not_json}"], "not_json", "invalid JSON ("),
+    "evolve-block-count": (
+        ["evolve", "zn:2", "{one_block}"], "one_block",
+        "at $.dual_blocks: expected 2 blocks, got 1",
+    ),
+    "evolve-block-count-table-file": (
+        ["evolve", "{z2}", "{one_block}"], "one_block",
+        "at $.dual_blocks: expected 2 blocks, got 1",
+    ),
+    "evolve-table": (
+        ["evolve", "{bad_table}", "{gamma}"], "bad_table",
+        "at $.table: table entries must be element indices",
+    ),
+    "evolve-bialgebra": (
+        ["evolve", "{bad_bialgebra}", "{gamma}"], "bad_bialgebra",
+        "at $.blocks: block dimensions must be positive, got (1, -1)",
+    ),
+    "evolve-unknown-schema": (
+        ["evolve", "{unknown}", "{gamma}"], "unknown", "unrecognized bialgebra schema"
+    ),
+    "guichardet-value-count": (
+        ["guichardet", "s3", "{five_values}"], "five_values",
+        "at $.values: expected 6 values, got 5",
+    ),
+    "guichardet-value-count-file-group": (
+        ["guichardet", "{s3}", "{five_values}", "--irreps", "{irreps}"], "five_values",
+        "at $.values: expected 6 values, got 5",
+    ),
+    "guichardet-group-mismatch": (
+        ["guichardet", "s3", "{zn6_psi}"], "zn6_psi",
+        "at $.group: function file names group 'zn:6', command got 's3'",
+    ),
+    "guichardet-not-a-group": (
+        ["guichardet", "{monoid}", "{psi3}"], "monoid",
+        "operation requires a group (some inverses missing)",
+    ),
+    "guichardet-table": (
+        ["guichardet", "{bad_table}", "{psi}"], "bad_table",
+        "at $.table: table entries must be element indices",
+    ),
+    "guichardet-irreps": (
+        ["guichardet", "{s3}", "{psi}", "--irreps", "{bad_irreps}"], "bad_irreps",
+        "irrep 2 has 5 matrices, expected 6",
+    ),
+    "guichardet-irreps-not-json": (
+        ["guichardet", "{s3}", "{psi}", "--irreps", "{not_json}"], "not_json", "invalid JSON ("
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, culprit, reason", NAMED_REFUSALS.values(), ids=NAMED_REFUSALS.keys()
+)
+def test_cli_names_the_file_whose_content_it_refuses(tmp_path, capsys, argv, culprit, reason):
+    """Exit 2 with one line ``error: at <file>: <reason>``, naming the refused
+    file and no other, whatever its schema, command or place on the line."""
+    from cstarconv import cli
+
+    paths = {}
+    for name, doc in NAMED_FILES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    paths["s3"] = Path(_s3_group_file(tmp_path))
+    paths["irreps"], paths["bad_irreps"] = tmp_path / "irreps.json", tmp_path / "bad_irreps.json"
+    _write_irreps(paths["irreps"], cc.s3_irreps().matrices)
+    _write_irreps(paths["bad_irreps"], _s3_irreps_broken("count")[0])
+    assert cli.main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: at {paths[culprit]}: {reason}")
+    assert [p for p in paths.values() if str(p) in line] == [paths[culprit]]
+
+
+def _strings_beginning_with_at(path: Path) -> list[int]:
+    """Lines of the strings and f-strings of ``path`` whose text begins ``at ``."""
+    tree = ast.parse(path.read_text(), str(path))
+    parts = {id(v) for n in ast.walk(tree) if isinstance(n, ast.JoinedStr) for v in n.values}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr) and node.values:
+            first = node.values[0]
+            text = first.value if isinstance(first, ast.Constant) else ""
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            text = "" if id(node) in parts else node.value
+        else:
+            continue
+        if text.startswith("at "):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_one_frame_prefixes_every_refusal():
+    """``io.at`` writes the one ``at <where>: `` prefix; no other string of
+    the package begins a message that way."""
+    package = Path(cc.__file__).resolve().parent
+    found = {p.name: _strings_beginning_with_at(p) for p in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines and name != "io.py"} == {}
+    assert len(found["io.py"]) == 1
+
 
 def test_cli_guichardet_rejects_nonvanishing(tmp_path):
     psi_path = tmp_path / "psi.json"
