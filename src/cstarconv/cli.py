@@ -17,10 +17,10 @@ of the functionals it involves.
 
 Reports go to stdout as JSON (default) or flattened ``key = value`` text.
 All numbers are serialized with 17 significant digits, a non-finite one as
-null, and the output is byte-deterministic for fixed inputs and seed;
-wall-clock timing goes to stderr only.  Exit codes: 0 all checks pass, 1 some check failed, 2 input
-could not be parsed: each file is read inside :func:`cstarconv.io.at`, so a
-refusal of its content is ``error: at <file>: <reason>``.
+null, and the output is byte-deterministic for fixed inputs, seed and BLAS
+thread count; wall-clock timing goes to stderr only.  Exit codes: 0 all
+checks pass, 1 some check failed, 2 input could not be parsed: each file is
+read inside :func:`cstarconv.io.at`: a refusal of its content is ``error: at <file>: <reason>``.
 """
 
 from __future__ import annotations
@@ -194,26 +194,21 @@ def _resolve_validate_targets(paths: list[str]) -> list[tuple[str, Bialgebra]]:
             continue
         from . import io as io_schemas
 
-        irreps = None
         with io_schemas.at(path):
-            data = io_schemas.load_document(path)
-            if "table" in data:
-                table = io_schemas.load_semigroup(data)
-                targets.append((f"functions[{path}]", function_bialgebra(table)))
-                last_group = (path, table)
-            elif "irreps" in data:
-                if last_group is None:
-                    raise SchemaError("irrep file must follow a group (built-in or semigroup file)")
-                irreps = io_schemas.load_irreps(data)
-            elif "blocks" in data:
-                targets.append((f"bialgebra[{path}]", io_schemas.load_bialgebra(data)))
-            else:
-                raise SchemaError("unrecognized schema (no table/irreps/blocks key)")
-        if irreps is not None:
-            group, table = last_group
-            with io_schemas.at(path if table.is_group else group):
-                b = group_cstar_bialgebra(table, irreps)
-            targets.append((f"group_cstar[{group}+{path}]", b))
+            structure = io_schemas.load_structure(path)
+            if isinstance(structure, SemigroupTable):
+                targets.append((f"functions[{path}]", function_bialgebra(structure)))
+                last_group = (path, structure)
+                continue
+            if isinstance(structure, Bialgebra):
+                targets.append((f"bialgebra[{path}]", structure))
+                continue
+            if last_group is None:
+                raise SchemaError("irrep file must follow a group (built-in or semigroup file)")
+        group, table = last_group  # an irrep table, of the group before it
+        with io_schemas.at(path if table.is_group else group):
+            b = group_cstar_bialgebra(table, structure)
+        targets.append((f"group_cstar[{group}+{path}]", b))
     return targets
 
 
@@ -239,12 +234,12 @@ def _resolve_bialgebra(ref: str) -> Bialgebra:
     from . import io as io_schemas
 
     with io_schemas.at(ref):
-        data = io_schemas.load_document(ref)
-        if "table" in data:
-            return function_bialgebra(io_schemas.load_semigroup(data))
-        if "blocks" in data:
-            return io_schemas.load_bialgebra(data)
-        raise SchemaError("unrecognized bialgebra schema")
+        structure = io_schemas.load_structure(ref)
+        if isinstance(structure, SemigroupTable):
+            return function_bialgebra(structure)
+        if isinstance(structure, Bialgebra):
+            return structure
+        raise SchemaError("expected a table or bialgebra file, got irreps")
 
 
 def _norm_bound_grid(t_max: float, generator_norm: float, tol: float) -> list[float]:

@@ -16,11 +16,11 @@ The loaders refuse by JSON path through :func:`at`, the one frame that
 prefixes a refusal; read inside ``at(path)``, a file's refusals are
 ``at <path>: at <JSON path>: <reason>``.
 
-Complex numbers are ``[re, im]`` pairs, and one codec reads and writes
-them.  :func:`_decode` reads pairs nested ``rank`` lists deep: rank 1 for
-group-function values, 2 for a matrix and 3 for an irrep's stack of
-matrices; a malformed array is refused at its first defect, by path.
-:func:`to_pairs` writes an array of any rank.
+One codec reads every array: :func:`_decode` reads leaves nested ``rank``
+lists deep, ``[re, im]`` pairs (group-function values, a matrix, an irrep's
+stack of matrices: rank 1, 2, 3) or JSON integers (block sizes, a table:
+rank 1, 2), and refuses a malformed array at its first defect, by path.
+:func:`to_pairs` writes a complex array of any rank as pairs.
 """
 
 from __future__ import annotations
@@ -82,37 +82,42 @@ def _as_finite(value: int | float, path: str) -> float:
     return number
 
 
-def _decode(value, rank: int, path: str) -> np.ndarray:
+def _decode(value, rank: int, path: str, leaf: type = complex) -> np.ndarray:
     """``value`` by the fast path, or by the walk where the fast path refuses."""
-    array = _decode_fast(value, rank)
-    return _walk(value, rank, path) if array is None else array
+    array = _decode_fast(value, rank, leaf)
+    return _walk(value, rank, path, leaf) if array is None else array
 
 
-def _decode_fast(value, rank: int) -> np.ndarray | None:
-    """A well-formed value in one ``np.array`` call, else ``None``: a
-    boolean, a string, a wrong pair length, a ragged level, a non-finite
-    number or an integer past float range all go to :func:`_walk`."""
+def _decode_fast(value, rank: int, leaf: type = complex) -> np.ndarray | None:
+    """A well-formed value in one ``np.array`` call, else ``None``: a boolean,
+    a string, a wrong pair length, a ragged level, a non-finite number, an
+    integer past float range or a float where an integer belongs go to :func:`_walk`."""
     try:
         array = np.array(value)
     except (ValueError, OverflowError):  # ragged, or an integer past every dtype
         return None
-    if array.dtype.kind not in "iuf" or array.shape[rank:] != (2,):
+    pair = leaf is complex  # a pair is one more level, of length 2
+    if array.dtype.kind not in ("iuf" if pair else "iu") or array.shape[rank:] != (2,) * pair:
         return None
     scalars = value
-    for _ in range(rank):
+    for _ in range(rank - 1 + pair):
         scalars = chain.from_iterable(scalars)
     # numpy reads a boolean beside numbers as 0 or 1; the type scan runs in C
     if bool in set(map(type, scalars)):
         return None
+    if not pair:
+        return array
     pairs = np.ascontiguousarray(array, dtype=np.float64)
     if not np.isfinite(pairs).all():
         return None
     return pairs.view(np.complex128)[..., 0]
 
 
-def _walk(value, rank: int, path: str) -> np.ndarray:
-    """:func:`_decode` entry by entry, where rank 0 is one pair; a rank-1
+def _walk(value, rank: int, path: str, leaf: type = complex) -> np.ndarray:
+    """:func:`_decode` entry by entry, rank 0 being one pair or integer; a rank-1
     list may be empty, and the matrices of a rank-3 stack agree in shape."""
+    if rank == 0 and leaf is int:
+        return _as_int(value, path)
     if rank == 0:
         pair = isinstance(value, (list, tuple)) and len(value) == 2
         if not (pair and all(map(_is_number, value))):
@@ -128,12 +133,12 @@ def _walk(value, rank: int, path: str) -> np.ndarray:
             _fail(where, "expected a list (matrix row)")
         if rank == 2 and len(part) != len(value[0]):
             _fail(where, f"ragged row: {len(part)} entries, expected {len(value[0])}")
-        parts.append(_walk(part, rank - 1, where))
+        parts.append(_walk(part, rank - 1, where, leaf))
     # rows agree by now; matrices are compared once all of them are read
     for i, part in enumerate(parts):
-        if part.shape != parts[0].shape:
+        if np.shape(part) != np.shape(parts[0]):
             _fail(f"{path}[{i}]", f"shape {part.shape} differs from matrices[0] {parts[0].shape}")
-    return np.array(parts, dtype=np.complex128)
+    return np.array(parts, dtype=np.complex128 if leaf is complex else None)
 
 
 def to_pairs(array) -> list:
@@ -169,15 +174,13 @@ def load_semigroup(source) -> SemigroupTable:
         _fail("$.order", f"expected a positive integer, got {order!r}")
     if not isinstance(table, list) or len(table) != order:
         _fail("$.table", f"expected {order} rows")
-    for r, row in enumerate(table):
+    for r, row in enumerate(table):  # counted first, so the codec meets a square
         if not isinstance(row, list) or len(row) != order:
             _fail(f"$.table[{r}]", f"expected {order} entries")
-        for c, v in enumerate(row):
-            _as_int(v, f"$.table[{r}][{c}]")
+    array = _decode(table, 2, "$.table", int)  # of object dtype past every integer dtype
     if not 0 <= identity < order:
         _fail("$.identity", f"identity index {identity} out of range")
     # SemigroupTable checks the entries, then the identity, then associativity
-    array = np.array(table)  # of object dtype for an entry past every integer dtype
     unit = np.arange(order)
     indices = array.dtype.kind == "i" and 0 <= array.min() and array.max() < order
     is_unit = np.array_equal(array[identity], unit) and np.array_equal(array[:, identity], unit)
@@ -214,9 +217,9 @@ def load_bialgebra(source) -> Bialgebra:
     blocks = data["blocks"]
     if not isinstance(blocks, list):
         _fail("$.blocks", "expected a list of integers")
-    blocks = tuple(_as_int(n, f"$.blocks[{i}]") for i, n in enumerate(blocks))
+    _decode(blocks, 1, "$.blocks", int)  # refused by path; Algebra takes the exact integers
     with at("$.blocks"):
-        algebra = Algebra(blocks)
+        algebra = Algebra(tuple(blocks))
     delta = _decode(data["delta"], 2, "$.delta")
     square = tensor_algebra(algebra, algebra)
     if delta.shape != (square.dim, algebra.dim):
@@ -232,6 +235,16 @@ def load_bialgebra(source) -> Bialgebra:
         eps = algebra.functional(dual)
     with at("$"):
         return Bialgebra(algebra, LinearMap(algebra, square, delta), eps)
+
+
+def load_structure(source) -> SemigroupTable | IrrepTable | Bialgebra:
+    """A file's table, irreps or bialgebra: its first key of table, irreps, blocks decides."""
+    data = load_document(source)
+    loaders = {"table": load_semigroup, "irreps": load_irreps, "blocks": load_bialgebra}
+    for key, load in loaders.items():
+        if key in data:
+            return load(data)
+    raise SchemaError("unrecognized schema (no table/irreps/blocks key)")
 
 
 def load_functional(algebra: Algebra, source) -> Functional:

@@ -8,6 +8,11 @@ after an intended change of output, run
 named cases, or all of them when none is named, and exits 2 on an unknown
 name.  Re-recording one case leaves the other files as they are, so their
 last digits do not move with the CPU that runs it.
+
+Bytes are fixed for one BLAS build and thread count.  Across thread counts
+``test_reports_agree_across_blas_thread_counts`` pins the weaker contract on
+``Z_256``: the same exit codes and verdicts, and numbers within
+``NUMBER_TOL * max(1, |x|)``.
 """
 
 import contextlib
@@ -19,9 +24,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import cstarconv as cc
 from cstarconv import cli
+from cstarconv import io as schemas
+from cstarconv.sampling import random_generating_functional
 
 GOLDEN = Path(__file__).parent / "golden"
 NUMBER_TOL = 1e-12
@@ -50,21 +59,24 @@ def run_case(argv):
     return {"exit_code": code, "stdout": out.getvalue()}
 
 
-def assert_matches(got, want, path="$"):
+def assert_matches(got, want, path="$", relative=False):
+    """``NUMBER_TOL`` bounds each number's difference, scaled by
+    ``max(1, |want|)`` when ``relative``."""
     if isinstance(want, dict):
         assert isinstance(got, dict), path
         assert list(got) == list(want), f"{path}: keys differ"
         for key in want:
-            assert_matches(got[key], want[key], f"{path}.{key}")
+            assert_matches(got[key], want[key], f"{path}.{key}", relative)
     elif isinstance(want, list):
         assert isinstance(got, list) and len(got) == len(want), path
         for i, (g, w) in enumerate(zip(got, want)):
-            assert_matches(g, w, f"{path}[{i}]")
+            assert_matches(g, w, f"{path}[{i}]", relative)
     elif isinstance(want, (bool, str)) or want is None:
         assert got == want and type(got) is type(want), path
     else:
         assert isinstance(got, (int, float)) and not isinstance(got, bool), path
-        assert math.isfinite(got) and abs(got - want) <= NUMBER_TOL, (
+        bound = NUMBER_TOL * (max(1.0, abs(want)) if relative else 1.0)
+        assert math.isfinite(got) and abs(got - want) <= bound, (
             f"{path}: {got!r} vs recorded {want!r}"
         )
 
@@ -75,6 +87,53 @@ def test_cli_report_matches_golden(name):
     got = run_case(CASES[name])
     assert got["exit_code"] == recorded["exit_code"]
     assert_matches(json.loads(got["stdout"]), json.loads(recorded["stdout"]))
+
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+ORDER = 256
+
+
+def _run_with_threads(argv: list[str], threads: int, cwd) -> tuple[int, dict]:
+    """``python -m cstarconv argv`` in a child whose environment alone sets
+    the BLAS thread count."""
+    env = os.environ | dict.fromkeys(THREAD_VARIABLES, str(threads))
+    argv = [sys.executable, "-m", "cstarconv", *argv]
+    result = subprocess.run(argv, capture_output=True, text=True, cwd=cwd, env=env)
+    assert result.returncode in (0, 1), result.stderr
+    return result.returncode, json.loads(result.stdout)
+
+
+@pytest.fixture(scope="module")
+def zn_inputs(tmp_path_factory):
+    """A seeded valid generator on functions on ``Z_256`` and ``psi = -(1 - delta_e)``."""
+    folder = tmp_path_factory.mktemp("threads")
+    b = cc.function_bialgebra(cc.cyclic_group(ORDER))
+    gamma = random_generating_functional(b, np.random.default_rng(5))
+    blocks = [schemas.to_pairs(blk) for blk in gamma.dual_blocks]
+    (folder / "gamma.json").write_text(json.dumps({"dual_blocks": blocks}))
+    values = [[0.0, 0.0]] + [[-1.0, 0.0]] * (ORDER - 1)
+    (folder / "psi.json").write_text(json.dumps({"values": values}))
+    return folder
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", f"zn:{ORDER}", "gamma.json", "--times", "0.5,2"],
+        ["guichardet", f"zn:{ORDER}", "psi.json"],
+    ],
+    ids=["evolve", "guichardet"],
+)
+def test_reports_agree_across_blas_thread_counts(zn_inputs, argv):
+    """Bytes are fixed for one BLAS thread count.  With 1 and 2 threads a
+    BLAS may sum in another order, and only the last bits may move: the same
+    exit code and verdicts, every number within ``NUMBER_TOL * max(1, |x|)``."""
+    one_code, one = _run_with_threads(argv, 1, zn_inputs)
+    two_code, two = _run_with_threads(argv, 2, zn_inputs)
+    assert one_code == two_code
+    verdicts = [[(c["name"], c["pass"]) for c in report["checks"]] for report in (one, two)]
+    assert verdicts[0] == verdicts[1]
+    assert_matches(two, one, relative=True)
 
 
 def test_recording_one_case_rewrites_only_its_file(tmp_path, monkeypatch):

@@ -185,6 +185,66 @@ def test_matrix_decoding_matches_per_entry_walk(rank, text, fast):
         assert decoded.tobytes() == walked.tobytes()  # signed zeros included
 
 
+# integer arrays, rank 1 for block sizes and 2 for a table: (rank, text, fast)
+INTEGER_TEXTS = {
+    "table": (2, "[[0, 1], [1, 0]]", True),
+    "blocks": (1, "[1, 2, 2]", True),
+    "negative": (2, "[[0, -1], [1, 0]]", True),
+    "past-int63": (1, "[9223372036854775808]", True),
+    "bool": (2, "[[0, true], [1, 0]]", False),
+    "only-bools": (1, "[true, false]", False),
+    "float": (2, "[[0, 1.0], [1, 0]]", False),
+    "string": (1, '[1, "2"]', False),
+    "null": (1, "[1, null]", False),
+    "past-int64": (2, "[[0, 18446744073709551616], [1, 0]]", False),
+    "past-int63-beside-negative": (2, "[[0, -1], [9223372036854775808, 0]]", False),
+    "ragged": (2, "[[0, 1], [1]]", False),
+    "pairs": (1, "[[1, 0]]", False),
+    "empty": (1, "[]", False),
+}
+
+
+@pytest.mark.parametrize("rank, text, fast", INTEGER_TEXTS.values(), ids=INTEGER_TEXTS.keys())
+def test_integer_decoding_matches_per_entry_walk(rank, text, fast):
+    """Both paths agree on every integer array, and an array they accept is
+    the one ``np.array`` makes of the JSON lists, of object dtype past int64."""
+    value = json.loads(text)
+    assert (schemas._decode_fast(value, rank, int) is not None) == fast
+
+    def outcome(decode):
+        try:
+            return decode(value, rank, "$.t", int)
+        except cc.SchemaError as exc:
+            return str(exc)
+
+    walked, decoded = outcome(schemas._walk), outcome(schemas._decode)
+    if isinstance(walked, str):
+        assert decoded == walked and walked.startswith("at $.t[")
+    elif value:
+        expected = np.array(value)
+        assert decoded.dtype == walked.dtype == expected.dtype
+        assert decoded.tolist() == walked.tolist() == expected.tolist()
+
+
+class Walked(Exception):
+    pass
+
+
+def test_a_valid_table_takes_the_fast_path(monkeypatch):
+    """A valid table never reaches the walk; a boolean entry, which numpy
+    reads as 0 or 1, still does."""
+
+    def walk(*args):
+        raise Walked(args[2])
+
+    monkeypatch.setattr(schemas, "_walk", walk)
+    z64 = cc.cyclic_group(64)
+    doc = json.loads(json.dumps(_semigroup_doc(64, 0, z64.table.tolist())))
+    assert np.array_equal(schemas.load_semigroup(doc).table, z64.table)
+    with pytest.raises(Walked, match=re.escape("$.table")):
+        schemas.load_semigroup(BROKEN_STRUCTURE_FILES["bool-table-entry"][1])
+
+
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.79e308, -1.79e308, 1.0]
 
 
@@ -319,6 +379,49 @@ def test_cli_rejects_broken_structure_files(tmp_path, capsys, kind, doc, where):
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.startswith(f"error: at {path}: at {where}: ")
+
+
+def _z3_with(row: int, entries) -> list:
+    """The table of ``Z_3`` with row ``row`` replaced by ``entries``."""
+    table = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    table[row] = entries
+    return table
+
+
+# (table of an order-3 file, its whole refusal): each entry defect sits past
+# the first row and column, so its path is exact, and every message is pinned
+TABLE_REFUSALS = {
+    "row-count": ([[0, 1, 2], [1, 2, 0]], "at $.table: expected 3 rows"),
+    "short-row": (_z3_with(1, [1, 2]), "at $.table[1]: expected 3 entries"),
+    "long-row": (_z3_with(1, [1, 2, 0, 0]), "at $.table[1]: expected 3 entries"),
+    "row-not-a-list": (_z3_with(1, 5), "at $.table[1]: expected 3 entries"),
+    "ragged-first-row-too-long": (_z3_with(0, [0, 1, 2, 0]), "at $.table[0]: expected 3 entries"),
+    "float-entry": (_z3_with(1, [1, 2.0, 0]), "at $.table[1][1]: expected an integer, got 2.0"),
+    "string-entry": (_z3_with(1, [1, 2, "0"]), "at $.table[1][2]: expected an integer, got '0'"),
+    "bool-entry": (_z3_with(2, [2, True, 1]), "at $.table[2][1]: expected an integer, got True"),
+    "entry-2**64": (
+        _z3_with(2, [2, 0, 2**64]), "at $.table: Python int too large to convert to C long"
+    ),
+    "entry-minus-one": (
+        _z3_with(2, [2, -1, 1]), "at $.table: table entries must be element indices"
+    ),
+    "entry-order": (_z3_with(2, [2, 0, 3]), "at $.table: table entries must be element indices"),
+    # every row is counted before any entry is read
+    "float-before-short-row": (
+        [[0, 1.0, 2], [1, 2], [2, 0, 1]], "at $.table[1]: expected 3 entries"
+    ),
+}
+
+
+@pytest.mark.parametrize("table, message", TABLE_REFUSALS.values(), ids=TABLE_REFUSALS.keys())
+def test_cli_pins_each_table_refusal(tmp_path, capsys, table, message):
+    from cstarconv import cli
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_semigroup_doc(3, 0, table)))
+    assert cli.main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: at {path}: {message}\n"
 
 
 # (command, file, path in the message): a JSON boolean in a [re, im] pair was
@@ -901,7 +1004,12 @@ NAMED_REFUSALS = {
         "at $.blocks: block dimensions must be positive, got (1, -1)",
     ),
     "evolve-unknown-schema": (
-        ["evolve", "{unknown}", "{gamma}"], "unknown", "unrecognized bialgebra schema"
+        ["evolve", "{unknown}", "{gamma}"], "unknown",
+        "unrecognized schema (no table/irreps/blocks key)",
+    ),
+    "evolve-irreps": (
+        ["evolve", "{irreps}", "{gamma}"], "irreps",
+        "expected a table or bialgebra file, got irreps",
     ),
     "guichardet-value-count": (
         ["guichardet", "s3", "{five_values}"], "five_values",
@@ -982,6 +1090,27 @@ def test_one_frame_prefixes_every_refusal():
     found = {p.name: _strings_beginning_with_at(p) for p in sorted(package.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines and name != "io.py"} == {}
     assert len(found["io.py"]) == 1
+
+
+def test_cli_leaves_the_schema_dispatch_to_io():
+    """``cli.py`` reads no document itself and tests no schema key with
+    ``in``: ``io.load_structure`` picks a file's schema."""
+    path = Path(cc.__file__).resolve().parent / "cli.py"
+    tree = ast.parse(path.read_text(), str(path))
+    loads = [
+        node.lineno
+        for node in ast.walk(tree)
+        if "load_document" in (getattr(node, "id", None), getattr(node, "attr", None))
+    ]
+    keys = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Constant)
+        and node.left.value in ("table", "irreps", "blocks")
+        and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+    ]
+    assert (loads, keys) == ([], [])
 
 
 def test_cli_guichardet_rejects_nonvanishing(tmp_path):
