@@ -41,6 +41,14 @@ def _frozen(array, dtype=np.complex128) -> np.ndarray:
     return out
 
 
+def _coordinates(algebra: Algebra, coords, kind: str) -> np.ndarray:
+    """``coords`` flattened to one read-only complex vector of ``algebra.dim`` entries."""
+    out = _frozen(np.asarray(coords, dtype=np.complex128).ravel())
+    if out.size != algebra.dim:
+        raise ShapeError(f"expected {algebra.dim} {kind}, got {out.size}")
+    return out
+
+
 def hermitian_spectrum(mats) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian defect and smallest Hermitian-part eigenvalue of each matrix.
 
@@ -83,15 +91,6 @@ def psd_violation(defects, min_eigs) -> np.ndarray:
     finite = np.isfinite(defects) & np.isfinite(min_eigs)
     # 0 - e rather than -e, so that a zero eigenvalue gives +0, not -0
     return np.where(finite, np.maximum(defects, 0.0 - min_eigs), np.nan)
-
-
-def psd_within(defects, min_eigs, tol: float) -> np.ndarray:
-    """Elementwise PSD verdict: ``within(psd_violation(defects, min_eigs), tol)``.
-
-    A matrix is positive semidefinite within ``tol`` when its Hermitian
-    defect is at most ``tol`` and its smallest eigenvalue at least ``-tol``.
-    """
-    return within(psd_violation(defects, min_eigs), tol)
 
 
 @dataclass(frozen=True)
@@ -195,22 +194,10 @@ class Algebra:
         self._require(a)
         return a.coords
 
-    def from_coords(self, coords) -> "Element":
-        coords = np.asarray(coords, dtype=np.complex128).ravel()
-        if coords.size != self.dim:
-            raise ShapeError(f"expected {self.dim} coordinates, got {coords.size}")
-        return Element(self, coords)
-
     def dual_coords(self, mu: "Functional") -> np.ndarray:
         """Row vector with ``mu(a) = dual_coords(mu) @ to_coords(a)``."""
         self._require(mu)
         return mu.dual
-
-    def functional_from_dual_coords(self, coords) -> "Functional":
-        coords = np.asarray(coords, dtype=np.complex128).ravel()
-        if coords.size != self.dim:
-            raise ShapeError(f"expected {self.dim} dual coordinates, got {coords.size}")
-        return Functional(self, coords)
 
     def split(self, vector: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per-block ``(n, n)`` views of a coordinate vector, row-major."""
@@ -274,7 +261,7 @@ class Element:
     coords: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", _frozen(self.coords))
+        object.__setattr__(self, "coords", _coordinates(self.algebra, self.coords, "coordinates"))
 
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
@@ -315,7 +302,7 @@ class Functional:
     dual: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dual", _frozen(self.dual))
+        object.__setattr__(self, "dual", _coordinates(self.algebra, self.dual, "dual coordinates"))
 
     @property
     def dual_blocks(self) -> tuple[np.ndarray, ...]:
@@ -422,7 +409,7 @@ def _block_stacks(algebra: Algebra, vector: np.ndarray, dual: bool = False):
 def is_positive_functional(mu: Functional, tol: float = DEFAULT_TOL) -> bool:
     """Whether every dual block is positive semidefinite within tol."""
     defects, min_eigs, _ = _dual_block_spectra(mu)
-    return bool(np.all(psd_within(defects, min_eigs, tol)))
+    return bool(np.all(within(psd_violation(defects, min_eigs), tol)))
 
 
 @dataclass(frozen=True)

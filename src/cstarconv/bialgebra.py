@@ -372,7 +372,7 @@ def function_bialgebra(monoid: SemigroupTable) -> Bialgebra:
     """
     m = monoid.order
     alg = Algebra((1,) * m)
-    eps = alg.functional_from_dual_coords(np.eye(m)[monoid.identity])
+    eps = Functional(alg, np.eye(m)[monoid.identity])
     b = _TableBialgebra(alg, eps, monoid)
     if monoid.is_group:
         return b
@@ -408,7 +408,7 @@ def group_cstar_bialgebra(group: SemigroupTable, irreps: IrrepTable) -> Bialgebr
     delta = lam_pairs[mixing_permutation(alg, alg)] @ fourier
     eps = np.zeros(alg.dim)
     eps[alg.coord_offsets[irreps.trivial_index]] = 1.0
-    return Bialgebra(alg, LinearMap(alg, square, delta), alg.functional_from_dual_coords(eps))
+    return Bialgebra(alg, LinearMap(alg, square, delta), Functional(alg, eps))
 
 
 def fourier_matrices(group: SemigroupTable, irreps: IrrepTable):

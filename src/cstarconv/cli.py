@@ -275,7 +275,8 @@ def cmd_evolve(args) -> tuple[dict, int]:
     with io_schemas.at(args.gamma):
         gamma = io_schemas.load_functional(b.algebra, args.gamma)
     times = args.times
-    diag = generating_functional(b, gamma, tol)
+    with io_schemas.at(args.bialgebra):  # its counit must be a character
+        diag = generating_functional(b, gamma, tol)
     sg = associated_semigroup(b, gamma)
     moduli = sg.moduli(times)
     gamma_norm = functional_norm(gamma)
@@ -418,8 +419,9 @@ def _finite_nonnegative(text: str) -> float:
 
 
 def _nonnegative_int(text: str) -> int:
-    # default_rng refuses a negative seed
-    if not text.strip().isdecimal():
+    # default_rng refuses a negative seed; int() also reads non-ASCII digits
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdecimal()):
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return int(text)
 

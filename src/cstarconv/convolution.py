@@ -33,7 +33,7 @@ def _dual(b: Bialgebra, mu: Functional) -> np.ndarray:
 
 def convolve(b: Bialgebra, lam: Functional, mu: Functional) -> Functional:
     """Convolution product of two functionals through the coproduct."""
-    return b.algebra.functional_from_dual_coords(b.convolve(_dual(b, lam), _dual(b, mu)))
+    return Functional(b.algebra, b.convolve(_dual(b, lam), _dual(b, mu)))
 
 
 def right_convolution_operator(b: Bialgebra, mu: Functional) -> LinearMap:
@@ -203,8 +203,7 @@ class AssociatedSemigroup:
         """The convolution exponential at time ``t`` (the state of the flow)."""
         self._require_time(t)
         b = self.bialgebra
-        dual = expm(t * self.convolution_matrix) @ b.counit_coords
-        return b.algebra.functional_from_dual_coords(dual)
+        return Functional(b.algebra, expm(t * self.convolution_matrix) @ b.counit_coords)
 
     @cached_property
     def _convolution_norm(self) -> float:
@@ -249,12 +248,12 @@ class AssociatedSemigroup:
             scale, powers = self._krylov
             k = np.arange(len(powers))
             weights = _PHI1_COEFFS[k] * (t * scale) ** k
-            return alg.functional_from_dual_coords(weights @ powers)
+            return Functional(alg, weights @ powers)
         dim = alg.dim
         aug = np.zeros((dim + 1, dim + 1), dtype=np.complex128)
         aug[:dim, :dim] = t * self.convolution_matrix
         aug[:dim, dim] = self.dual_gamma
-        return alg.functional_from_dual_coords(expm(aug)[:dim, dim])
+        return Functional(alg, expm(aug)[:dim, dim])
 
     def operator_at(self, t: float) -> LinearMap:
         """``P_t = exp(t Z)`` on the algebra."""

@@ -30,7 +30,6 @@ from .algebra import (
     hermitian_spectrum,
     is_positive_functional,
     psd_violation,
-    psd_within,
     within,
 )
 from .bialgebra import fourier_matrices
@@ -69,7 +68,7 @@ def kernel_matrix(group: SemigroupTable, values) -> np.ndarray:
 
 def is_positive_definite(group: SemigroupTable, values, tol: float = DEFAULT_TOL) -> bool:
     """Whether the translation kernel is Hermitian and PSD within tol."""
-    return bool(psd_within(*hermitian_spectrum(kernel_matrix(group, values)), tol))
+    return bool(within(psd_violation(*hermitian_spectrum(kernel_matrix(group, values))), tol))
 
 
 def is_hermitian_function(group: SemigroupTable, values, tol: float = DEFAULT_TOL) -> bool:
@@ -84,7 +83,8 @@ def is_conditionally_positive_definite(
     """Whether the kernel compressed by ``P = I - J/|G|``, the kernel of
     ``values - mean(values)``, is Hermitian and PSD within tol."""
     _, values = _require_group(group, values)
-    return bool(psd_within(*hermitian_spectrum(kernel_matrix(group, values - values.mean())), tol))
+    spectrum = hermitian_spectrum(kernel_matrix(group, values - values.mean()))
+    return bool(within(psd_violation(*spectrum), tol))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +177,8 @@ def guichardet_constant(
     # the entries of K - mean J are those of values - mean: compare g with g^-1
     centred = values - mean
     centred_defect = np.abs(centred - centred[inv].conj()).max()
-    _check_guichardet_preconditions(group, values, psd_within(centred_defect, min_eig, tol), tol)
+    conditionally_positive = within(psd_violation(centred_defect, min_eig), tol)
+    _check_guichardet_preconditions(group, values, conditionally_positive, tol)
     # the ones vector is tested against the matrix whose spectrum is certified
     ones_residual = float(np.linalg.norm((kernel + kernel.conj().T) / 2 @ np.ones(m)))
     return GuichardetCertificate(
@@ -202,7 +203,7 @@ def functional_from_function(
     """
     _, values = _require_group(group, values)
     _, fourier = fourier_matrices(group, irreps)
-    return Algebra(irreps.dims).functional_from_dual_coords(values @ fourier)
+    return Functional(Algebra(irreps.dims), values @ fourier)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +324,7 @@ def guichardet_via_gns(
     # functional_from_function, with the (1x1) counit block compressed away
     dual = values @ fourier
     dual[alg.coord_offsets[irreps.trivial_index]] = 0.0
-    omega = alg.functional_from_dual_coords(dual)
+    omega = Functional(alg, dual)
     _check_guichardet_preconditions(group, values, is_positive_functional(omega, tol), tol)
     constant = omega(alg.unit()).real
 

@@ -316,11 +316,14 @@ def builtin_name(name: str) -> tuple[str, bool] | None:
 
 
 def _cyclic_order(key: str) -> int | None:
-    """The integer ``n`` of a folded ``zn:<n>`` name, else ``None``."""
-    try:
-        return int(key.split(":", 1)[1]) if key.startswith("zn:") else None
-    except ValueError:
+    """The integer ``n`` of a folded ``zn:<n>`` name, else ``None``: ``<n>`` is
+    ASCII digits after an optional sign, with blanks around them (``int`` alone
+    would also read ``3_0`` and non-ASCII digits)."""
+    if not key.startswith("zn:"):
         return None
+    text = key.removeprefix("zn:").strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    return int(text) if digits.isascii() and digits.isdigit() else None
 
 
 def builtin_group(name: str) -> tuple[SemigroupTable, IrrepTable]:

@@ -152,7 +152,7 @@ def load_document(source) -> dict:
     if not str(source).strip():  # Path("") is the working directory
         raise SchemaError(f"blank path {source!r} names no file")
     try:
-        data = json.loads(Path(source).read_text())
+        data = json.loads(Path(source).read_text(encoding="utf-8"))  # RFC 8259
     except (ValueError, RecursionError) as exc:
         # JSONDecodeError, UnicodeDecodeError, integers past the digit limit
         # and too deep nesting

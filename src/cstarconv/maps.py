@@ -32,7 +32,7 @@ class LinearMap:
         object.__setattr__(self, "matrix", mat)
 
     def __call__(self, a: Element) -> Element:
-        return self.target.from_coords(self.matrix @ self.source.to_coords(a))
+        return Element(self.target, self.matrix @ self.source.to_coords(a))
 
     @staticmethod
     def identity(algebra: Algebra) -> "LinearMap":

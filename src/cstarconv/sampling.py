@@ -36,7 +36,7 @@ def random_duals(algebra: Algebra, rng: np.random.Generator, count: int) -> np.n
 
 def random_functional(algebra: Algebra, rng: np.random.Generator) -> Functional:
     """Functional with independent standard complex Gaussian dual entries."""
-    return algebra.functional_from_dual_coords(random_duals(algebra, rng, 1))
+    return Functional(algebra, random_duals(algebra, rng, 1))
 
 
 def random_generating_functional(

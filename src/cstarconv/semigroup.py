@@ -32,8 +32,7 @@ from .maps import LinearMap
 
 def recover_functional(b: Bialgebra, p_t: LinearMap) -> Functional:
     """Read back the functional of an associated map: ``epsilon compose P_t``."""
-    dual = b.counit_coords @ p_t.matrix
-    return b.algebra.functional_from_dual_coords(dual)
+    return Functional(b.algebra, b.counit_coords @ p_t.matrix)
 
 
 # ---------------------------------------------------------------------------

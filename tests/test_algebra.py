@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cstarconv as cc
-from cstarconv.algebra import GNS_RANK_TOL, psd_violation, psd_within
+from cstarconv.algebra import GNS_RANK_TOL, psd_violation
 from cstarconv.sampling import random_functional, random_generating_functional
 
 from conftest import (
@@ -39,13 +39,27 @@ def test_algebra_shape_data():
 def test_coordinate_roundtrip(rng):
     alg = cc.Algebra((2, 1, 3))
     coords = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
-    assert np.allclose(alg.to_coords(alg.from_coords(coords)), coords)
+    assert np.allclose(alg.to_coords(cc.Element(alg, coords)), coords)
     dual = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
-    mu = alg.functional_from_dual_coords(dual)
+    mu = cc.Functional(alg, dual)
     assert np.allclose(alg.dual_coords(mu), dual)
     # pairing through dual coordinates equals the trace pairing
-    a = alg.from_coords(coords)
+    a = cc.Element(alg, coords)
     assert abs(mu(a) - dual @ coords) < 1e-12
+
+
+def test_values_check_their_coordinate_count_at_construction():
+    alg = cc.Algebra((2, 1))  # dim 5
+    with pytest.raises(cc.ShapeError, match=r"^expected 5 coordinates, got 3$"):
+        cc.Element(alg, np.zeros(3))
+    with pytest.raises(cc.ShapeError, match=r"^expected 5 dual coordinates, got 6$"):
+        cc.Functional(alg, np.zeros((2, 3)))
+    # any array-like of dim entries is flattened to one read-only complex vector
+    for value in (cc.Element(alg, [[1, 2, 3, 4, 5]]), cc.Functional(alg, range(1, 6))):
+        vector = value.coords if isinstance(value, cc.Element) else value.dual
+        assert vector.shape == (5,) and vector.dtype == np.complex128
+        assert not vector.flags.writeable
+        assert np.array_equal(vector, np.arange(1, 6))
 
 
 def test_element_norm_trivial_cases():
@@ -331,7 +345,7 @@ def _gns_functionals(alg, rng):
         v = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
         full.append(a @ a.conj().T)
         thin.append(v @ v.conj().T if i % 2 == 0 else np.zeros((n, n)))
-    zero = alg.functional_from_dual_coords(np.zeros(alg.dim))
+    zero = cc.Functional(alg, np.zeros(alg.dim))
     return [alg.functional(full), alg.functional(thin), zero]
 
 
@@ -357,7 +371,7 @@ def test_gns_equals_the_basis_product_tensor_bit_for_bit(source, rng):
 
 def _gns_of_a_faithful_state_on_128_blocks():
     alg = cc.Algebra((1,) * 128)
-    data = cc.gns(alg, alg.functional_from_dual_coords(np.full(alg.dim, 1.0 / alg.dim)))
+    data = cc.gns(alg, cc.Functional(alg, np.full(alg.dim, 1.0 / alg.dim)))
     assert data.dimension == alg.dim
 
 
@@ -535,13 +549,12 @@ edge = st.sampled_from(
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(edge, finite), min_size=1, max_size=6), st.data())
-def test_psd_within_is_within_of_the_violation(defects, data):
-    """One PSD rule: the verdict is ``within`` of ``psd_violation``, elementwise."""
+def test_psd_violation_passes_exactly_when_defect_and_eigenvalue_do(defects, data):
+    """One PSD rule: ``within`` of ``psd_violation`` passes, elementwise, exactly
+    when the defect is at most ``tol`` and the eigenvalue at least ``-tol``."""
     size = len(defects)
     min_eigs = data.draw(st.lists(st.one_of(edge, finite), min_size=size, max_size=size))
     tol = data.draw(st.sampled_from([0.0, 1e-9, 1.0]))
-    verdict = psd_within(defects, min_eigs, tol)
-    assert np.array_equal(verdict, cc.within(psd_violation(defects, min_eigs), tol))
-    # the violation passes exactly when both the defect and the eigenvalue do
+    verdict = cc.within(psd_violation(defects, min_eigs), tol)
     both = cc.within(np.array(defects), tol) & cc.within(-np.array(min_eigs), tol)
     assert np.array_equal(verdict, both)

@@ -185,7 +185,7 @@ def test_decomposition_rejects_non_character(z2_functions):
 
 def test_decomposition_rejects_a_nan_counit_value():
     b = cc.function_bialgebra(cc.cyclic_group(3))
-    eps = b.algebra.functional_from_dual_coords(np.array([np.nan, 0.0, 0.0]))
+    eps = cc.Functional(b.algebra, np.array([np.nan, 0.0, 0.0]))
     with pytest.raises(cc.ConstructionError, match="not a character"):
         cc.discrete_type_decomposition(cc.Bialgebra(b.algebra, b.delta, eps))
 
@@ -402,7 +402,7 @@ def _table_coproduct(blocks, table):
     square = cc.tensor_algebra(alg, alg)
     delta = np.zeros((square.dim, alg.dim), dtype=np.complex128)
     delta[np.arange(square.dim), table.ravel()[cc.mixing_permutation(alg, alg)]] = 1.0
-    eps = alg.functional_from_dual_coords(np.eye(alg.dim)[0])
+    eps = cc.Functional(alg, np.eye(alg.dim)[0])
     return cc.Bialgebra(alg, cc.LinearMap(alg, square, delta), eps)
 
 
@@ -486,7 +486,7 @@ def test_character_residual_matches_the_basis_product_tensor(blocks):
         abs(eps @ alg.unit_coords - 1.0),
         np.abs(eps[alg.star_perm] - eps.conj()).max(),
     )
-    report = cc.validate_bialgebra(cc.Bialgebra(alg, b.delta, alg.functional_from_dual_coords(eps)))
+    report = cc.validate_bialgebra(cc.Bialgebra(alg, b.delta, cc.Functional(alg, eps)))
     assert report.character_residual == expected
 
 
@@ -713,7 +713,7 @@ def test_flow_on_functions_on_z512_runs_without_the_dense_coproduct(z512_functio
     gamma = np.zeros(512)
     gamma[[1, 5, 100]] = [0.5, 0.3, 0.2]
     gamma[0] = -1.0
-    flow = cc.associated_semigroup(b, b.algebra.functional_from_dual_coords(gamma))
+    flow = cc.associated_semigroup(b, cc.Functional(b.algebra, gamma))
 
     def run():
         state = flow.functional_at(0.5)
@@ -743,7 +743,7 @@ def test_invariance_on_functions_on_z512_runs_without_the_dense_coproduct(z512_f
 def test_nan_axiom_residual_is_not_read_as_exact():
     """A nan counit value makes residuals nan, not the 0.0 of an exact bialgebra."""
     b = cc.function_bialgebra(cc.cyclic_group(3))
-    eps = b.algebra.functional_from_dual_coords(np.array([1.0, np.nan, 0.0]))
+    eps = cc.Functional(b.algebra, np.array([1.0, np.nan, 0.0]))
     report = cc.validate_bialgebra(cc.Bialgebra(b.algebra, b.delta, eps))
     assert np.isnan(report.counit_residual) and np.isnan(report.character_residual)
     assert np.isnan(axiom_residuals(report)).any()
@@ -757,7 +757,7 @@ def test_non_finite_entry_gives_nan_character_and_homomorphism_residuals(spec, b
     b = _builtin_bialgebra(spec)
     dual = np.array(b.counit_coords)
     dual[1] = bad
-    eps = b.algebra.functional_from_dual_coords(dual)
+    eps = cc.Functional(b.algebra, dual)
     assert np.isnan(cc.validate_bialgebra(cc.Bialgebra(b.algebra, b.delta, eps)).character_residual)
     delta = np.array(b.delta.matrix)
     delta[4, 1] = bad
@@ -765,3 +765,27 @@ def test_non_finite_entry_gives_nan_character_and_homomorphism_residuals(spec, b
     report = cc.validate_bialgebra(cc.Bialgebra(b.algebra, coproduct, b.epsilon))
     assert np.isnan(report.hom_residual) and np.isnan(report.unit_residual)
     assert not all(cc.within(r, 1e-9) for _, r in report.checks())
+
+
+def test_structures_refuse_malformed_data_at_construction():
+    """Each structure checks its own data when built, and a bialgebra stays as built."""
+    refused = cc.ConstructionError
+    with pytest.raises(refused, match=r"^multiplication table must be square, got \(2, 3\)$"):
+        cc.SemigroupTable(np.zeros((2, 3), dtype=int), 0)
+    with pytest.raises(refused, match="^identity index 2 out of range$"):
+        cc.SemigroupTable([[0, 1], [1, 0]], 2)
+    with pytest.raises(refused, match=r"^each irrep must be a \(\|G\|, d, d\) array$"):
+        cc.IrrepTable((np.ones((2, 1, 2)),))
+    alg = cc.Algebra((1, 1))
+    square = cc.tensor_algebra(alg, alg)
+    with pytest.raises(cc.ShapeError, match=r"^map matrix has shape \(2, 3\), expected \(4, 2\)$"):
+        cc.LinearMap(alg, square, np.zeros((2, 3)))
+    delta = cc.function_bialgebra(cc.cyclic_group(2)).delta
+    eps = cc.Functional(alg, [1, 0])
+    other = cc.Algebra((2,))  # dim 4, as the tensor square, but one block
+    with pytest.raises(cc.ShapeError, match="^coproduct must map the algebra into its tensor"):
+        cc.Bialgebra(alg, cc.LinearMap(alg, other, delta.matrix), eps)
+    b = cc.Bialgebra(alg, delta, eps)
+    with pytest.raises(AttributeError, match="^cannot assign 'epsilon': a Bialgebra is immutable$"):
+        b.epsilon = cc.Functional(alg, [0, 1])
+    assert b.epsilon is eps

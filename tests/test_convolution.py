@@ -21,7 +21,7 @@ from conftest import (
 
 
 def dual_basis_functional(b, k):
-    return b.algebra.functional_from_dual_coords(np.eye(b.algebra.dim)[k])
+    return cc.Functional(b.algebra, np.eye(b.algebra.dim)[k])
 
 
 def test_point_mass_convolution_follows_group_law(z2, z2_functions):
@@ -103,7 +103,7 @@ def test_functional_recovered_from_translations(s3_dual, rng):
     for _ in range(20):
         mu = random_functional(b.algebra, rng)
         for op in (left_convolution(b, mu), cc.right_convolution_operator(b, mu)):
-            recovered = b.algebra.functional_from_dual_coords(eps @ op.matrix)
+            recovered = cc.Functional(b.algebra, eps @ op.matrix)
             assert cc.functional_norm(recovered - mu) < 1e-10
 
 
@@ -142,8 +142,9 @@ def test_translation_norm_brackets_functional_norm(s3_dual, rng):
         lop = left_convolution(b, mu)
         bound = cc.functional_norm(mu)
         for _ in range(50):
-            a = b.algebra.from_coords(
-                rng.standard_normal(b.algebra.dim) + 1j * rng.standard_normal(b.algebra.dim)
+            a = cc.Element(
+                b.algebra,
+                rng.standard_normal(b.algebra.dim) + 1j * rng.standard_normal(b.algebra.dim),
             )
             assert cc.element_norm(b.algebra, lop(a)) <= bound * cc.element_norm(
                 b.algebra, a
@@ -336,7 +337,7 @@ def _zn64_flow():
     dual = np.zeros(64)
     dual[rng.choice(np.arange(1, 64), size=8, replace=False)] = 2.0 * rng.dirichlet(np.ones(8))
     dual[0] = -2.0
-    return cc.associated_semigroup(b, b.algebra.functional_from_dual_coords(dual))
+    return cc.associated_semigroup(b, cc.Functional(b.algebra, dual))
 
 
 def test_phi1_series_tail_is_below_unit_roundoff():

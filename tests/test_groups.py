@@ -99,6 +99,15 @@ def test_builtin_names_of_one_cyclic_group_are_equal():
     assert peak < 2**16  # a name, not a table
 
 
+def test_a_cyclic_order_is_ascii_digits():
+    """``int`` would read ``3_0`` as 30 and other scripts' digits as numbers: each
+    is a fixture name with a bad order, which no name of ``Z_30`` or ``Z_3`` equals."""
+    for name, near in (("zn:3_0", "zn:30"), ("zn:٣", "zn:3"), ("zn:+٣", "zn:3")):
+        assert builtin_name(name) == (name, False) != builtin_name(near)
+        with pytest.raises(cc.ConstructionError, match="cyclic group order must be an integer"):
+            cc.builtin_group(name)
+
+
 def test_s3_structure(s3):
     assert s3.order == 6
     # parity is multiplicative

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -290,6 +291,12 @@ def _s3_irrep_doc(first_dim):
 
 
 Z2_TABLE = [[0, 1], [1, 0]]
+# the coproduct of the functions on Z2, delta(e_g) = sum over h k = g of e_h (x) e_k
+_ONE, _ZERO = [1, 0], [0, 0]
+Z2_FUNCTIONS = {
+    "mode": "hom",
+    "delta": [[_ONE, _ZERO], [_ZERO, _ONE], [_ZERO, _ONE], [_ONE, _ZERO]],
+}
 # a one-point bialgebra, whose block size each case sets
 ONE_POINT = {"mode": "hom", "delta": [[[1, 0]]], "epsilon": [[[[1, 0]]]]}
 
@@ -420,6 +427,65 @@ def test_cli_pins_each_table_refusal(tmp_path, capsys, table, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(_semigroup_doc(3, 0, table)))
     assert cli.main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: at {path}: {message}\n"
+
+
+ONE_BLOCK = {"blocks": [1]} | ONE_POINT
+# the file argument's place on each command line
+SCHEMA_ARGV = {
+    "validate": ["validate"], "evolve": ["evolve", "zn:2"], "guichardet": ["guichardet", "s3"]
+}
+# (command, document, its whole refusal): one case per schema refusal that no
+# other test reaches
+SCHEMA_REFUSALS = {
+    "top-level-list": ("validate", [1], "top level must be an object"),
+    "order-zero": (
+        "validate", _semigroup_doc(0, 0, []), "at $.order: expected a positive integer, got 0"
+    ),
+    "irreps-not-a-list": (
+        "validate", {"irreps": {}}, "at $: irrep file must contain a list under 'irreps'"
+    ),
+    "irrep-without-matrices": (
+        "validate", {"irreps": [{"dim": 1}]},
+        "at $.irreps[0]: each irrep needs 'dim' and 'matrices'",
+    ),
+    "bialgebra-without-mode": (
+        "validate", {"blocks": [1]}, "at $: bialgebra file missing key 'mode'"
+    ),
+    "blocks-not-a-list": (
+        "validate", ONE_BLOCK | {"blocks": 1}, "at $.blocks: expected a list of integers"
+    ),
+    "delta-shape": (
+        "validate", ONE_BLOCK | {"delta": [[[1, 0]], [[0, 0]]]},
+        "at $.delta: expected shape (1, 1), got (2, 1)",
+    ),
+    "epsilon-not-a-list": (
+        "validate", ONE_BLOCK | {"epsilon": {}}, "at $.epsilon: expected a list of dual blocks"
+    ),
+    "no-dual-blocks": (
+        "evolve", {}, "at $: functional file must contain a list under 'dual_blocks'"
+    ),
+    "no-values": (
+        "guichardet", {"group": "s3"},
+        "at $: group function file must contain a list under 'values'",
+    ),
+    "row-not-a-list": (
+        "evolve", {"dual_blocks": [[5], [[[1, 0]]]]},
+        "at $.dual_blocks[0][0]: expected a list (matrix row)",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message", SCHEMA_REFUSALS.values(), ids=SCHEMA_REFUSALS.keys()
+)
+def test_cli_pins_each_schema_refusal(tmp_path, capsys, command, doc, message):
+    from cstarconv import cli
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([*SCHEMA_ARGV[command], str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: at {path}: {message}\n"
 
@@ -954,6 +1020,9 @@ NAMED_FILES = {
     "bad_table": _semigroup_doc(2, 0, [[0, 5], [1, 0]]),
     "monoid": _semigroup_doc(3, 0, [[0, 1, 2], [1, 2, 2], [2, 2, 2]]),
     "bad_bialgebra": _bialgebra_doc([1, -1]),
+    # functions on Z2 with a counit that is zero, and one on both points
+    "zero_counit": {"blocks": [1, 1], "epsilon": [[[[0, 0]]], [[[0, 0]]]]} | Z2_FUNCTIONS,
+    "two_block_counit": {"blocks": [1, 1], "epsilon": [[[[1, 0]]], [[[1, 0]]]]} | Z2_FUNCTIONS,
     "unknown": {"rows": []},
     "gamma": {"dual_blocks": [[[[-1.0, 0.0]]], [[[1.0, 0.0]]]]},
     "one_block": {"dual_blocks": [[[[-1.0, 0.0]]]]},
@@ -1002,6 +1071,13 @@ NAMED_REFUSALS = {
     "evolve-bialgebra": (
         ["evolve", "{bad_bialgebra}", "{gamma}"], "bad_bialgebra",
         "at $.blocks: block dimensions must be positive, got (1, -1)",
+    ),
+    "evolve-zero-counit": (
+        ["evolve", "{zero_counit}", "{gamma}"], "zero_counit", "counit vanishes everywhere"
+    ),
+    "evolve-two-block-counit": (
+        ["evolve", "{two_block_counit}", "{gamma}"], "two_block_counit",
+        "counit is not a character supported on a single 1x1 block",
     ),
     "evolve-unknown-schema": (
         ["evolve", "{unknown}", "{gamma}"], "unknown",
@@ -1416,6 +1492,51 @@ def test_cli_rejects_malformed_numbers_and_names(tmp_path, argv):
     assert "error:" in result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+ORDER = "error: cyclic group order must be an integer in {!r}"
+SEED_ERROR = "cstarconv: error: argument --seed: expected a nonnegative integer, got {!r}"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate", "zn:3_0"], ORDER.format("zn:3_0")),
+        (["validate", "zn:٣"], ORDER.format("zn:٣")),  # ARABIC-INDIC DIGIT THREE
+        (["evolve", "dual:zn:２", "g.json"], ORDER.format("zn:２")),  # FULLWIDTH DIGIT TWO
+        (["--seed", "٣", "validate", "zn:2"], SEED_ERROR.format("٣")),
+    ],
+    ids=["underscore", "arabic-indic", "fullwidth-dual", "seed"],
+)
+def test_cli_reads_orders_and_seeds_as_ascii_digits(capsys, argv, message):
+    """``int`` reads ``3_0`` as 30 and other scripts' digits as numbers; the CLI does not."""
+    from cstarconv import cli
+
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse refuses an option value
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1] == message
+
+
+def test_cli_decodes_json_as_utf8_in_any_locale(tmp_path):
+    """A file is UTF-8 (RFC 8259) whatever the locale's codec, here ASCII."""
+    psi = tmp_path / "psi.json"
+    doc = {"note": "café", "values": [[0.0, 0.0]] + [[-1.0, 0.0]] * 5}
+    psi.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    runs = []
+    for env in (
+        {"PYTHONUTF8": "1"},
+        {"PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"},
+    ):
+        runs.append(subprocess.run(
+            [sys.executable, "-m", "cstarconv", "guichardet", "zn:6", str(psi)],
+            capture_output=True, env={**os.environ, **env},
+        ))
+    assert [r.returncode for r in runs] == [0, 0], [r.stderr for r in runs]
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_cli_evolve_overflow_is_a_failed_check(tmp_path):

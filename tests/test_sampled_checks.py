@@ -73,7 +73,7 @@ def test_functional_norms_of_a_stack_equal_per_functional_norms(rng):
     norms = cc.functional_norms(alg, duals.reshape(3, 4, alg.dim))
     assert norms.shape == (3, 4)
     for dual, norm in zip(duals, norms.ravel()):
-        one = cc.functional_norm(alg.functional_from_dual_coords(dual))
+        one = cc.functional_norm(cc.Functional(alg, dual))
         assert np.array_equal(norm, one, equal_nan=True)
     assert np.isnan(norms.ravel()[[4, 9]]).all() and np.isfinite(np.delete(norms, [4, 9])).all()
 

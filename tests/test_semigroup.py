@@ -132,15 +132,13 @@ def test_commutation_detects_noncommutative_convolution(s3_functions, s3_dual):
     """
     worst = 0.0
     for k in range(s3_functions.algebra.dim):
-        mu = s3_functions.algebra.functional_from_dual_coords(
-            np.eye(s3_functions.algebra.dim)[k]
-        )
+        mu = cc.Functional(s3_functions.algebra, np.eye(s3_functions.algebra.dim)[k])
         t_map = left_convolution(s3_functions, mu)
         worst = max(worst, cc.commutation_residual(s3_functions, t_map))
     assert worst > 0.01
     cocommutative_worst = 0.0
     for k in range(s3_dual.algebra.dim):
-        mu = s3_dual.algebra.functional_from_dual_coords(np.eye(s3_dual.algebra.dim)[k])
+        mu = cc.Functional(s3_dual.algebra, np.eye(s3_dual.algebra.dim)[k])
         t_map = left_convolution(s3_dual, mu)
         cocommutative_worst = max(cocommutative_worst, cc.commutation_residual(s3_dual, t_map))
     assert cocommutative_worst < 1e-12
@@ -176,8 +174,8 @@ def test_perturbed_associated_map_fails_both_ways(s3_dual, rng):
 def test_multiplication_map_is_not_translation_unless_scalar():
     z3 = cc.function_bialgebra(cc.cyclic_group(3))
     alg = z3.algebra
-    point = alg.functional_from_dual_coords(np.eye(3)[0])  # delta at the identity
-    mult = cc.LinearMap(alg, alg, left_multiplication_matrix(alg, alg.from_coords([1, 0, 0])))
+    point = cc.Functional(alg, np.eye(3)[0])  # delta at the identity
+    mult = cc.LinearMap(alg, alg, left_multiplication_matrix(alg, cc.Element(alg, [1, 0, 0])))
     assert not cc.within(cc.weak_invariance_residual(z3, mult), 1e-9)
     scalar = cc.LinearMap(alg, alg, left_multiplication_matrix(alg, 0.7 * alg.unit()))
     assert cc.within(cc.weak_invariance_residual(z3, scalar), 1e-9)
